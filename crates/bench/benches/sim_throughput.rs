@@ -37,6 +37,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gpu_sim::stats::SmFastForward;
 use gpu_sim::{FixedTuple, Gpu, GpuConfig, StepMode, UniformKernel, WarpTuple};
 use poise::profiler::{profile_grid, GridSpec, ProfileWindow};
 use poise_bench::results_dir;
@@ -95,10 +96,11 @@ impl Opts {
 
 /// Per-mode result of one workload point: best-of-N throughput plus the
 /// per-SM fast-forward totals of the last run (spans, skipped SM-cycles,
-/// horizon stalls) — the "why didn't this skip?" diagnostics.
+/// horizon stalls, ALU-run bursts) — the "why didn't this skip?"
+/// diagnostics.
 struct ModeResult {
     rate: f64,
-    ff: (u64, u64, u64),
+    ff: SmFastForward,
 }
 
 /// Cycles per second of one (kernel, tuple, mode) point: best of N runs.
@@ -111,7 +113,7 @@ fn cycles_per_second(
     opts: &Opts,
 ) -> ModeResult {
     let mut best = 0.0f64;
-    let mut ff = (0, 0, 0);
+    let mut ff = SmFastForward::default();
     for _ in 0..opts.samples() {
         let mut cfg = GpuConfig::scaled(sms);
         cfg.step_mode = mode;
@@ -122,9 +124,10 @@ fn cycles_per_second(
         let res = gpu.run(&mut ctrl, opts.budget());
         let rate = res.counters.cycles as f64 / t.elapsed().as_secs_f64();
         best = best.max(rate);
-        ff = gpu.fast_forward_breakdown().iter().fold((0, 0, 0), |a, f| {
-            (a.0 + f.spans, a.1 + f.skipped, a.2 + f.horizon_stalls)
-        });
+        ff = SmFastForward::default();
+        for f in gpu.fast_forward_breakdown() {
+            ff.accumulate(f);
+        }
     }
     ModeResult { rate: best, ff }
 }
@@ -145,9 +148,8 @@ struct WorkloadResult {
     rates: [f64; 3],
     /// cycles/sec of `StepMode::ParallelSm` per `THREAD_LADDER` point.
     parallel_rates: [f64; THREAD_LADDER.len()],
-    /// Per-SM fast-forward totals of the per-SM mode run:
-    /// (spans, skipped SM-cycles, horizon stalls).
-    per_sm_ff: (u64, u64, u64),
+    /// Per-SM fast-forward totals of the per-SM mode run.
+    per_sm_ff: SmFastForward,
 }
 
 impl WorkloadResult {
@@ -174,7 +176,7 @@ fn report(
     opts: &Opts,
 ) -> WorkloadResult {
     let mut rates = [0.0; 3];
-    let mut per_sm_ff = (0, 0, 0);
+    let mut per_sm_ff = SmFastForward::default();
     for (i, (mode, _)) in MODES.iter().enumerate() {
         let r = cycles_per_second(kernel, tuple, sms, *mode, 1, opts);
         rates[i] = r.rate;
@@ -197,8 +199,13 @@ fn report(
         rates[0] / rates[1],
     );
     println!(
-        "    per-sm breakdown: {} spans, {} skipped SM-cycles, {} horizon stalls",
-        per_sm_ff.0, per_sm_ff.1, per_sm_ff.2
+        "    per-sm breakdown: {} spans, {} skipped SM-cycles, {} horizon stalls, \
+         {} ALU-run bursts over {} SM-cycles",
+        per_sm_ff.spans,
+        per_sm_ff.skipped,
+        per_sm_ff.horizon_stalls,
+        per_sm_ff.bursts,
+        per_sm_ff.burst_cycles
     );
     let ladder = THREAD_LADDER
         .iter()
@@ -581,10 +588,12 @@ fn write_json(
             );
         }
         let _ = writeln!(s, "      ],");
+        let ff = &w.per_sm_ff;
         let _ = writeln!(
             s,
-            "      \"per_sm_ff\": {{\"spans\": {}, \"skipped_sm_cycles\": {}, \"horizon_stalls\": {}}}",
-            w.per_sm_ff.0, w.per_sm_ff.1, w.per_sm_ff.2
+            "      \"per_sm_ff\": {{\"spans\": {}, \"skipped_sm_cycles\": {}, \"horizon_stalls\": {}, \
+             \"bursts\": {}, \"burst_sm_cycles\": {}}}",
+            ff.spans, ff.skipped, ff.horizon_stalls, ff.bursts, ff.burst_cycles
         );
         let comma = if wi + 1 < workloads.len() { "," } else { "" };
         let _ = writeln!(s, "    }}{comma}");

@@ -24,6 +24,48 @@
 //!   unchanged can only have bumped reject/stall counters, so its exact
 //!   replicas up to the next event are accounted without stepping.
 //!
+//! Two more mechanisms make the per-SM advance pay per state change
+//! rather than per cycle or per probe in the two regimes Poise sweeps
+//! most — compute-bound kernels at full occupancy and memory-bound
+//! kernels whose `N` exceeds the MSHRs:
+//!
+//! * **ALU-run bursts** (in `Lane::advance`, so [`StepMode::PerSm`] and
+//!   [`StepMode::ParallelSm`] get them; `Reference` and `EventDriven`
+//!   keep stepping one cycle at a time, which keeps `Reference` an
+//!   independent oracle for bursts). After a stepped cycle that issued,
+//!   if every scheduler either has no ready vital warp or has a ready
+//!   vital greedy warp with no stashed instruction whose stream reports
+//!   an ALU run ([`InstructionStream::alu_run`]), the next `k = min(runs,
+//!   next event, horizon, barrier) − clock` cycles repeat one issue
+//!   pattern: GTO re-picks each greedy warp, which issues an ALU
+//!   instruction, and the rest stall. A burst accounts them at once: `k`
+//!   onto each issuing warp's `instructions`, `since_last_load` and
+//!   `fetched` (its stream skips `k` through
+//!   [`InstructionStream::skip_alu`]), `k` per issuing scheduler onto
+//!   `instructions` and `busy_scheduler_cycles`, and `k` per live stalled
+//!   scheduler onto `stall_scheduler_cycles`. `alu_run` may under-report
+//!   (0 means unknown) but never over-report.
+//! * **The reject memo** (in `Sm::issue_one`, shared by every loop). Each
+//!   scheduler keeps a mask of the warps whose stashed load the L1
+//!   rejected at the L1's current *epoch*. The epoch moves wherever a
+//!   reject can turn into an accept: an MSHR allocation (a later load to
+//!   that line can now merge) and an MSHR completion (an entry frees, a
+//!   merge count drops, a line turns valid); hits, merges, rejects and
+//!   store invalidations cannot, so they leave it. A masked probe is a
+//!   known reject: it still counts toward the arbitration width and
+//!   bumps `l1_rejects` (total and window), moves no version, and skips
+//!   the set index, tag probe, MSHR scan and reuse-stack update (the
+//!   stashed line already tops that warp's reuse stack). Moving the
+//!   epoch more often would only be slower.
+//!
+//! Both are derived state: the mask, the epochs and the
+//! [`SmFastForward`] burst counts stay out of [`Counters`] and out of
+//! snapshots (a restored machine starts with an empty memo), and
+//! [`Gpu::new`] allocates nothing for them.
+//!
+//! [`InstructionStream::alu_run`]: crate::instruction::InstructionStream::alu_run
+//! [`InstructionStream::skip_alu`]: crate::instruction::InstructionStream::skip_alu
+//!
 //! ## The per-SM horizon invariant
 //!
 //! SMs interact only through two channels, and each bounds how far one SM
@@ -343,10 +385,12 @@ impl Gpu {
     }
 
     /// Per-SM fast-forward breakdown (spans, skipped SM-cycles, horizon
-    /// stalls), indexed by SM id. Only [`StepMode::PerSm`] populates it;
-    /// use it to see *why* a workload does not skip (frequent
-    /// `horizon_stalls` mean the SM keeps hitting the shared-memory
-    /// horizon; zero `spans` mean its schedulers stay busy).
+    /// stalls, ALU-run bursts), indexed by SM id. Only the per-SM loops
+    /// populate it; use it to see *why* a workload does not skip
+    /// (frequent `horizon_stalls` mean the SM keeps hitting the
+    /// shared-memory horizon; zero `spans` mean its schedulers stay busy,
+    /// and `burst_cycles` then says how much of that busy time was
+    /// accounted in bursts rather than stepped).
     pub fn fast_forward_breakdown(&self) -> &[SmFastForward] {
         &self.stats.fast_forward
     }
@@ -988,7 +1032,8 @@ impl Lane<'_> {
                 // intervenes, every following cycle replays it
                 // bit-identically, so account the replicas in bulk
                 // (reject and stall counters are its only effects).
-                if self.stats.total.instructions == pre_instr && self.sm.version() == pre_version {
+                let issued = self.stats.total.instructions != pre_instr;
+                if !issued && self.sm.version() == pre_version {
                     let next_ev = self.q.peek().map_or(u64::MAX, |r| r.0.at);
                     let target = next_ev.min(hz).min(self.barrier);
                     if target > clock {
@@ -1003,6 +1048,29 @@ impl Lane<'_> {
                         ff.spans += 1;
                         ff.skipped += span;
                         clock = target;
+                    }
+                } else if issued {
+                    // ALU-run burst: every scheduler either stalls or
+                    // keeps issuing its greedy warp's ALU run, so until
+                    // the shortest run ends (or an event, the horizon or
+                    // the barrier intervenes) every cycle repeats the
+                    // same issue pattern; account those cycles at once.
+                    let run = self.sm.alu_burst_len();
+                    if run > 0 {
+                        let next_ev = self.q.peek().map_or(u64::MAX, |r| r.0.at);
+                        let target = clock
+                            .saturating_add(run)
+                            .min(next_ev)
+                            .min(hz)
+                            .min(self.barrier);
+                        if target > clock {
+                            let k = target - clock;
+                            self.sm.account_alu_burst(k, self.stats);
+                            let ff = &mut self.stats.fast_forward[self.ff_idx];
+                            ff.bursts += 1;
+                            ff.burst_cycles += k;
+                            clock = target;
+                        }
                     }
                 }
             } else {
@@ -1361,6 +1429,36 @@ mod tests {
             pskip > 15_000,
             "per-SM structural-stall replay must skip most of the storm, got {pskip}"
         );
+    }
+
+    #[test]
+    fn alu_bursts_engage_and_match_reference() {
+        // 64-instruction ALU runs between loads: the greedy warps issue
+        // long ALU runs while the other warps wait on their loads, so the
+        // per-SM loops account most issuing cycles in bursts — and must
+        // stay bit-identical to the reference, which never bursts.
+        let kernel = UniformKernel::resident(6, 64);
+        let run = |mode: StepMode| {
+            let cfg = cfg_with(GpuConfig::scaled(2), mode);
+            let mut gpu = Gpu::new(cfg, &kernel);
+            let res = gpu.run(&mut FixedTuple::max(), 20_000);
+            let bursts = gpu
+                .fast_forward_breakdown()
+                .iter()
+                .fold((0, 0), |a, f| (a.0 + f.bursts, a.1 + f.burst_cycles));
+            (res.counters, gpu.cycle(), bursts)
+        };
+        let (rc, rcyc, rbursts) = run(StepMode::Reference);
+        assert_eq!(rbursts, (0, 0), "the reference loop must not burst");
+        for mode in [StepMode::PerSm, StepMode::ParallelSm] {
+            let (c, cyc, (bursts, burst_cycles)) = run(mode);
+            assert_eq!((c, cyc), (rc, rcyc), "{mode:?} diverged with bursts");
+            assert!(bursts > 100, "{mode:?}: expected many bursts, got {bursts}");
+            assert!(
+                burst_cycles > 20_000,
+                "{mode:?}: expected most of the 40k SM-cycles in bursts, got {burst_cycles}"
+            );
+        }
     }
 
     /// A controller that acts (resets the window and logs) exactly at

@@ -45,6 +45,23 @@ pub enum Instr {
 pub trait InstructionStream: Send {
     /// Produce the next instruction, or `None` when the warp's trace ends.
     fn next_instr(&mut self) -> Option<Instr>;
+
+    /// How many of the next instructions are certainly [`Instr::Alu`]. It
+    /// may under-report (0 means unknown) but must never over-report: the
+    /// per-SM loop issues that many instructions in one burst through
+    /// [`Self::skip_alu`] without looking at them.
+    fn alu_run(&self) -> u64 {
+        0
+    }
+
+    /// Consume `n <= self.alu_run()` ALU instructions, leaving the stream
+    /// exactly as `n` calls to [`Self::next_instr`] would.
+    fn skip_alu(&mut self, n: u64) {
+        for _ in 0..n {
+            let i = self.next_instr();
+            debug_assert_eq!(i, Some(Instr::Alu), "skip_alu past the ALU run");
+        }
+    }
 }
 
 /// A kernel: a factory of per-warp instruction streams plus launch geometry.
@@ -142,6 +159,15 @@ impl InstructionStream for UniformStream {
         }
         Some(instr)
     }
+
+    fn alu_run(&self) -> u64 {
+        self.alu_per_load.saturating_sub(self.phase) as u64
+    }
+
+    fn skip_alu(&mut self, n: u64) {
+        debug_assert!(n <= self.alu_run());
+        self.phase += n as usize;
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +192,33 @@ mod tests {
                 }
             }
             other => panic!("expected load, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn uniform_alu_run_is_exact() {
+        let k = UniformKernel::streaming(1, 5);
+        let mut s = k.stream_for(0, 0, 0);
+        for _ in 0..3 {
+            let run = s.alu_run();
+            assert_eq!(run, 5);
+            for _ in 0..run {
+                assert_eq!(s.next_instr(), Some(Instr::Alu));
+            }
+            assert_eq!(s.alu_run(), 0);
+            assert!(matches!(s.next_instr(), Some(Instr::Load { .. })));
+            assert_eq!(s.next_instr(), Some(Instr::SyncLoads));
+        }
+        let mut skipped = k.stream_for(0, 0, 0);
+        let mut pulled = k.stream_for(0, 0, 0);
+        skipped.next_instr();
+        pulled.next_instr();
+        skipped.skip_alu(3);
+        for _ in 0..3 {
+            pulled.next_instr();
+        }
+        for _ in 0..50 {
+            assert_eq!(skipped.next_instr(), pulled.next_instr());
         }
     }
 

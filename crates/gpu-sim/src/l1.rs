@@ -95,6 +95,14 @@ pub struct L1Data {
     /// Per-PC force-bypass flags set by bypass policies.
     pub(crate) bypass_pc: Vec<bool>,
     pub(crate) track_pcs: bool,
+    /// Bumped wherever a structural reject can turn into an accept: an
+    /// MSHR allocation (a later load to that line may now merge) and an
+    /// MSHR completion (an entry frees, a merge count drops, a line turns
+    /// valid). Hits, merges, rejects and store invalidations leave it
+    /// alone — none can make a rejected load acceptable — so a load
+    /// rejected at epoch `e` is still rejected while the epoch is `e`
+    /// (the schedulers' reject memo). Derived state: never snapshotted.
+    pub(crate) epoch: u64,
 }
 
 impl L1Data {
@@ -109,6 +117,7 @@ impl L1Data {
             pc_stats: vec![PcStats::default(); n_pcs.max(1)],
             bypass_pc: vec![false; n_pcs.max(1)],
             track_pcs: cfg.track_pc_stats,
+            epoch: 0,
         }
     }
 
@@ -216,6 +225,7 @@ impl L1Data {
                     return AccessOutcome::Reject;
                 };
                 self.count_access(polluting, pc, stats);
+                self.epoch += 1;
                 let idx = free_idx as usize;
                 self.in_use.push((line, free_idx));
                 // Polluting warps reserve a line for the fill; non-polluting
@@ -292,6 +302,7 @@ impl L1Data {
             .expect("completed entry was in use");
         self.in_use.swap_remove(pos);
         self.free.push(mshr as u32);
+        self.epoch += 1;
         stats.bump(|c| {
             c.l1_misses_completed += waiters.len() as u64;
             c.miss_latency_sum += waiters

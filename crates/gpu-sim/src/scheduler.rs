@@ -21,6 +21,13 @@ pub struct WarpScheduler {
     pub(crate) tuple: WarpTuple,
     /// Index of the warp currently favoured by the greedy policy.
     pub(crate) greedy: usize,
+    /// Reject memo: bit `w` set iff warp `w`'s stashed load was rejected
+    /// by the L1 at L1 epoch `rejected_epoch` (see [`crate::l1::L1Data`]'s
+    /// `epoch`). A reject can only turn into an accept when the epoch
+    /// moves, so until then a marked probe is a known reject. Derived
+    /// state: never snapshotted, empty after a restore.
+    pub(crate) rejected: u64,
+    pub(crate) rejected_epoch: u64,
 }
 
 impl WarpScheduler {
@@ -31,6 +38,8 @@ impl WarpScheduler {
             n_warps,
             tuple: WarpTuple::max(n_warps),
             greedy: 0,
+            rejected: 0,
+            rejected_epoch: 0,
         }
     }
 
@@ -67,6 +76,27 @@ impl WarpScheduler {
     #[inline]
     pub fn greedy_warp(&self) -> Option<usize> {
         (self.greedy < self.n_warps).then_some(self.greedy)
+    }
+
+    /// The warps whose stashed load is a known reject at L1 epoch `epoch`.
+    #[inline]
+    pub(crate) fn known_rejects(&self, epoch: u64) -> u64 {
+        if self.rejected_epoch == epoch {
+            self.rejected
+        } else {
+            0
+        }
+    }
+
+    /// Record that warp `w`'s stashed load was rejected at L1 epoch
+    /// `epoch`, forgetting marks from earlier epochs.
+    #[inline]
+    pub(crate) fn note_reject(&mut self, w: usize, epoch: u64) {
+        if self.rejected_epoch != epoch {
+            self.rejected = 0;
+            self.rejected_epoch = epoch;
+        }
+        self.rejected |= 1u64 << w;
     }
 
     /// Candidate warps in GTO priority order: the greedy favourite first,

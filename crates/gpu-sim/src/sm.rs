@@ -263,15 +263,25 @@ impl Sm {
         // warps are probed per cycle (arbitration width). A probe can only
         // change the probed warp's own state, so the snapshot taken here
         // matches a fresh readiness check at every candidate.
+        //
+        // The reject memo answers probes of warps whose stashed load the
+        // L1 already rejected at its current epoch: such a probe would
+        // only bump `l1_rejects` (the stashed line already tops the warp's
+        // reuse stack, and no version moves), so count it without calling
+        // `try_issue`. A failed probe never moves the epoch, so the memo
+        // read here holds for the whole scan.
         let sched = &self.schedulers[sched_idx];
         let mut ready = self.issue_candidates(sched_idx);
+        let known_rejects = sched.known_rejects(self.l1.epoch);
         let greedy = sched.greedy_warp().filter(|&g| sched.vital(g));
         let mut attempts = 0;
         if let Some(g) = greedy {
             let bit = 1u64 << g;
             if ready & bit != 0 {
                 attempts += 1;
-                if let Some(kind) = self.try_issue(sched_idx, g, now, mem, events, stats) {
+                if known_rejects & bit != 0 {
+                    stats.bump(|c| c.l1_rejects += 1);
+                } else if let Some(kind) = self.try_issue(sched_idx, g, now, mem, events, stats) {
                     self.note_issued(sched_idx, g, kind, stats);
                     return true;
                 }
@@ -285,12 +295,75 @@ impl Sm {
             if attempts > MAX_ISSUE_ATTEMPTS {
                 break;
             }
-            if let Some(kind) = self.try_issue(sched_idx, w_idx, now, mem, events, stats) {
+            if known_rejects & (1u64 << w_idx) != 0 {
+                stats.bump(|c| c.l1_rejects += 1);
+            } else if let Some(kind) = self.try_issue(sched_idx, w_idx, now, mem, events, stats) {
                 self.note_issued(sched_idx, w_idx, kind, stats);
                 return true;
             }
         }
         false
+    }
+
+    /// How many cycles after a stepped cycle can be accounted as one ALU
+    /// burst: every scheduler either has no ready vital warp (it stalls
+    /// until an event) or has a ready vital greedy warp with no stashed
+    /// instruction whose stream reports an ALU run (it issues that warp's
+    /// ALU instructions, one per cycle). The result is the shortest run
+    /// over the issuing schedulers; 0 when any scheduler is in neither
+    /// state or none issues. The caller also bounds it by the next event,
+    /// the memory horizon and the barrier.
+    pub(crate) fn alu_burst_len(&self) -> u64 {
+        let mut run = u64::MAX;
+        for (s, sched) in self.schedulers.iter().enumerate() {
+            let ready = self.issue_candidates(s);
+            if ready == 0 {
+                continue;
+            }
+            let Some(g) = sched.greedy_warp().filter(|&g| ready & (1u64 << g) != 0) else {
+                return 0;
+            };
+            let warp = &self.warps[s][g];
+            if warp.has_pending() {
+                return 0;
+            }
+            run = run.min(warp.stream.alu_run());
+            if run == 0 {
+                return 0;
+            }
+        }
+        if run == u64::MAX {
+            0
+        } else {
+            run
+        }
+    }
+
+    /// Account `k <= self.alu_burst_len()` cycles at once, exactly as `k`
+    /// stepped cycles: each issuing scheduler's greedy warp issues `k`
+    /// ALU instructions, and each other scheduler with live warps
+    /// stalls `k` cycles.
+    pub(crate) fn account_alu_burst(&mut self, k: u64, stats: &mut GpuStats) {
+        let (mut issuing, mut stalled) = (0u64, 0u64);
+        for s in 0..self.schedulers.len() {
+            if self.issue_candidates(s) != 0 {
+                let warp = &mut self.warps[s][self.schedulers[s].greedy];
+                warp.stream.skip_alu(k);
+                warp.fetched += k;
+                warp.instructions += k;
+                warp.since_last_load += k;
+                issuing += 1;
+            } else if self.live_warps[s] > 0 {
+                stalled += 1;
+            }
+        }
+        // One bump per instruction pulled from a stream, as stepping does.
+        self.version += k * issuing;
+        stats.bump(|c| {
+            c.instructions += k * issuing;
+            c.busy_scheduler_cycles += k * issuing;
+            c.stall_scheduler_cycles += k * stalled;
+        });
     }
 
     /// Book-keeping for a successful issue: greedy favourite, instruction
@@ -418,10 +491,12 @@ impl Sm {
                             return Some(IssuedKind::Load);
                         }
                         AccessOutcome::Reject => {
-                            // Structural hazard: stash and let the scheduler
-                            // try another warp this cycle.
+                            // Structural hazard: stash, remember the reject
+                            // until the L1 epoch moves, and let the
+                            // scheduler try another warp this cycle.
                             let warp = &mut self.warps[sched_idx][w_idx];
                             warp.stash(instr);
+                            self.schedulers[sched_idx].note_reject(w_idx, self.l1.epoch);
                             return None;
                         }
                     }

@@ -322,6 +322,8 @@ fn write_sm(
             n_warps: _, // from the kernel/config
             tuple,
             greedy,
+            rejected: _,       // reject memo: derived, empty on restore
+            rejected_epoch: _, // reject memo: derived, empty on restore
         } = sched;
         let _ = writeln!(out, "sched {si} {} {} {greedy}", tuple.n, tuple.p);
     }
@@ -372,6 +374,7 @@ fn write_l1(out: &mut String, l1: &L1Data) {
         pc_stats,
         bypass_pc,
         track_pcs: _, // from the config
+        epoch: _,     // reject-memo epoch: derived, restarts at 0
     } = l1;
     write_tag_store(out, "l1line", None, tags);
     let _ = writeln!(out, "l1stamp {}", tags.stamp);

@@ -307,6 +307,13 @@ pub struct SmFastForward {
     /// Times the SM's advance stopped at the conservative memory-system
     /// horizon (an own read still unresolved) instead of an event/barrier.
     pub horizon_stalls: u64,
+    /// ALU-run bursts: issuing stretches accounted in one go after a
+    /// stepped cycle.
+    pub bursts: u64,
+    /// SM-local cycles covered by those bursts. They are not in
+    /// `skipped`, so the SM-cycles stepped one at a time are the total
+    /// minus `skipped` minus `burst_cycles`.
+    pub burst_cycles: u64,
 }
 
 impl SmFastForward {
@@ -316,10 +323,14 @@ impl SmFastForward {
             spans,
             skipped,
             horizon_stalls,
+            bursts,
+            burst_cycles,
         } = *other;
         self.spans += spans;
         self.skipped += skipped;
         self.horizon_stalls += horizon_stalls;
+        self.bursts += bursts;
+        self.burst_cycles += burst_cycles;
     }
 }
 

@@ -53,18 +53,15 @@ pub fn thread_budget() -> usize {
         })
 }
 
-/// Helper threads currently leased process-wide (for tests/diagnostics).
-pub fn helpers_in_use() -> usize {
-    HELPERS_IN_USE.load(Ordering::Relaxed)
-}
-
+/// Helper threads currently leased process-wide.
 static HELPERS_IN_USE: AtomicUsize = AtomicUsize::new(0);
 
 /// A lease over some number of helper threads; returns them to the
-/// process-wide budget on drop.
+/// ledger it was drawn from (the process-wide budget) on drop.
 #[derive(Debug)]
 pub struct Lease {
     granted: usize,
+    ledger: &'static AtomicUsize,
 }
 
 impl Lease {
@@ -77,32 +74,41 @@ impl Lease {
 impl Drop for Lease {
     fn drop(&mut self) {
         if self.granted > 0 {
-            HELPERS_IN_USE.fetch_sub(self.granted, Ordering::AcqRel);
+            self.ledger.fetch_sub(self.granted, Ordering::AcqRel);
         }
     }
 }
 
 /// Lease up to `want` helper threads from the process-wide budget.
 ///
-/// Never blocks: the grant is `min(want, budget - 1 - helpers_in_use)`
+/// Never blocks: the grant is `min(want, budget - 1 - helpers in use)`
 /// (the `- 1` reserves a slot for the calling thread, which always
 /// participates in its own fan-out) and may be zero, in which case the
 /// caller simply runs sequentially. First-come first-served by design —
 /// fairness across concurrent fan-outs is not a goal; not oversubscribing
 /// the host is.
 pub fn acquire_helpers(want: usize) -> Lease {
-    let cap = thread_budget().saturating_sub(1);
+    acquire_from(&HELPERS_IN_USE, thread_budget().saturating_sub(1), want)
+}
+
+/// [`acquire_helpers`] over any ledger of helpers in use, capped at
+/// `cap`. Tests lease from ledgers of their own, so concurrently running
+/// pools cannot move the counts they check.
+fn acquire_from(ledger: &'static AtomicUsize, cap: usize, want: usize) -> Lease {
     loop {
-        let used = HELPERS_IN_USE.load(Ordering::Acquire);
+        let used = ledger.load(Ordering::Acquire);
         let take = want.min(cap.saturating_sub(used));
         if take == 0 {
-            return Lease { granted: 0 };
+            return Lease { granted: 0, ledger };
         }
-        if HELPERS_IN_USE
+        if ledger
             .compare_exchange(used, used + take, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            return Lease { granted: take };
+            return Lease {
+                granted: take,
+                ledger,
+            };
         }
     }
 }
@@ -219,7 +225,10 @@ impl ThreadPool {
     #[cfg(test)]
     pub(crate) fn with_forced_workers(n: usize) -> Self {
         HELPERS_IN_USE.fetch_add(n, Ordering::AcqRel);
-        Self::from_lease(Lease { granted: n })
+        Self::from_lease(Lease {
+            granted: n,
+            ledger: &HELPERS_IN_USE,
+        })
     }
 
     fn from_lease(lease: Lease) -> Self {
@@ -367,9 +376,12 @@ mod tests {
 
     #[test]
     fn zero_worker_pool_runs_inline() {
-        // Exhaust the budget so the pool gets no helpers.
-        let hog = acquire_helpers(usize::MAX);
-        let mut pool = ThreadPool::new(4);
+        // Exhaust a private budget so the pool gets no helpers (the
+        // process-wide one moves under concurrently running tests).
+        static LEDGER: AtomicUsize = AtomicUsize::new(0);
+        let hog = acquire_from(&LEDGER, 2, usize::MAX);
+        assert_eq!(hog.granted(), 2);
+        let mut pool = ThreadPool::from_lease(acquire_from(&LEDGER, 2, 4));
         assert_eq!(pool.workers(), 0);
         let count = AtomicU64::new(0);
         pool.run(10, |_| {
@@ -396,13 +408,17 @@ mod tests {
 
     #[test]
     fn lease_returns_to_budget_on_drop() {
-        let before = helpers_in_use();
-        let lease = acquire_helpers(1);
+        // A ledger of its own: the `ParallelSm` tests in this binary
+        // lease from (and return to) the process-wide one concurrently.
+        static LEDGER: AtomicUsize = AtomicUsize::new(0);
+        let cap = thread_budget().saturating_sub(1);
+        let lease = acquire_from(&LEDGER, cap, 1);
         // On a 1-core budget the grant may be 0; either way drop restores.
         let granted = lease.granted();
-        assert_eq!(helpers_in_use(), before + granted);
+        assert_eq!(granted, cap.min(1));
+        assert_eq!(LEDGER.load(Ordering::Acquire), granted);
         drop(lease);
-        assert_eq!(helpers_in_use(), before);
+        assert_eq!(LEDGER.load(Ordering::Acquire), 0);
     }
 
     #[test]

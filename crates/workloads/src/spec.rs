@@ -378,6 +378,40 @@ impl InstructionStream for SpecStream {
             }
         }
     }
+
+    /// The rest of the current ALU block, capped at the phase end (a due
+    /// phase switch reports 0) and at `trace_len`.
+    fn alu_run(&self) -> u64 {
+        let in_slot = match self.slot {
+            IterSlot::Alu(k) | IterSlot::Gap(k) => k,
+            // The load group is done; the gap block comes next.
+            IterSlot::Mem(0) => self.mix().ind_gap,
+            IterSlot::Mem(_) | IterSlot::Sync => 0,
+        } as u64;
+        let phase_left = self.phases[self.phase_idx]
+            .instructions
+            .saturating_sub(self.instr_in_phase);
+        let trace_left = self
+            .trace_len
+            .map_or(u64::MAX, |len| len.saturating_sub(self.emitted));
+        in_slot.min(phase_left).min(trace_left)
+    }
+
+    fn skip_alu(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(n <= self.alu_run(), "skip_alu past the ALU run");
+        let k = n as usize;
+        self.slot = match self.slot {
+            IterSlot::Alu(left) => IterSlot::Alu(left - k),
+            IterSlot::Gap(left) => IterSlot::Gap(left - k),
+            IterSlot::Mem(0) => IterSlot::Gap(self.mix().ind_gap - k),
+            IterSlot::Mem(_) | IterSlot::Sync => unreachable!("no ALU run to skip"),
+        };
+        self.emitted += n;
+        self.instr_in_phase += n;
+    }
 }
 
 /// A named group of workloads executed in sequence (a benchmark

@@ -543,6 +543,31 @@ impl InstructionStream for TraceStream {
             TraceOp::Sync => Instr::SyncLoads,
         })
     }
+
+    fn alu_run(&self) -> u64 {
+        let next_runs = self.data.ops[self.warp][self.pos..]
+            .iter()
+            .map_while(|op| match *op {
+                TraceOp::AluRun(n) => Some(u64::from(n)),
+                _ => None,
+            });
+        u64::from(self.alu_left) + next_runs.sum::<u64>()
+    }
+
+    fn skip_alu(&mut self, mut n: u64) {
+        while n > 0 {
+            if self.alu_left == 0 {
+                let TraceOp::AluRun(run) = self.data.ops[self.warp][self.pos] else {
+                    unreachable!("skip_alu past the ALU run");
+                };
+                self.pos += 1;
+                self.alu_left = run;
+            }
+            let k = n.min(u64::from(self.alu_left));
+            self.alu_left -= k as u32;
+            n -= k;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

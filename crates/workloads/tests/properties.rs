@@ -3,7 +3,7 @@
 
 use gpu_sim::{Instr, KernelSource};
 use proptest::prelude::*;
-use workloads::{record_kernel, AccessMix, KernelSpec, TraceData, TraceRef};
+use workloads::{record_kernel, AccessMix, KernelSpec, Phase, TraceData, TraceRef};
 
 fn mix_strategy() -> impl Strategy<Value = AccessMix> {
     (
@@ -205,6 +205,119 @@ proptest! {
             Ok(decoded) => {
                 prop_assert!(decoded != data, "a dropped line must not decode to the original")
             }
+        }
+    }
+}
+
+/// The `alu_run` / `skip_alu` contract on one warp's stream: after
+/// `warmup` pulls, take two copies of the same stream, `skip_alu(k)` on
+/// one for a `k <= alu_run()` picked by `pick` (out of 4: none, a
+/// quarter, ..., the whole run) and pull `k` from the other. The pulled
+/// instructions must all be ALU and the copies must then agree on the
+/// next 1000 instructions.
+fn skip_matches_pull(source: &dyn KernelSource, warmup: usize, pick: u64) {
+    let mut skipped = source.stream_for(0, 0, 0);
+    let mut pulled = source.stream_for(0, 0, 0);
+    for _ in 0..warmup {
+        skipped.next_instr();
+        pulled.next_instr();
+    }
+    let run = skipped.alu_run();
+    let k = run * pick / 4;
+    skipped.skip_alu(k);
+    for i in 0..k {
+        prop_assert_eq!(pulled.next_instr(), Some(Instr::Alu), "pull {} of {}", i, k);
+    }
+    for i in 0..1000 {
+        prop_assert_eq!(
+            skipped.next_instr(),
+            pulled.next_instr(),
+            "instr {} after",
+            i
+        );
+    }
+}
+
+/// A phased kernel whose first phase (compute mix, 80-ALU blocks) ends
+/// after 50 instructions, inside its first ALU block.
+fn phased_mid_run() -> KernelSpec {
+    let phases = vec![
+        Phase {
+            mix: AccessMix::compute_intensive(),
+            instructions: 50,
+        },
+        Phase {
+            mix: AccessMix::memory_sensitive(),
+            instructions: 30,
+        },
+    ];
+    KernelSpec::phased("phased", phases, 4)
+}
+
+#[test]
+fn alu_run_stops_at_phase_and_trace_ends() {
+    // The first ALU block is 80 long: the phase end (50) and the trace
+    // end (30) each cut the reported run short.
+    let alu_block = AccessMix::compute_intensive().alu_per_load as u64;
+    let steady = KernelSpec::steady("c", AccessMix::compute_intensive(), 1);
+    assert_eq!(steady.stream_for(0, 0, 0).alu_run(), alu_block);
+    assert_eq!(phased_mid_run().stream_for(0, 0, 0).alu_run(), 50);
+    let bounded = steady.clone().with_trace_len(30);
+    assert_eq!(bounded.stream_for(0, 0, 0).alu_run(), 30);
+    // The recorded trace reads the same run from its RLE ops.
+    let tref = TraceRef::from_data(record_kernel(&steady, "c", 1, 1, 400));
+    assert_eq!(tref.stream_for(0, 0, 0).alu_run(), alu_block);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Steady memory-side mixes (arbitrary generator mixes) and the
+    /// compute mix.
+    #[test]
+    fn skip_alu_matches_pulling_on_steady_mixes(
+        mix in mix_strategy(),
+        seed in 0u64..1_000,
+        warmup in 0usize..600,
+        pick in 0u64..=4,
+    ) {
+        skip_matches_pull(&KernelSpec::steady("m", mix, seed), warmup, pick);
+        let compute = KernelSpec::steady("c", AccessMix::compute_intensive(), seed);
+        skip_matches_pull(&compute, warmup, pick);
+    }
+
+    /// Phase boundaries inside an ALU run.
+    #[test]
+    fn skip_alu_matches_pulling_across_phases(warmup in 0usize..600, pick in 0u64..=4) {
+        skip_matches_pull(&phased_mid_run(), warmup, pick);
+    }
+
+    /// A `with_trace_len` end inside an ALU run: the run stops at the end
+    /// and the stream then ends in both copies.
+    #[test]
+    fn skip_alu_matches_pulling_up_to_trace_end(
+        len in 1u64..200,
+        warmup in 0usize..220,
+        pick in 0u64..=4,
+    ) {
+        let spec = KernelSpec::steady("t", AccessMix::compute_intensive(), 2).with_trace_len(len);
+        skip_matches_pull(&spec, warmup, pick);
+    }
+
+    /// A trace replay reads its runs from the recorded `AluRun` ops.
+    #[test]
+    fn skip_alu_matches_pulling_on_trace_replay(
+        mix in mix_strategy(),
+        seed in 0u64..100,
+        warmup in 0usize..600,
+        pick in 0u64..=4,
+    ) {
+        for spec in [
+            KernelSpec::steady("m", mix, seed),
+            KernelSpec::steady("c", AccessMix::compute_intensive(), seed),
+        ] {
+            let tref = TraceRef::from_data(record_kernel(&spec, "r", 1, 1, 2_000));
+            skip_matches_pull(&tref, warmup, pick);
         }
     }
 }

@@ -372,7 +372,7 @@ fn normalized_cache_entries(dir: &std::path::Path) -> std::collections::BTreeMap
 /// wall-clock ratio understates the epoch ratio by that shared cost.
 fn prefix_reuse_end_to_end(opts: &Opts) -> PrefixReuseResult {
     use poise::experiment::{Scheme, Setup};
-    use poise::jobs::{factor_prefixes, Engine, KernelRunSpec, ModelSpec, SimJob};
+    use poise::jobs::{factor_prefixes, Engine, IdentityTable, KernelRunSpec, ModelSpec, SimJob};
 
     let schemes = [
         Scheme::Gto,
@@ -413,7 +413,7 @@ fn prefix_reuse_end_to_end(opts: &Opts) -> PrefixReuseResult {
     assert_eq!(cold.failed.len(), 0, "cold pass must succeed");
 
     let mut factored = declared.clone();
-    let prefix_shared = factor_prefixes(&mut factored, 0);
+    let prefix_shared = factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
     let mut fork_engine = Engine::new(&fork_dir);
     fork_engine.quiet = true;
     let t = Instant::now();

@@ -30,8 +30,8 @@ use std::time::Instant;
 use gpu_sim::{KernelSource, SetIndexing, WarpTuple};
 use poise::experiment::{self, arithmetic_mean, harmonic_mean, Scheme, Setup};
 use poise::jobs::{
-    Engine, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore, RunReport, SampleSpec,
-    SimJob, TupleRunSpec,
+    Engine, IdentityTable, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore,
+    RunReport, SampleSpec, SharedSpec, SimJob, TupleRunSpec,
 };
 use poise::plan::{Axis, ExperimentPlan, KnobOverlay, PlanExpansion, SweepPoint};
 use poise::policies::swl_tuple_from_grid;
@@ -53,8 +53,9 @@ use crate::{
 pub struct FigCtx {
     /// The experiment setup (machine, params, effort caps).
     pub setup: Setup,
-    /// The one-time offline training run all Poise figures share.
-    pub model: ModelSpec,
+    /// The one-time offline training run all Poise figures share; every
+    /// run deploying it shares its digest (see [`SharedSpec`]).
+    pub model: SharedSpec<ModelSpec>,
     /// The trace workloads under [`crate::traces_dir`], loaded once at
     /// context construction so the `trace_eval` jobs and renderer see
     /// the same snapshot (and each file is read and digested once).
@@ -70,7 +71,7 @@ impl FigCtx {
     /// Build the context over an explicit base [`Setup`] (the knob
     /// overlay has already been applied by the CLI entry point).
     pub fn new(setup: Setup) -> Self {
-        let model = ModelSpec::default_training(&setup);
+        let model = SharedSpec::new(ModelSpec::default_training(&setup));
         let (traces, trace_errors) = load_trace_workloads();
         FigCtx {
             setup,
@@ -129,10 +130,16 @@ impl Figure {
         ExperimentPlan::new(ctx.setup.clone(), axes)
     }
 
-    /// Expand this figure's plan into its per-point jobs.
-    pub fn expand(&self, ctx: &FigCtx, override_axes: &[Axis]) -> PlanExpansion {
+    /// Expand this figure's plan into its per-point jobs, resolving
+    /// identities through the plan's table `ids`.
+    pub fn expand(
+        &self,
+        ctx: &FigCtx,
+        override_axes: &[Axis],
+        ids: &mut IdentityTable,
+    ) -> PlanExpansion {
         self.plan(ctx, override_axes)
-            .expand(|setup| (self.jobs)(ctx, setup))
+            .expand(ids, |setup| (self.jobs)(ctx, setup))
     }
 }
 
@@ -229,13 +236,13 @@ fn scheme_jobs(
     bench: &Benchmark,
     scheme: Scheme,
     setup: &Setup,
-    model: Option<&ModelSpec>,
+    model: Option<&SharedSpec<ModelSpec>>,
 ) -> Vec<SimJob> {
     bench
         .capped(setup.kernels_cap)
         .kernels
         .iter()
-        .map(|k| SimJob::Run(KernelRunSpec::new(k, scheme, setup, model)))
+        .map(|k| SimJob::Run(KernelRunSpec::new_shared(k, scheme, setup, model)))
         .collect()
 }
 
@@ -246,14 +253,14 @@ fn scheme_result(
     bench: &Benchmark,
     scheme: Scheme,
     setup: &Setup,
-    model: Option<&ModelSpec>,
+    model: Option<&SharedSpec<ModelSpec>>,
 ) -> Result<experiment::BenchResult, String> {
     let capped = bench.capped(setup.kernels_cap);
     let mut runs = Vec::with_capacity(capped.kernels.len());
     for k in &capped.kernels {
         runs.push(
             store
-                .run(&KernelRunSpec::new(k, scheme, setup, model))?
+                .run(&KernelRunSpec::new_shared(k, scheme, setup, model))?
                 .clone(),
         );
     }
@@ -448,7 +455,7 @@ fn render_table_hw_cost(
 // ---------------------------------------------------------------------------
 
 fn jobs_table2(ctx: &FigCtx, _setup: &Setup) -> Vec<SimJob> {
-    vec![SimJob::Train(ctx.model.clone())]
+    vec![SimJob::Train((*ctx.model).clone())]
 }
 
 fn render_table2(ctx: &FigCtx, _points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
@@ -997,7 +1004,7 @@ fn jobs_prediction_error(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
         .into_iter()
         .map(SimJob::Sample)
         .collect();
-    jobs.push(SimJob::Train(ctx.model.clone()));
+    jobs.push(SimJob::Train((*ctx.model).clone()));
     jobs
 }
 
@@ -1122,7 +1129,7 @@ fn jobs_trace_eval(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     for workload in &ctx.traces {
         for scheme in TRACE_EVAL_SCHEMES {
             let model = (scheme == Scheme::Poise).then_some(&ctx.model);
-            jobs.push(SimJob::Run(KernelRunSpec::new(
+            jobs.push(SimJob::Run(KernelRunSpec::new_shared(
                 workload, scheme, setup, model,
             )));
         }
@@ -1149,7 +1156,7 @@ fn render_trace_eval(
         let run_of = |scheme: Scheme| -> Result<poise::experiment::KernelRun, String> {
             let model = (scheme == Scheme::Poise).then_some(&ctx.model);
             store
-                .run(&KernelRunSpec::new(workload, scheme, setup, model))
+                .run(&KernelRunSpec::new_shared(workload, scheme, setup, model))
                 .cloned()
         };
         let gto = run_of(Scheme::Gto)?;
@@ -1265,7 +1272,7 @@ fn fig17_specs(ctx: &FigCtx, setup: &Setup) -> (ProfileSpec, KernelRunSpec) {
         grid: GridSpec::full(kernel.warps_per_scheduler()),
         window: setup.profile_window,
     };
-    let mut run = KernelRunSpec::new(&kernel, Scheme::Poise, setup, Some(&ctx.model));
+    let mut run = KernelRunSpec::new_shared(&kernel, Scheme::Poise, setup, Some(&ctx.model));
     run.run_cycles = setup.run_cycles.max(3 * setup.params.t_period);
     (profile, run)
 }
@@ -1459,10 +1466,13 @@ fn fig13_setup(setup: &Setup) -> Setup {
 }
 
 /// The model variants: all features, then drop x3..x7 (drop index i − 1).
-fn fig13_variants(ctx: &FigCtx) -> Vec<(String, ModelSpec)> {
+fn fig13_variants(ctx: &FigCtx) -> Vec<(String, SharedSpec<ModelSpec>)> {
     std::iter::once(("all".to_string(), Vec::new()))
         .chain((3..=7).rev().map(|i| (format!("-x{i}"), vec![i - 1])))
-        .map(|(name, drop)| (name, ctx.model.clone().with_dropped(drop)))
+        .map(|(name, drop)| {
+            let model = (*ctx.model).clone().with_dropped(drop);
+            (name, SharedSpec::new(model))
+        })
         .collect()
 }
 
@@ -1470,7 +1480,7 @@ fn jobs_fig13(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     let s = fig13_setup(setup);
     let mut jobs = Vec::new();
     for (_, model) in fig13_variants(ctx) {
-        jobs.push(SimJob::Train(model.clone()));
+        jobs.push(SimJob::Train((*model).clone()));
         for bench in evaluation_suite() {
             jobs.extend(scheme_jobs(&bench, Scheme::Poise, &s, Some(&model)));
         }
@@ -1689,7 +1699,7 @@ fn render_sm_scaling(
                 let (mut cycles, mut instructions, mut wall) = (0u64, 0u64, 0.0f64);
                 for bench in sm_scaling_benches() {
                     for k in &bench.capped(setup.kernels_cap).kernels {
-                        let spec = KernelRunSpec::new(k, scheme, setup, model);
+                        let spec = KernelRunSpec::new_shared(k, scheme, setup, model);
                         let job = SimJob::Run(spec.clone());
                         let run = store.run(&spec)?;
                         cycles += run.counters.cycles;
@@ -1777,7 +1787,7 @@ pub fn figure_main(name: &str) -> ExitCode {
         }
     };
     let engine = Engine::from_env(&results_dir());
-    let exp = figure.expand(&ctx, &[]);
+    let exp = figure.expand(&ctx, &[], &mut IdentityTable::default());
     if exp.points.len() > 1 {
         eprintln!(
             "[bench] {name}: {} sweep points, {} jobs shared across points (executed once)",
@@ -1814,6 +1824,9 @@ pub struct PlannedJobs {
     pub figures: Vec<Figure>,
     pub expansions: Vec<PlanExpansion>,
     pub setup: Setup,
+    /// The context the jobs were declared against. Render with it: its
+    /// trace snapshot is the one the `trace_eval` jobs were built from.
+    pub ctx: FigCtx,
     pub jobs: Vec<SimJob>,
     pub sweeping: bool,
     pub sweep_shared: usize,
@@ -1850,9 +1863,12 @@ pub fn plan_jobs(
         eprintln!("[run_all] knob overlay: {}", overlay.summary());
     }
     let ctx = FigCtx::new(crate::base_setup(&overlay));
+    // The plan's identity table: every figure's expansion and the prefix
+    // factoring below share it, and it is dropped with this call.
+    let mut ids = IdentityTable::default();
     let expansions: Vec<PlanExpansion> = figures
         .iter()
-        .map(|f| f.expand(&ctx, &sweep_axes))
+        .map(|f| f.expand(&ctx, &sweep_axes, &mut ids))
         .collect();
     // Reject a sweep that reaches a single-point renderer *now*, before
     // any simulation is paid for (the renderer's own single_point()
@@ -1892,7 +1908,7 @@ pub fn plan_jobs(
     // on the shared declaration path — coordinator, fabric workers and
     // the daemon each re-derive the same factored graph, so the
     // manifest and the prefix cache keys agree across the fleet.
-    let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every);
+    let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every, &mut ids);
     if verbose && prefix_shared > 0 {
         eprintln!(
             "[run_all] prefix factoring: {prefix_shared} run(s) fork from shared \
@@ -1902,7 +1918,8 @@ pub fn plan_jobs(
     Ok(PlannedJobs {
         figures,
         expansions,
-        setup: ctx.setup,
+        setup: ctx.setup.clone(),
+        ctx,
         jobs,
         sweeping,
         sweep_shared,
@@ -2122,10 +2139,10 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ctx = FigCtx::new(planned.setup.clone());
     let PlannedJobs {
         figures,
         expansions,
+        ctx,
         jobs,
         sweeping,
         sweep_shared,

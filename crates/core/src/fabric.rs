@@ -43,10 +43,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cache::{sha256_hex, Cache, LeaseInfo, Lookup};
+use crate::cache::{Cache, LeaseInfo, Lookup};
 use crate::experiment::Setup;
 use crate::jobs::{
-    expand_graph, AttemptRecord, Engine, EventDetail, FailClass, JobGraph, JobIdentity, JobOutcome,
+    expand_graph, AttemptRecord, CacheKey, Engine, EventDetail, FailClass, JobGraph, JobOutcome,
     JobOutput, JobStatus, JobTrouble, ResultStore, RunReport, SimJob, Watchdog,
 };
 
@@ -121,16 +121,11 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 /// jobs exist — a build or argument skew that must fail loudly, not
 /// silently execute a different sweep.
 pub fn manifest_text(jobs: &[SimJob]) -> String {
-    let JobGraph { by_spec, order } = expand_graph(jobs);
+    let JobGraph { ids, order } = expand_graph(jobs);
     let mut s = format!("# poise fabric manifest v1\njobs {}\n", order.len());
-    for spec in &order {
-        let job = &by_spec[spec];
-        s.push_str(&format!(
-            "{} {} {}\n",
-            job.wave(),
-            sha256_hex(spec),
-            job.label()
-        ));
+    for &i in &order {
+        let (job, id) = ids.entry(i);
+        s.push_str(&format!("{} {} {}\n", job.wave(), id.hash, job.label()));
     }
     s
 }
@@ -366,7 +361,8 @@ pub fn read_worker_reports(dir: &Path) -> Vec<(String, RunReport)> {
 
 /// One lease this worker won in the current poll round.
 struct Claim {
-    spec: String,
+    /// The job's entry in the pass's identity table.
+    node: usize,
     kind: &'static str,
     key: String,
     spec_hash: String,
@@ -398,9 +394,9 @@ pub fn run_worker(
     cfg: &FabricConfig,
 ) -> (ResultStore, RunReport) {
     let t0 = Instant::now();
-    let JobGraph { by_spec, order } = expand_graph(jobs);
+    let JobGraph { ids, order } = expand_graph(jobs);
     let total = order.len();
-    let mut store = ResultStore::default();
+    let mut store = ResultStore::over(ids);
     let mut report = RunReport {
         total,
         workers: 1,
@@ -456,14 +452,14 @@ pub fn run_worker(
     // Distinct waves actually present, ascending — the classic three
     // plus one per prefix-chain depth when the plan was prefix-factored
     // (identical on every worker: all expand the same manifest).
-    let mut waves: Vec<usize> = order.iter().map(|s| by_spec[s].wave()).collect();
+    let mut waves: Vec<usize> = order.iter().map(|&i| store.ids.entry(i).0.wave()).collect();
     waves.sort_unstable();
     waves.dedup();
     for wave in waves {
-        let mut pending: Vec<String> = order
+        let mut pending: Vec<usize> = order
             .iter()
-            .filter(|s| by_spec[*s].wave() == wave)
-            .cloned()
+            .copied()
+            .filter(|&i| store.ids.entry(i).0.wave() == wave)
             .collect();
         // Stagger the claim order across workers so peers race
         // different jobs first. Pure contention relief — correctness
@@ -475,17 +471,18 @@ pub fn run_worker(
         // Poll rounds until the wave is fully resolved (waves are
         // barriers: wave N+1 keys hash wave-N outputs).
         while !pending.is_empty() {
-            let mut next_round: Vec<String> = Vec::new();
+            let mut next_round: Vec<usize> = Vec::new();
             let mut claims: Vec<Claim> = Vec::new();
-            for spec in pending.drain(..) {
-                let job = &by_spec[&spec];
-                let identity = match engine.identify(job, &store) {
-                    Ok(i) => i,
+            for node in pending.drain(..) {
+                let (job, id) = store.ids.entry(node);
+                let spec_hash = id.hash.to_string();
+                let CacheKey { kind, key } = match engine.identify(job, id, &store) {
+                    Ok(k) => k,
                     Err(error) => {
                         resolved += 1;
                         engine.emit(
                             &job.label(),
-                            &sha256_hex(&spec),
+                            &spec_hash,
                             JobStatus::Failed,
                             EventDetail {
                                 error: Some(error.clone()),
@@ -495,7 +492,7 @@ pub fn run_worker(
                         report.failed.push((job.label(), error.clone()));
                         report.trouble.push(JobTrouble {
                             label: job.label(),
-                            spec_hash: sha256_hex(&spec),
+                            spec_hash,
                             worker: cfg.worker_id.clone(),
                             attempts: vec![AttemptRecord {
                                 class: FailClass::Dependency,
@@ -505,16 +502,10 @@ pub fn run_worker(
                             }],
                             outcome: JobOutcome::Failed,
                         });
-                        store.outputs.insert(spec, Err(error));
+                        store.insert(node, Err(error), 0.0);
                         continue;
                     }
                 };
-                let JobIdentity {
-                    kind,
-                    key,
-                    spec_hash,
-                    ..
-                } = identity;
                 // A peer proved this job fails deterministically: adopt
                 // the verdict (the peer's report carries the history).
                 if let Some(t) = read_tombstone(&cfg.fabric_dir, kind, &key) {
@@ -532,7 +523,7 @@ pub fn run_worker(
                         },
                     );
                     report.failed.push((t.label, t.error.clone()));
-                    store.outputs.insert(spec, Err(t.error));
+                    store.insert(node, Err(t.error), 0.0);
                     continue;
                 }
                 // A peer (or an earlier run) may have committed it.
@@ -559,14 +550,13 @@ pub fn run_worker(
                                     job.label()
                                 );
                             }
-                            store.walls.insert(spec.clone(), wall);
-                            store.outputs.insert(spec, Ok(out));
+                            store.insert(node, Ok(out), wall);
                             continue;
                         }
                     }
                 }
                 if claims.len() >= cfg.claim_cap {
-                    next_round.push(spec);
+                    next_round.push(node);
                     continue;
                 }
                 // The lease state machine: free → claim; stale (dead
@@ -583,7 +573,7 @@ pub fn run_worker(
                         let dead = hb_age >= cfg.lease_ttl;
                         let straggler = cfg.steal_after.is_some_and(|s| l.claim_age() >= s);
                         if !(dead || straggler) {
-                            next_round.push(spec);
+                            next_round.push(node);
                             continue;
                         }
                         // Straggler steals pass min_age 0: the owner
@@ -601,7 +591,7 @@ pub fn run_worker(
                                 prior = Some((l.worker, n + 1));
                             }
                             None => {
-                                next_round.push(spec);
+                                next_round.push(node);
                                 continue;
                             }
                         }
@@ -611,7 +601,7 @@ pub fn run_worker(
                         // never (its owner is unverifiable), so it ages
                         // out like a dead worker's.
                         if age < cfg.lease_ttl {
-                            next_round.push(spec);
+                            next_round.push(node);
                             continue;
                         }
                         match engine.cache.try_steal(kind, &key, cfg.lease_ttl) {
@@ -620,7 +610,7 @@ pub fn run_worker(
                                 prior = Some(("unknown (torn lease)".to_string(), n + 1));
                             }
                             None => {
-                                next_round.push(spec);
+                                next_round.push(node);
                                 continue;
                             }
                         }
@@ -636,7 +626,7 @@ pub fn run_worker(
                     &key,
                     &LeaseInfo::new(&cfg.worker_id, &nonce, start_attempt),
                 ) {
-                    next_round.push(spec);
+                    next_round.push(node);
                     continue;
                 }
                 claim_seq += 1;
@@ -664,7 +654,7 @@ pub fn run_worker(
                     .expect("heartbeat registry")
                     .insert((kind.to_string(), key.clone()), (nonce.clone(), stalled));
                 claims.push(Claim {
-                    spec,
+                    node,
                     kind,
                     key,
                     spec_hash,
@@ -684,9 +674,9 @@ pub fn run_worker(
             }
 
             let dispositions = crate::parallel::parallel_map(&claims, |c| {
-                let job = &by_spec[&c.spec];
+                let (job, id) = store.ids.entry(c.node);
                 let gate = || engine.cache.owns(c.kind, &c.key, &c.nonce);
-                engine.run_one(job, &store, &watchdog, c.start_attempt, Some(&gate))
+                engine.run_one(job, id, &store, &watchdog, c.start_attempt, Some(&gate))
             });
 
             for (c, d) in claims.into_iter().zip(dispositions) {
@@ -705,7 +695,7 @@ pub fn run_worker(
                             cfg.worker_id, c.label
                         );
                     }
-                    next_round.push(c.spec);
+                    next_round.push(c.node);
                     continue;
                 }
                 resolved += 1;
@@ -798,10 +788,7 @@ pub fn run_worker(
                     }
                 }
                 engine.cache.release(c.kind, &c.key, &c.nonce);
-                if d.result.is_ok() {
-                    store.walls.insert(c.spec.clone(), d.wall);
-                }
-                store.outputs.insert(c.spec, d.result);
+                store.insert(c.node, d.result, d.wall);
             }
             pending = next_round;
         }
@@ -1293,7 +1280,10 @@ mod tests {
         // Resolve the dependency-free identity of the profile dep first:
         // use the leaf profile job itself so no deps are needed.
         let leaf = job.deps().into_iter().next().unwrap_or(job.clone());
-        let id = engine.identify(&leaf, &store).expect("leaf has no deps");
+        let leaf_id = crate::jobs::Identity::of(&leaf);
+        let id = engine
+            .identify(&leaf, &leaf_id, &store)
+            .expect("leaf has no deps");
 
         // Original worker claims…
         assert!(engine
@@ -1310,7 +1300,7 @@ mod tests {
         // store gate (ownership check on its own nonce) must refuse.
         let watchdog = Watchdog::default();
         let gate = || engine.cache().owns(id.kind, &id.key, "nonce-w1");
-        let d = engine.run_one(&leaf, &store, &watchdog, 0, Some(&gate));
+        let d = engine.run_one(&leaf, &leaf_id, &store, &watchdog, 0, Some(&gate));
         assert!(d.lost, "late waker must discard, not double-commit");
         assert!(d.result.is_err());
         assert!(
@@ -1320,7 +1310,7 @@ mod tests {
 
         // The thief's own store attempt (gate on its nonce) commits.
         let gate2 = || engine.cache().owns(id.kind, &id.key, "nonce-w2");
-        let d2 = engine.run_one(&leaf, &store, &watchdog, 1, Some(&gate2));
+        let d2 = engine.run_one(&leaf, &leaf_id, &store, &watchdog, 1, Some(&gate2));
         assert!(!d2.lost);
         assert!(d2.result.is_ok());
         assert!(matches!(

@@ -49,12 +49,53 @@
 //! Executed results are canonicalised through their own serialisation
 //! before being returned, so a cold run and a warm (all-hits) run hand
 //! the renderer bit-identical values by construction.
+//!
+//! ## Job identity
+//!
+//! A job's *identity* is its [`SimJob::spec_text`] and the SHA-256 of
+//! that text (the *spec hash*). Every in-memory map over jobs — plan
+//! expansion, prefix grouping, the engine's graph, the [`ResultStore`] —
+//! is keyed by spec text or spec hash, never by struct equality, so jobs
+//! that differ only in engine settings the text leaves out (`step_mode`,
+//! `sim_threads`, a run's display `tag` and `prefix_chain`) share one
+//! entry.
+//!
+//! Rendering a spec text costs tens of microseconds, and a pass asks for
+//! the same few hundred identities thousands of times, so each layer
+//! resolves identities through a pass-scoped [`IdentityTable`]:
+//!
+//! * one per `plan_jobs` call, shared by every figure's
+//!   [`crate::plan::ExperimentPlan::expand`] and by [`factor_prefixes`];
+//! * one per [`Engine::run`] (and per fabric worker pass), built while
+//!   the dependency graph is expanded; the returned [`ResultStore`] keeps
+//!   it, so render-time lookups resolve without rendering.
+//!
+//! A lookup computes a cheap fingerprint of the job and compares it
+//! against the table's entries with the *identity equality*: every field
+//! that enters the spec text, floats by bit pattern (`0.0` and `-0.0`
+//! render differently, although `f64::eq` calls them equal), engine-only
+//! fields skipped. Equal under it implies equal spec texts, so a hit
+//! can reuse the entry's identity; the fingerprint reads only fields the
+//! equality compares. A miss renders the text, and a text the table
+//! already holds resolves to that entry.
+//!
+//! The dependency digests a run embeds (`model <sha>`, `profile <sha>`)
+//! are memoised in the [`SharedSpec`] the run holds its model and profile
+//! specs in, so every clone of the run shares one digest.
+//!
+//! No table outlives its pass: tables are locals of the call that owns
+//! the pass (or of the store it returns), never global, `static`,
+//! thread-local or owned by the [`Engine`]. A `run_all` process makes one
+//! pass, so a longer-lived table would only make repeated in-process
+//! passes — a benchmark's — cheaper than any real invocation.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup};
@@ -68,9 +109,12 @@ use crate::policies::{static_best_from_grid, swl_tuple_from_grid};
 use crate::profiler::{pbest, profile_grid, run_tuple, GridSpec, ProfileWindow, SteadyState};
 use crate::train::{collect_sample_scored, fit_samples};
 use gpu_sim::KernelSource;
-use gpu_sim::{CancelToken, Counters, EnergyBreakdown, GpuConfig, WarpTuple};
+use gpu_sim::{
+    CacheGeometry, CancelToken, Counters, DramConfig, EnergyBreakdown, EnergyConfig, GpuConfig,
+    L2Config, SetIndexing, WarpTuple,
+};
 use poise_ml::{ScoringWeights, SpeedupGrid, TrainedModel, TrainingSample, N_FEATURES};
-use workloads::{training_suite, Workload};
+use workloads::{training_suite, AccessMix, KernelSpec, Phase, Workload};
 
 /// Salt mixed into every cache key. The cache hashes job *inputs*, not
 /// simulator code — bump this when a simulator/serialisation change
@@ -364,6 +408,94 @@ impl ModelSpec {
     }
 }
 
+/// A spec a run embeds by the SHA-256 of its own job's spec text.
+trait EmbeddedSpec {
+    /// [`SimJob::kind`] of the job producing this input.
+    const KIND: &'static str;
+    /// The job's spec lines after its `job <kind>` header.
+    fn write_lines(&self, s: &mut String);
+}
+
+impl EmbeddedSpec for ModelSpec {
+    const KIND: &'static str = "train";
+    fn write_lines(&self, s: &mut String) {
+        use std::fmt::Write as _;
+        for k in &self.kernels {
+            let _ = writeln!(s, "{}", k.spec_line());
+        }
+        let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&self.cfg));
+        let _ = writeln!(s, "{}", spec_render::grid(&self.grid));
+        let _ = writeln!(s, "{}", spec_render::window(&self.window));
+        let _ = writeln!(s, "{}", spec_render::scoring(&self.scoring));
+        let _ = writeln!(
+            s,
+            "drop_features {}",
+            spec_render::int_list(&self.drop_features)
+        );
+    }
+}
+
+impl EmbeddedSpec for ProfileSpec {
+    const KIND: &'static str = "profile";
+    fn write_lines(&self, s: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(s, "{}", self.workload.spec_line());
+        let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&self.cfg));
+        let _ = writeln!(s, "{}", spec_render::grid(&self.grid));
+        let _ = writeln!(s, "{}", spec_render::window(&self.window));
+    }
+}
+
+/// An immutable spec shared by reference between runs: the model a
+/// Poise run deploys, the profile a profile-driven run reads its tuples
+/// from. Clones share the spec and the memoised SHA-256 of its job's
+/// spec text, which the run's own spec text embeds (see "Job identity"
+/// in the module docs). Build one per model and hand clones to every
+/// run deploying it ([`KernelRunSpec::new_shared`]).
+pub struct SharedSpec<T>(Arc<(T, OnceLock<String>)>);
+
+impl<T> SharedSpec<T> {
+    /// Share `spec`.
+    pub fn new(spec: T) -> Self {
+        SharedSpec(Arc::new((spec, OnceLock::new())))
+    }
+}
+
+/// SHA-256 of a shared spec's job spec text, rendered once per share.
+fn embedded_hash<T: EmbeddedSpec>(shared: &SharedSpec<T>) -> &str {
+    let (spec, hash) = &*shared.0;
+    hash.get_or_init(|| {
+        let mut s = format!("job {}\n", T::KIND);
+        spec.write_lines(&mut s);
+        sha256_hex(&s)
+    })
+}
+
+impl<T> Deref for SharedSpec<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0 .0
+    }
+}
+
+impl<T> Clone for SharedSpec<T> {
+    fn clone(&self) -> Self {
+        SharedSpec(Arc::clone(&self.0))
+    }
+}
+
+impl<T: PartialEq> PartialEq for SharedSpec<T> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 .0 == other.0 .0
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for SharedSpec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0 .0.fmt(f)
+    }
+}
+
 /// One evaluation run: a kernel under a scheme for a cycle budget.
 ///
 /// Only the inputs the scheme actually consumes enter the spec: GTO and
@@ -389,9 +521,9 @@ pub struct KernelRunSpec {
     /// Seeds for random-restart averaging (empty otherwise).
     pub rr_seeds: Vec<u64>,
     /// The model driving a Poise run.
-    pub model: Option<Box<ModelSpec>>,
+    pub model: Option<SharedSpec<ModelSpec>>,
     /// The offline profile driving SWL / PCAL-SWL / Static-Best.
-    pub profile: Option<Box<ProfileSpec>>,
+    pub profile: Option<SharedSpec<ProfileSpec>>,
     /// Display-only sweep tag (e.g. `sms=16`), set by
     /// [`crate::plan::ExperimentPlan::expand`] on jobs unique to one
     /// sweep point so `run_all` progress lines are distinguishable
@@ -445,6 +577,18 @@ impl KernelRunSpec {
         setup: &Setup,
         model: Option<&ModelSpec>,
     ) -> Self {
+        let model = model.map(|m| SharedSpec::new(m.clone()));
+        Self::new_shared(workload, scheme, setup, model.as_ref())
+    }
+
+    /// [`KernelRunSpec::new`] deploying a shared model: every run built
+    /// from the same share renders the model's digest once.
+    pub fn new_shared(
+        workload: &Workload,
+        scheme: Scheme,
+        setup: &Setup,
+        model: Option<&SharedSpec<ModelSpec>>,
+    ) -> Self {
         let needs_profile = matches!(scheme, Scheme::Swl | Scheme::PcalSwl | Scheme::StaticBest);
         KernelRunSpec {
             workload: workload.clone(),
@@ -460,9 +604,9 @@ impl KernelRunSpec {
                 Vec::new()
             },
             model: (scheme == Scheme::Poise)
-                .then(|| Box::new(model.expect("a Poise run needs a ModelSpec").clone())),
+                .then(|| model.expect("a Poise run needs a ModelSpec").clone()),
             profile: needs_profile.then(|| {
-                Box::new(ProfileSpec {
+                SharedSpec::new(ProfileSpec {
                     workload: workload.clone(),
                     cfg: setup.cfg.clone(),
                     grid: setup.eval_grid.clone(),
@@ -602,17 +746,16 @@ impl SimJob {
     /// refactors) with exact (round-trip) float formatting. Dependencies
     /// appear as the SHA-256 of *their* spec text, so input edits
     /// propagate through the graph.
+    ///
+    /// Renders on every call: layers that ask repeatedly resolve through
+    /// an [`IdentityTable`] instead (see "Job identity" in the module
+    /// docs).
     pub fn spec_text(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(s, "job {}", self.kind());
         match self {
-            SimJob::Profile(p) => {
-                let _ = writeln!(s, "{}", p.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
-                let _ = writeln!(s, "{}", spec_render::grid(&p.grid));
-                let _ = writeln!(s, "{}", spec_render::window(&p.window));
-            }
+            SimJob::Profile(p) => p.write_lines(&mut s),
             SimJob::Pbest(p) => {
                 let _ = writeln!(s, "{}", p.workload.spec_line());
                 let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
@@ -631,20 +774,7 @@ impl SimJob {
                 let _ = writeln!(s, "{}", spec_render::window(&p.window));
                 let _ = writeln!(s, "{}", spec_render::scoring(&p.scoring));
             }
-            SimJob::Train(m) => {
-                for k in &m.kernels {
-                    let _ = writeln!(s, "{}", k.spec_line());
-                }
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&m.cfg));
-                let _ = writeln!(s, "{}", spec_render::grid(&m.grid));
-                let _ = writeln!(s, "{}", spec_render::window(&m.window));
-                let _ = writeln!(s, "{}", spec_render::scoring(&m.scoring));
-                let _ = writeln!(
-                    s,
-                    "drop_features {}",
-                    spec_render::int_list(&m.drop_features)
-                );
-            }
+            SimJob::Train(m) => m.write_lines(&mut s),
             // A prefix renders the same input lines as the run it was
             // factored from (under its own `job prefix` header): its
             // identity is exactly "the simulation of these inputs up to
@@ -664,18 +794,10 @@ impl SimJob {
                     let _ = writeln!(s, "rr_seeds {}", spec_render::int_list(&r.rr_seeds));
                 }
                 if let Some(m) = &r.model {
-                    let _ = writeln!(
-                        s,
-                        "model {}",
-                        sha256_hex(&SimJob::Train((**m).clone()).spec_text())
-                    );
+                    let _ = writeln!(s, "model {}", embedded_hash(m));
                 }
                 if let Some(p) = &r.profile {
-                    let _ = writeln!(
-                        s,
-                        "profile {}",
-                        sha256_hex(&SimJob::Profile((**p).clone()).spec_text())
-                    );
+                    let _ = writeln!(s, "profile {}", embedded_hash(p));
                 }
             }
         }
@@ -825,6 +947,332 @@ impl SimJob {
                 )
             }
             _ => sha256_hex(&out.to_text()),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Job identity (see the module docs).
+// ---------------------------------------------------------------------------
+
+/// A job's identity: its spec text and the SHA-256 of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Identity {
+    /// [`SimJob::spec_text`].
+    pub(crate) spec: Arc<str>,
+    /// SHA-256 of `spec`: the key of every in-memory map over jobs.
+    pub(crate) hash: Arc<str>,
+}
+
+impl Identity {
+    /// Render `job`'s identity, without a table.
+    pub(crate) fn of(job: &SimJob) -> Self {
+        let spec = job.spec_text();
+        Identity {
+            hash: sha256_hex(&spec).into(),
+            spec: spec.into(),
+        }
+    }
+}
+
+/// A pass-scoped memo of job identities (see "Job identity" in the
+/// module docs): one entry per distinct spec text, holding the first job
+/// seen with it. A table serving an engine run doubles as its job graph,
+/// so the graph's jobs are not cloned a second time. A planner creates
+/// one (`IdentityTable::default()`) per pass and hands it to
+/// [`crate::plan::ExperimentPlan::expand`] and [`factor_prefixes`].
+#[derive(Debug, Default)]
+pub struct IdentityTable {
+    entries: Vec<(SimJob, Identity)>,
+    /// Fingerprint → entries whose job has it.
+    by_print: HashMap<u64, Vec<usize>>,
+    /// Spec hash → entry.
+    by_hash: HashMap<Arc<str>, usize>,
+}
+
+impl IdentityTable {
+    /// The entry whose job is identity-equal to `job`.
+    fn find(&self, job: &SimJob, print: u64) -> Option<usize> {
+        self.by_print
+            .get(&print)?
+            .iter()
+            .copied()
+            .find(|&i| self.entries[i].0.spec_eq(job))
+    }
+
+    /// Intern `job`: its entry, and whether this call added it. A miss
+    /// renders the spec text; a text an entry already holds (a job equal
+    /// to it in text but not under the identity equality) resolves to
+    /// that entry.
+    pub(crate) fn intern(&mut self, job: Cow<'_, SimJob>) -> (usize, bool) {
+        let print = fingerprint(&job);
+        if let Some(i) = self.find(&job, print) {
+            return (i, false);
+        }
+        let id = Identity::of(&job);
+        if let Some(&i) = self.by_hash.get(&id.hash) {
+            return (i, false);
+        }
+        let i = self.entries.len();
+        self.by_print.entry(print).or_default().push(i);
+        self.by_hash.insert(id.hash.clone(), i);
+        self.entries.push((job.into_owned(), id));
+        (i, true)
+    }
+
+    /// The identity of `job`, rendered on first sight only.
+    pub(crate) fn identity(&mut self, job: &SimJob) -> &Identity {
+        let (i, _) = self.intern(Cow::Borrowed(job));
+        &self.entries[i].1
+    }
+
+    /// The identity of `job` without changing the table: an entry's on a
+    /// hit, freshly rendered on a miss.
+    pub(crate) fn resolve(&self, job: &SimJob) -> Identity {
+        match self.find(job, fingerprint(job)) {
+            Some(i) => self.entries[i].1.clone(),
+            None => Identity::of(job),
+        }
+    }
+
+    /// Entry `i`'s job and identity.
+    pub(crate) fn entry(&self, i: usize) -> (&SimJob, &Identity) {
+        let (job, id) = &self.entries[i];
+        (job, id)
+    }
+}
+
+/// The fingerprint of a job for [`IdentityTable`] buckets: a fast
+/// multiply-rotate hash (FxHash's) over fields the identity equality
+/// compares, so identity-equal jobs always share a bucket.
+fn fingerprint(job: &SimJob) -> u64 {
+    let mut fp = Fingerprint(0);
+    job.print(&mut fp);
+    fp.0
+}
+
+struct Fingerprint(u64);
+
+impl Fingerprint {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.word(b.len() as u64);
+        for chunk in b.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+}
+
+/// The identity equality (see "Job identity" in the module docs) and the
+/// fingerprint consistent with it.
+trait SpecEq {
+    /// Whether the two values render the same spec text, judged on the
+    /// values alone: every rendered field compared, floats by bit
+    /// pattern. May say `false` for equal texts; never `true` for
+    /// different ones.
+    fn spec_eq(&self, other: &Self) -> bool;
+    /// Feed `fp` fields that `spec_eq` compares (and no others).
+    fn print(&self, fp: &mut Fingerprint);
+}
+
+macro_rules! spec_eq_scalars {
+    ($($t:ty),*) => {$(
+        impl SpecEq for $t {
+            fn spec_eq(&self, other: &Self) -> bool {
+                self == other
+            }
+            fn print(&self, fp: &mut Fingerprint) {
+                fp.word(*self as u64);
+            }
+        }
+    )*};
+}
+spec_eq_scalars!(u64, usize, bool, Scheme, SetIndexing);
+
+impl SpecEq for f64 {
+    fn spec_eq(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        fp.word(self.to_bits());
+    }
+}
+
+impl SpecEq for String {
+    fn spec_eq(&self, other: &Self) -> bool {
+        self == other
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        fp.bytes(self.as_bytes());
+    }
+}
+
+impl<T: SpecEq> SpecEq for Option<T> {
+    fn spec_eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Some(a), Some(b)) => a.spec_eq(b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        match self {
+            Some(v) => {
+                fp.word(1);
+                v.print(fp);
+            }
+            None => fp.word(0),
+        }
+    }
+}
+
+impl<T: SpecEq> SpecEq for [T] {
+    fn spec_eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.spec_eq(b))
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        fp.word(self.len() as u64);
+        for v in self {
+            v.print(fp);
+        }
+    }
+}
+
+impl<T: SpecEq> SpecEq for Vec<T> {
+    fn spec_eq(&self, other: &Self) -> bool {
+        self[..].spec_eq(&other[..])
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        self[..].print(fp);
+    }
+}
+
+impl<T: SpecEq> SpecEq for SharedSpec<T> {
+    fn spec_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 .0.spec_eq(&other.0 .0)
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        self.0 .0.print(fp);
+    }
+}
+
+/// Structs compared and printed field by field. The destructuring is
+/// exhaustive: a new field fails to compile here until it is classified
+/// as rendered (listed) or engine-only (`skip`).
+macro_rules! spec_eq_fields {
+    ($($t:ident { $($f:ident),* } $(skip { $($s:ident),* })?;)*) => {$(
+        impl SpecEq for $t {
+            fn spec_eq(&self, other: &Self) -> bool {
+                let $t { $($f,)* $($($s: _,)*)? } = self;
+                $($f.spec_eq(&other.$f))&&*
+            }
+            fn print(&self, fp: &mut Fingerprint) {
+                $(self.$f.print(fp);)*
+            }
+        }
+    )*};
+}
+spec_eq_fields! {
+    AccessMix {
+        alu_per_load, mlp, ind_gap, hot_lines, hot_repeat, hot_frac, cold_lines,
+        shared_lines, shared_frac, stream_frac, store_frac
+    };
+    Phase { mix, instructions };
+    KernelSpec { seed, name, warps_per_scheduler, trace_len, phases };
+    CacheGeometry { sets, ways, line_bytes, indexing };
+    L2Config { geometry, banks, latency, service_interval };
+    DramConfig { partitions, latency, service_interval };
+    EnergyConfig { alu_op, l1_access, l2_access, dram_access, leakage_per_sm_cycle };
+    GpuConfig {
+        sms, schedulers_per_sm, max_warps_per_scheduler, l1, l1_hit_latency, l1_mshrs,
+        mshr_merge_limit, l2, xbar_latency, dram, energy, track_reuse_distance, track_pc_stats
+    } skip { step_mode, sim_threads };
+    ProfileWindow { warmup, measure };
+    WarpTuple { n, p };
+    PoiseParams {
+        scoring, t_period, t_warmup, t_feature, t_search, i_max, stride_n, stride_p
+    };
+    ProfileSpec { workload, cfg, grid, window };
+    PbestSpec { workload, cfg, window };
+    TupleRunSpec { workload, cfg, tuple, window };
+    SampleSpec { workload, cfg, grid, window, scoring };
+    ModelSpec { drop_features, scoring, window, grid, cfg, kernels };
+    KernelRunSpec {
+        run_cycles, scheme, workload, cfg, params, t_period, rr_seeds, model, profile
+    } skip { tag, prefix_chain };
+}
+
+impl SpecEq for ScoringWeights {
+    fn spec_eq(&self, other: &Self) -> bool {
+        self.0[..].spec_eq(&other.0[..])
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        self.0[..].print(fp);
+    }
+}
+
+impl SpecEq for GridSpec {
+    fn spec_eq(&self, other: &Self) -> bool {
+        self == other
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        fp.word(self.max_n() as u64);
+        fp.word(self.points().len() as u64);
+    }
+}
+
+impl SpecEq for Workload {
+    fn spec_eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Workload::Synthetic(a), Workload::Synthetic(b)) => a.spec_eq(b),
+            // A trace's line is a function of its content, which the
+            // digest names.
+            (Workload::Trace(a), Workload::Trace(b)) => a.digest == b.digest,
+            _ => false,
+        }
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        match self {
+            Workload::Synthetic(k) => {
+                fp.word(0);
+                k.print(fp);
+            }
+            Workload::Trace(t) => {
+                fp.word(1);
+                fp.bytes(t.digest.as_bytes());
+            }
+        }
+    }
+}
+
+impl SpecEq for SimJob {
+    fn spec_eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (SimJob::Profile(a), SimJob::Profile(b)) => a.spec_eq(b),
+            (SimJob::Pbest(a), SimJob::Pbest(b)) => a.spec_eq(b),
+            (SimJob::TupleRun(a), SimJob::TupleRun(b)) => a.spec_eq(b),
+            (SimJob::Sample(a), SimJob::Sample(b)) => a.spec_eq(b),
+            (SimJob::Train(a), SimJob::Train(b)) => a.spec_eq(b),
+            (SimJob::Run(a), SimJob::Run(b)) | (SimJob::Prefix(a), SimJob::Prefix(b)) => {
+                a.spec_eq(b)
+            }
+            _ => false,
+        }
+    }
+    fn print(&self, fp: &mut Fingerprint) {
+        fp.bytes(self.kind().as_bytes());
+        match self {
+            SimJob::Profile(s) => s.print(fp),
+            SimJob::Pbest(s) => s.print(fp),
+            SimJob::TupleRun(s) => s.print(fp),
+            SimJob::Sample(s) => s.print(fp),
+            SimJob::Train(s) => s.print(fp),
+            SimJob::Run(s) | SimJob::Prefix(s) => s.print(fp),
         }
     }
 }
@@ -1202,20 +1650,40 @@ impl JobOutput {
 // The engine.
 // ---------------------------------------------------------------------------
 
-/// Resolved results of an engine run, addressed by job spec.
+/// Resolved results of an engine run, addressed by spec hash.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    pub(crate) outputs: HashMap<String, Result<JobOutput, String>>,
-    /// Execution wall seconds per job spec: measured for executed jobs,
+    /// The run's identity table (its job graph), so lookups by job
+    /// resolve without rendering; a job outside it renders.
+    pub(crate) ids: IdentityTable,
+    pub(crate) outputs: HashMap<Arc<str>, Result<JobOutput, String>>,
+    /// Execution wall seconds per spec hash: measured for executed jobs,
     /// recalled from the entry's metadata for cache hits — so
     /// throughput-reporting figures render identically cold and warm.
-    pub(crate) walls: HashMap<String, f64>,
+    pub(crate) walls: HashMap<Arc<str>, f64>,
 }
 
 impl ResultStore {
+    /// An empty store resolving identities through `ids`.
+    pub(crate) fn over(ids: IdentityTable) -> Self {
+        ResultStore {
+            ids,
+            ..ResultStore::default()
+        }
+    }
+
+    /// Record entry `i`'s result (and, on success, its wall seconds).
+    pub(crate) fn insert(&mut self, i: usize, result: Result<JobOutput, String>, wall: f64) {
+        let hash = self.ids.entry(i).1.hash.clone();
+        if result.is_ok() {
+            self.walls.insert(hash.clone(), wall);
+        }
+        self.outputs.insert(hash, result);
+    }
+
     /// Fetch a job's output; `Err` carries the failure (or "never ran").
     pub fn get(&self, job: &SimJob) -> Result<&JobOutput, String> {
-        match self.outputs.get(&job.spec_text()) {
+        match self.outputs.get(&self.ids.resolve(job).hash) {
             Some(Ok(o)) => Ok(o),
             Some(Err(e)) => Err(e.clone()),
             None => Err(format!("{} was not executed", job.label())),
@@ -1227,7 +1695,7 @@ impl ResultStore {
     /// metadata.
     pub fn wall(&self, job: &SimJob) -> Option<f64> {
         self.walls
-            .get(&job.spec_text())
+            .get(&self.ids.resolve(job).hash)
             .copied()
             .filter(|w| *w > 0.0)
     }
@@ -1564,10 +2032,13 @@ pub type VetoFn = dyn Fn(&str) -> bool + Send + Sync;
 /// set the daemon coalesces submissions on (two submissions overlap
 /// exactly where these hashes collide).
 pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
-    let JobGraph { by_spec, order } = expand_graph(jobs);
+    let JobGraph { ids, order } = expand_graph(jobs);
     order
         .iter()
-        .map(|spec| (sha256_hex(spec), by_spec[spec].label()))
+        .map(|&i| {
+            let (job, id) = ids.entry(i);
+            (id.hash.to_string(), job.label())
+        })
         .collect()
 }
 
@@ -1623,30 +2094,31 @@ impl Watchdog {
 /// descriptions: each worker re-expands the same graph from the same
 /// invocation — see [`crate::fabric`]).
 pub(crate) struct JobGraph {
-    pub(crate) by_spec: HashMap<String, SimJob>,
-    pub(crate) order: Vec<String>,
+    /// The closure's identities, one entry per distinct spec text: the
+    /// pass's identity table (see the module docs).
+    pub(crate) ids: IdentityTable,
+    /// Entries of `ids` in execution order.
+    pub(crate) order: Vec<usize>,
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
 /// canonical spec, ordered by wave then expansion order.
 pub(crate) fn expand_graph(jobs: &[SimJob]) -> JobGraph {
-    let mut by_spec: HashMap<String, SimJob> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    let mut worklist: Vec<SimJob> = jobs.to_vec();
+    let mut ids = IdentityTable::default();
+    let mut order: Vec<usize> = Vec::new();
+    let mut worklist: Vec<Cow<'_, SimJob>> = jobs.iter().map(Cow::Borrowed).collect();
     while let Some(job) = worklist.pop() {
-        let spec = job.spec_text();
-        if by_spec.contains_key(&spec) {
-            continue;
+        let (i, new) = ids.intern(job);
+        if new {
+            worklist.extend(ids.entry(i).0.deps().into_iter().map(Cow::Owned));
+            order.push(i);
         }
-        worklist.extend(job.deps());
-        by_spec.insert(spec.clone(), job);
-        order.push(spec);
     }
     // Stable order: wave, then expansion order (reversed so that the
     // originally-requested jobs come before late-discovered deps of
     // the same wave — purely cosmetic, execution is parallel anyway).
-    order.sort_by_key(|s| by_spec[s].wave());
-    JobGraph { by_spec, order }
+    order.sort_by_key(|&i| ids.entry(i).0.wave());
+    JobGraph { ids, order }
 }
 
 /// Factor the declared jobs into shared prefixes and suffix runs.
@@ -1675,26 +2147,30 @@ pub(crate) fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// machine state.
 ///
 /// Returns the number of runs that will fork from a shared prefix (the
-/// `prefix_shared` figure in `run_all` reports).
-pub fn factor_prefixes(jobs: &mut Vec<SimJob>, snapshot_every: u64) -> usize {
-    // Group factorable runs by their horizon-free identity.
-    let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
+/// `prefix_shared` figure in `run_all` reports). Horizon-free identities
+/// resolve through `ids`, the plan's identity table.
+pub fn factor_prefixes(
+    jobs: &mut Vec<SimJob>,
+    snapshot_every: u64,
+    ids: &mut IdentityTable,
+) -> usize {
+    // Group factorable runs by their horizon-free spec text, in text
+    // order for a deterministic emission order.
+    let mut groups: BTreeMap<Arc<str>, Vec<usize>> = BTreeMap::new();
     for (i, job) in jobs.iter().enumerate() {
         let SimJob::Run(r) = job else { continue };
         if r.scheme == Scheme::RandomRestart {
             continue;
         }
+        let horizon_free = SimJob::Run(r.prefix_at(0, &[]));
         groups
-            .entry(SimJob::Run(r.prefix_at(0, &[])).spec_text())
+            .entry(ids.identity(&horizon_free).spec.clone())
             .or_default()
             .push(i);
     }
     let mut shared = 0;
     let mut prefixes: Vec<SimJob> = Vec::new();
-    let mut group_keys: Vec<&String> = groups.keys().collect();
-    group_keys.sort(); // deterministic emission order
-    for key in group_keys {
-        let idxs = &groups[key];
+    for idxs in groups.values() {
         let mut ladder: Vec<u64> = idxs
             .iter()
             .map(|&i| match &jobs[i] {
@@ -1747,14 +2223,12 @@ pub fn factor_prefixes(jobs: &mut Vec<SimJob>, snapshot_every: u64) -> usize {
     shared
 }
 
-/// A job's cache identity, resolvable once its dependencies are in the
-/// store (the key hashes dependency-output digests).
-pub(crate) struct JobIdentity {
+/// A job's cache coordinates, resolvable once its dependencies are in
+/// the store (the key hashes dependency-output digests). The spec hash
+/// alone (the job's [`Identity`]) is the stable pre-dependency identity
+/// used by fault plans, manifests and failure reports.
+pub(crate) struct CacheKey {
     pub(crate) kind: &'static str,
-    pub(crate) spec: String,
-    /// SHA-256 of the spec text alone — the stable pre-dependency
-    /// identity used by fault plans, manifests and failure reports.
-    pub(crate) spec_hash: String,
     /// The full cache key (spec + dependency digests).
     pub(crate) key: String,
 }
@@ -1823,7 +2297,7 @@ pub(crate) struct EventDetail {
 struct PrefixPoint {
     cycles: u64,
     key: String,
-    spec: String,
+    spec: Arc<str>,
 }
 
 /// The engine's [`PrefixStore`]: snapshot blobs are ordinary cache
@@ -1965,10 +2439,12 @@ impl Engine {
     /// in the store.
     pub fn run(&self, jobs: &[SimJob]) -> (ResultStore, RunReport) {
         let t0 = Instant::now();
-        let JobGraph { by_spec, order } = expand_graph(jobs);
+        let JobGraph { ids, order } = expand_graph(jobs);
         let total = order.len();
 
-        let mut store = ResultStore::default();
+        // The store keeps the graph's identity table: dependency lookups
+        // here and render lookups after the run resolve through it.
+        let mut store = ResultStore::over(ids);
         let mut report = RunReport {
             total,
             ..RunReport::default()
@@ -1990,20 +2466,21 @@ impl Engine {
         // Distinct waves actually present, ascending: the classic three
         // (leaves → fits → runs) plus one wave per prefix-chain depth
         // when the plan was prefix-factored.
-        let mut waves: Vec<usize> = order.iter().map(|s| by_spec[s].wave()).collect();
+        let mut waves: Vec<usize> = order.iter().map(|&i| store.ids.entry(i).0.wave()).collect();
         waves.sort_unstable();
         waves.dedup();
         for wave in waves {
-            let wave_jobs: Vec<&SimJob> = order
+            let wave_jobs: Vec<usize> = order
                 .iter()
-                .map(|s| &by_spec[s])
-                .filter(|j| j.wave() == wave)
+                .copied()
+                .filter(|&i| store.ids.entry(i).0.wave() == wave)
                 .collect();
-            let results: Vec<(String, Disposition)> =
-                crate::parallel::parallel_map(&wave_jobs, |job| {
+            let results: Vec<(usize, Disposition)> =
+                crate::parallel::parallel_map(&wave_jobs, |&i| {
+                    let (job, id) = store.ids.entry(i);
                     let jt = Instant::now();
-                    let d = self.run_one(job, &store, &watchdog, 0, None);
-                    let i = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    let d = self.run_one(job, id, &store, &watchdog, 0, None);
+                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
                             (Ok(_), true) => "hit".to_string(),
@@ -2017,12 +2494,13 @@ impl Engine {
                             ),
                             (Err(e), _) => format!("FAILED: {e}"),
                         };
-                        eprintln!("[engine] {i}/{total} {} {status}", job.label());
+                        eprintln!("[engine] {n}/{total} {} {status}", job.label());
                     }
-                    (job.spec_text(), d)
+                    (i, d)
                 });
-            for (spec, d) in results {
-                let label = by_spec[&spec].label();
+            for (i, d) in results {
+                let (job, id) = store.ids.entry(i);
+                let label = job.label();
                 match (&d.result, d.attempts.as_slice()) {
                     (Ok(_), []) if d.was_hit => report.cache_hits += 1,
                     (Ok(_), []) => report.executed += 1,
@@ -2032,7 +2510,7 @@ impl Engine {
                         report.recovered += 1;
                         report.trouble.push(JobTrouble {
                             label,
-                            spec_hash: sha256_hex(&spec),
+                            spec_hash: id.hash.to_string(),
                             worker: "local".to_string(),
                             attempts: d.attempts,
                             outcome: JobOutcome::Recovered,
@@ -2051,7 +2529,7 @@ impl Engine {
                         }
                         report.trouble.push(JobTrouble {
                             label,
-                            spec_hash: sha256_hex(&spec),
+                            spec_hash: id.hash.to_string(),
                             worker: "local".to_string(),
                             attempts: d.attempts,
                             outcome: if timed_out {
@@ -2062,10 +2540,7 @@ impl Engine {
                         });
                     }
                 }
-                if d.result.is_ok() {
-                    store.walls.insert(spec.clone(), d.wall);
-                }
-                store.outputs.insert(spec, d.result);
+                store.insert(i, d.result, d.wall);
             }
         }
 
@@ -2081,14 +2556,16 @@ impl Engine {
         (store, report)
     }
 
-    /// Resolve a job's cache identity against `store` (dependencies must
-    /// already be resolved there — their output digests enter the key).
-    /// `Err` carries the dependency-failure message.
+    /// Resolve the cache key of `job` (identity `id`) against `store`
+    /// (dependencies must already be resolved there — their output
+    /// digests enter the key). `Err` carries the dependency-failure
+    /// message.
     pub(crate) fn identify(
         &self,
         job: &SimJob,
+        id: &Identity,
         store: &ResultStore,
-    ) -> Result<JobIdentity, String> {
+    ) -> Result<CacheKey, String> {
         let mut dep_digests = String::new();
         for dep in &job.deps() {
             match store.get(dep) {
@@ -2096,12 +2573,10 @@ impl Engine {
                 Err(e) => return Err(format!("dependency {} failed: {e}", dep.label())),
             }
         }
-        let spec = job.spec_text();
-        Ok(JobIdentity {
+        let spec = &id.spec;
+        Ok(CacheKey {
             kind: job.kind(),
-            spec_hash: sha256_hex(&spec),
             key: sha256_hex(&format!("{CACHE_VERSION}\n{spec}--deps--\n{dep_digests}")),
-            spec,
         })
     }
 
@@ -2124,10 +2599,13 @@ impl Engine {
         let mut points = Vec::with_capacity(r.prefix_chain.len());
         for (i, &cycles) in r.prefix_chain.iter().enumerate() {
             let synth = SimJob::Prefix(r.prefix_at(cycles, &r.prefix_chain[..i]));
-            let id = self.identify(&synth, store).ok()?;
+            // Ladder barriers are graph jobs (a table hit); periodic
+            // checkpoints render.
+            let id = store.ids.resolve(&synth);
+            let key = self.identify(&synth, &id, store).ok()?.key;
             points.push(PrefixPoint {
                 cycles,
-                key: id.key,
+                key,
                 spec: id.spec,
             });
         }
@@ -2139,10 +2617,10 @@ impl Engine {
         })
     }
 
-    /// Run (or load) one job whose dependencies are already in `store`,
-    /// with bounded retry for transient failures and timeouts, a
-    /// watchdog deadline per attempt, and injected execution faults when
-    /// a plan is installed.
+    /// Run (or load) one job (identity `id`) whose dependencies are
+    /// already in `store`, with bounded retry for transient failures and
+    /// timeouts, a watchdog deadline per attempt, and injected execution
+    /// faults when a plan is installed.
     ///
     /// `start_attempt` seeds the cumulative attempt counter: the fabric
     /// passes the count carried in a stolen lease so fault-plan
@@ -2154,6 +2632,7 @@ impl Engine {
     pub(crate) fn run_one(
         &self,
         job: &SimJob,
+        id: &Identity,
         store: &ResultStore,
         watchdog: &Watchdog,
         start_attempt: u32,
@@ -2167,12 +2646,13 @@ impl Engine {
             lost: false,
         };
 
-        let identity = match self.identify(job, store) {
-            Ok(i) => i,
+        let spec_hash: &str = &id.hash;
+        let CacheKey { kind, key } = match self.identify(job, id, store) {
+            Ok(k) => k,
             Err(error) => {
                 self.emit(
                     &job.label(),
-                    &sha256_hex(&job.spec_text()),
+                    spec_hash,
                     JobStatus::Failed,
                     EventDetail {
                         error: Some(error.clone()),
@@ -2195,9 +2675,6 @@ impl Engine {
             .iter()
             .map(|d| store.get(d).expect("identify() checked every dep"))
             .collect();
-        let JobIdentity {
-            kind, spec, key, ..
-        } = identity;
         let skip_cache = self.retrain && matches!(job, SimJob::Train(_) | SimJob::Sample(_));
         // Wall seconds recorded by a prior execution whose entry was just
         // quarantined — the best deadline budget for the re-run.
@@ -2208,7 +2685,7 @@ impl Engine {
                     if let Some(out) = JobOutput::from_text(kind, &body) {
                         self.emit(
                             &job.label(),
-                            &sha256_hex(&spec),
+                            spec_hash,
                             JobStatus::Hit,
                             EventDetail {
                                 wall,
@@ -2239,7 +2716,6 @@ impl Engine {
             .deadline
             .or_else(|| prior_wall.map(|w| (4.0 * w).max(1.0)));
         let prefixes = self.prefix_io(job, store);
-        let spec_hash = sha256_hex(&spec);
         let label = job.label();
         let mut attempts: Vec<AttemptRecord> = Vec::new();
 
@@ -2249,7 +2725,7 @@ impl Engine {
             let attempt = start_attempt + attempts.len() as u32;
             // The veto gate: a cancelled submission's jobs stop here —
             // before the first attempt, and between retries.
-            if self.vetoed(&spec_hash) {
+            if self.vetoed(spec_hash) {
                 let error = "cancelled: submission withdrawn".to_string();
                 attempts.push(AttemptRecord {
                     class: FailClass::Cancelled,
@@ -2259,7 +2735,7 @@ impl Engine {
                 });
                 self.emit(
                     &label,
-                    &spec_hash,
+                    spec_hash,
                     JobStatus::Cancelled,
                     EventDetail {
                         attempts: attempt,
@@ -2272,7 +2748,7 @@ impl Engine {
             let injected = self
                 .faults
                 .as_ref()
-                .and_then(|p| p.exec_fault(&spec_hash, attempt));
+                .and_then(|p| p.exec_fault(spec_hash, attempt));
             // A stall is only meaningful under a watchdog: without a
             // deadline nothing would ever cancel it and the wave would
             // wedge, so it degrades to a transient error.
@@ -2289,10 +2765,10 @@ impl Engine {
             self.inflight
                 .lock()
                 .expect("inflight registry")
-                .insert(spec_hash.clone(), token.clone());
+                .insert(spec_hash.to_string(), token.clone());
             self.emit(
                 &label,
-                &spec_hash,
+                spec_hash,
                 JobStatus::Started,
                 EventDetail {
                     attempts: attempt,
@@ -2322,7 +2798,7 @@ impl Engine {
             self.inflight
                 .lock()
                 .expect("inflight registry")
-                .remove(&spec_hash);
+                .remove(spec_hash);
             drop(guard);
             let wall = t0.elapsed().as_secs_f64();
             let cancelled = token.is_cancelled();
@@ -2350,7 +2826,7 @@ impl Engine {
                         }
                     }
                     let body = out.to_text();
-                    self.cache.store(kind, &key, &spec, &body, wall);
+                    self.cache.store(kind, &key, &id.spec, &body, wall);
                     // Canonicalise through the serialisation so a cold
                     // run returns bit-identical values to a later warm
                     // run. A non-round-tripping output is a bug in the
@@ -2360,7 +2836,7 @@ impl Engine {
                         Some(canonical) => {
                             self.emit(
                                 &label,
-                                &spec_hash,
+                                spec_hash,
                                 if attempts.is_empty() {
                                     JobStatus::Done
                                 } else {
@@ -2388,7 +2864,7 @@ impl Engine {
                             );
                             self.emit(
                                 &label,
-                                &spec_hash,
+                                spec_hash,
                                 JobStatus::Failed,
                                 EventDetail {
                                     attempts: attempts.len() as u32,
@@ -2406,7 +2882,7 @@ impl Engine {
             // gate is a cooperative cancellation (`Engine::cancel_spec`),
             // not a watchdog timeout.
             let (class, error) = match executed {
-                _ if cancelled && self.vetoed(&spec_hash) => (
+                _ if cancelled && self.vetoed(spec_hash) => (
                     FailClass::Cancelled,
                     format!("cancelled mid-run after {wall:.1}s: submission withdrawn"),
                 ),
@@ -2447,7 +2923,7 @@ impl Engine {
                 let error = format!("{prefix}{error}");
                 self.emit(
                     &label,
-                    &spec_hash,
+                    spec_hash,
                     if class == FailClass::Cancelled {
                         JobStatus::Cancelled
                     } else {
@@ -2464,7 +2940,7 @@ impl Engine {
             let backoff = self.backoff_base * 2u32.saturating_pow(attempt);
             self.emit(
                 &label,
-                &spec_hash,
+                spec_hash,
                 JobStatus::Retried,
                 EventDetail {
                     attempts: attempt + 1,
@@ -2771,7 +3247,7 @@ mod tests {
             .iter()
             .map(|&c| run_at(17, Scheme::Gto, c, &setup))
             .collect();
-        factor_prefixes(&mut factored, 0);
+        factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
         // 3 entries on disk: both runs and the 4k blob. fsck validates
         // blob structure and snapshot grammar.
         let (engine, dir) = tmp_engine("prefix-gc");
@@ -3054,6 +3530,63 @@ mod tests {
         assert_eq!(gto_a.spec_text(), gto_b.spec_text());
     }
 
+    #[test]
+    fn signed_zeros_get_distinct_identities_through_the_table() {
+        // `f64::eq` calls 0.0 and -0.0 equal, but they render differently:
+        // the table must not hand one run the other's identity, whether
+        // the zero sits in the run's own parameters or in the model whose
+        // digest the run embeds.
+        let setup = tiny_setup();
+        let mut ms = ModelSpec::default_training(&setup);
+        ms.kernels.truncate(2);
+        let run = |own: f64, model: f64| {
+            let mut m = ms.clone();
+            m.scoring.0[2] = model;
+            let mut r = KernelRunSpec::new(&kernel(8), Scheme::Poise, &setup, Some(&m));
+            r.params.as_mut().expect("Poise params").scoring.0[2] = own;
+            SimJob::Run(r)
+        };
+        for (a, b) in [
+            (run(0.0, 0.25), run(-0.0, 0.25)),
+            (run(0.25, 0.0), run(0.25, -0.0)),
+        ] {
+            assert_eq!(a, b, "struct equality cannot tell the zeros apart");
+            let mut ids = IdentityTable::default();
+            let ha = ids.identity(&a).hash.clone();
+            let hb = ids.identity(&b).hash.clone();
+            assert_ne!(ha, hb);
+            assert_eq!(ha, Identity::of(&a).hash);
+            assert_eq!(hb, Identity::of(&b).hash);
+            assert_eq!((ids.resolve(&a).hash, ids.resolve(&b).hash), (ha, hb));
+            // The engine's graph keeps both runs (and both models when
+            // they differ).
+            let closure = graph_closure(&[a.clone(), b.clone()]);
+            let runs = closure
+                .iter()
+                .filter(|(_, l)| l.starts_with("run["))
+                .count();
+            assert_eq!(runs, 2);
+        }
+    }
+
+    #[test]
+    fn engine_only_fields_share_one_table_entry() {
+        // Runs differing only in what the spec text leaves out hit the
+        // same entry, and the store resolves either to the same output.
+        let setup = tiny_setup();
+        let a = KernelRunSpec::new(&kernel(8), Scheme::Gto, &setup, None);
+        let mut b = a.clone();
+        b.cfg.sim_threads = 2;
+        b.cfg.step_mode = gpu_sim::StepMode::Reference;
+        b.tag = Some("sim_threads=2".into());
+        b.prefix_chain = vec![1_000];
+        let (a, b) = (SimJob::Run(a), SimJob::Run(b));
+        let mut ids = IdentityTable::default();
+        assert!(ids.intern(Cow::Borrowed(&a)).1);
+        assert_eq!(ids.intern(Cow::Borrowed(&b)), (0, false));
+        assert_eq!(ids.resolve(&b), Identity::of(&a));
+    }
+
     /// A run at `cycles` for `kernel(seed)` under `scheme`.
     fn run_at(seed: u64, scheme: Scheme, cycles: u64, setup: &Setup) -> SimJob {
         let mut r = KernelRunSpec::new(&kernel(seed), scheme, setup, None);
@@ -3081,7 +3614,7 @@ mod tests {
             run_at(7, Scheme::RandomRestart, 10_000, &setup),
             run_at(7, Scheme::RandomRestart, 20_000, &setup),
         ];
-        let shared = factor_prefixes(&mut jobs, 0);
+        let shared = factor_prefixes(&mut jobs, 0, &mut IdentityTable::default());
         assert_eq!(shared, 3, "only the GTO ladder forks");
         // Two prefixes appended: GTO@10k (root) and GTO@20k (chained).
         assert_eq!(jobs.len(), 8);
@@ -3110,7 +3643,10 @@ mod tests {
         // A single run gains periodic checkpoints but no prefix jobs —
         // nothing shares them, they only bound lost work on re-entry.
         let mut solo = vec![run_at(3, Scheme::Gto, 40_000, &setup)];
-        assert_eq!(factor_prefixes(&mut solo, 15_000), 0);
+        assert_eq!(
+            factor_prefixes(&mut solo, 15_000, &mut IdentityTable::default()),
+            0
+        );
         assert_eq!(solo.len(), 1);
         assert_eq!(chain_of(&solo[0]), &[15_000, 30_000]);
         // In a ladder, checkpoints merge into the chains but prefixes
@@ -3119,7 +3655,7 @@ mod tests {
             run_at(3, Scheme::Gto, 20_000, &setup),
             run_at(3, Scheme::Gto, 40_000, &setup),
         ];
-        let shared = factor_prefixes(&mut jobs, 15_000);
+        let shared = factor_prefixes(&mut jobs, 15_000, &mut IdentityTable::default());
         assert_eq!(shared, 2);
         assert_eq!(jobs.len(), 3);
         assert!(matches!(&jobs[2], SimJob::Prefix(r) if r.run_cycles == 20_000));
@@ -3145,7 +3681,7 @@ mod tests {
         assert_eq!(cold_report.executed, 6);
 
         let mut factored = declared.clone();
-        let shared = factor_prefixes(&mut factored, 0);
+        let shared = factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
         assert_eq!(shared, 6);
         let (fork_engine, fork_dir) = tmp_engine("prefix-fork");
         let (fork_store, fork_report) = fork_engine.run(&factored);
@@ -3202,7 +3738,7 @@ mod tests {
             .map(|&c| run_at(13, Scheme::Gto, c, &setup))
             .collect();
         let mut factored = declared.clone();
-        factor_prefixes(&mut factored, 0);
+        factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
         let (engine, dir) = tmp_engine("prefix-heal");
         let (store1, r1) = engine.run(&factored);
         assert_eq!(r1.executed, 5);

@@ -31,13 +31,15 @@
 //! sweep; shared jobs stay untagged.
 
 use crate::experiment::Setup;
-use crate::jobs::SimJob;
+use crate::jobs::{IdentityTable, SimJob};
 use crate::profiler::GridSpec;
 use gpu_sim::SetIndexing;
 use poise_ml::ScoringWeights;
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Knobs and their values.
@@ -691,25 +693,32 @@ impl ExperimentPlan {
     /// tag, and count the specs shared between points (over the full
     /// dependency closure, so a model fit a sweep deploys at every
     /// point is counted even though figures declare only the runs).
-    pub fn expand(&self, jobs: impl Fn(&Setup) -> Vec<SimJob>) -> PlanExpansion {
+    /// Identities resolve through `ids`, the plan's identity table (see
+    /// "Job identity" in [`crate::jobs`]).
+    pub fn expand(
+        &self,
+        ids: &mut IdentityTable,
+        jobs: impl Fn(&Setup) -> Vec<SimJob>,
+    ) -> PlanExpansion {
         let points = self.points();
         let mut per_point: Vec<Vec<SimJob>> = Vec::with_capacity(points.len());
-        // spec -> set of point indices reaching it (declared or as a dep).
-        let mut reached_by: HashMap<String, Vec<usize>> = HashMap::new();
+        // spec hash -> point indices reaching it (declared or as a dep).
+        let mut reached_by: HashMap<Arc<str>, Vec<usize>> = HashMap::new();
         for (pi, point) in points.iter().enumerate() {
             let declared = jobs(&point.setup);
-            let mut worklist: Vec<SimJob> = declared.clone();
-            let mut seen_here: std::collections::HashSet<String> = Default::default();
+            let mut worklist: Vec<Cow<'_, SimJob>> = declared.iter().map(Cow::Borrowed).collect();
+            let mut seen_here: HashSet<Arc<str>> = HashSet::new();
             while let Some(job) = worklist.pop() {
-                let spec = job.spec_text();
-                if !seen_here.insert(spec.clone()) {
+                let (i, _) = ids.intern(job);
+                let (job, id) = ids.entry(i);
+                if !seen_here.insert(id.hash.clone()) {
                     continue;
                 }
-                worklist.extend(job.deps());
-                let entry = reached_by.entry(spec).or_default();
+                let entry = reached_by.entry(id.hash.clone()).or_default();
                 if entry.last() != Some(&pi) {
                     entry.push(pi);
                 }
+                worklist.extend(job.deps().into_iter().map(Cow::Owned));
             }
             per_point.push(declared);
         }
@@ -722,18 +731,16 @@ impl ExperimentPlan {
         for (pi, jobs) in per_point.into_iter().enumerate() {
             let tag = &points[pi].tag;
             for mut job in jobs {
-                if !tag.is_empty() {
-                    if let SimJob::Run(spec) = &mut job {
-                        // Tag only jobs unique to this point; a job shared
-                        // across points would otherwise wear the first
-                        // declaring point's tag, which is misleading.
-                        if reached_by
-                            .get(&job_spec_cached(spec))
-                            .is_some_and(|pts| pts.len() == 1)
-                        {
-                            spec.tag = Some(tag.clone());
-                        }
-                    }
+                // Tag only jobs unique to this point; a job shared across
+                // points would otherwise wear the first declaring point's
+                // tag, which is misleading.
+                let unique_here = !tag.is_empty()
+                    && matches!(job, SimJob::Run(_))
+                    && reached_by
+                        .get(&ids.identity(&job).hash)
+                        .is_some_and(|pts| pts.len() == 1);
+                if let (true, SimJob::Run(spec)) = (unique_here, &mut job) {
+                    spec.tag = Some(tag.clone());
                 }
                 out.push(job);
             }
@@ -747,12 +754,6 @@ impl ExperimentPlan {
             shared,
         }
     }
-}
-
-/// Spec text of a run spec (helper: `SimJob::spec_text` needs the
-/// enum wrapper, but tagging works on the inner spec).
-fn job_spec_cached(spec: &crate::jobs::KernelRunSpec) -> String {
-    SimJob::Run(spec.clone()).spec_text()
 }
 
 #[cfg(test)]
@@ -816,7 +817,7 @@ mod tests {
         // runs themselves must be distinct and tagged per point.
         let plan =
             ExperimentPlan::new(Setup::for_tests(), vec![Axis::run_cycles([10_000, 20_000])]);
-        let exp = plan.expand(|setup| {
+        let exp = plan.expand(&mut IdentityTable::default(), |setup| {
             vec![SimJob::Run(KernelRunSpec::new(
                 &kernel(1),
                 Scheme::Swl,
@@ -847,7 +848,7 @@ mod tests {
         // Sweeping t_period does not reach a GTO run's spec at all, so
         // the same GTO job is declared by both points: shared, untagged.
         let plan = ExperimentPlan::new(Setup::for_tests(), vec![Axis::t_period([5_000, 9_000])]);
-        let exp = plan.expand(|setup| {
+        let exp = plan.expand(&mut IdentityTable::default(), |setup| {
             vec![SimJob::Run(KernelRunSpec::new(
                 &kernel(2),
                 Scheme::Gto,

@@ -144,29 +144,60 @@ pub fn profile_grid(
     grid: &GridSpec,
     window: ProfileWindow,
 ) -> SpeedupGrid {
+    profile_grid_runs(spec, cfg, grid, window).grid
+}
+
+/// A profiled grid together with the steady-state runs behind it.
+pub(crate) struct GridRuns {
+    pub(crate) grid: SpeedupGrid,
+    /// The `(max, max)` baseline run.
+    pub(crate) base: SteadyState,
+    /// The runs of the other profiled points, in grid order.
+    pub(crate) points: Vec<SteadyState>,
+}
+
+impl GridRuns {
+    /// The run at `tuple`, if the profile simulated it.
+    pub(crate) fn run_at(&self, tuple: WarpTuple) -> Option<&SteadyState> {
+        std::iter::once(&self.base)
+            .chain(&self.points)
+            .find(|st| st.tuple == tuple)
+    }
+}
+
+/// [`profile_grid`], keeping the runs so callers can reuse them. The
+/// baseline is a speedup of exactly 1 by construction, so it is simulated
+/// once, not again as a grid point.
+pub(crate) fn profile_grid_runs(
+    spec: &Workload,
+    cfg: &GpuConfig,
+    grid: &GridSpec,
+    window: ProfileWindow,
+) -> GridRuns {
     let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let base = run_tuple(spec, cfg, WarpTuple::max(max_warps), window);
+    let max = WarpTuple::max(max_warps);
+    let base = run_tuple(spec, cfg, max, window);
     let base_ipc = base.ipc().max(1e-9);
 
-    let points: Vec<(usize, usize)> = grid
+    let tuples: Vec<WarpTuple> = grid
         .points()
         .iter()
-        .copied()
-        .filter(|&(n, p)| n <= max_warps && p <= n)
+        .map(|&(n, p)| WarpTuple { n, p })
+        .filter(|&t| t.n <= max_warps && t.p <= t.n && t != max)
         .collect();
 
-    let results = parallel_map(&points, |&(n, p)| {
-        let st = run_tuple(spec, cfg, WarpTuple { n, p }, window);
-        (n, p, st.ipc() / base_ipc)
-    });
+    let points = parallel_map(&tuples, |&t| run_tuple(spec, cfg, t, window));
 
     let mut out = SpeedupGrid::new(max_warps);
-    for (n, p, s) in results {
-        out.set(n, p, s);
+    for st in &points {
+        out.set(st.tuple.n, st.tuple.p, st.ipc() / base_ipc);
     }
-    // The baseline point is a speedup of exactly 1 by construction.
-    out.set(max_warps, max_warps, 1.0);
-    out
+    out.set(max.n, max.p, 1.0);
+    GridRuns {
+        grid: out,
+        base,
+        points,
+    }
 }
 
 /// Compute `Pbest`: the speedup of the kernel when the L1 is scaled 64×

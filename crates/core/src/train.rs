@@ -6,7 +6,7 @@
 
 use crate::experiment::Setup;
 use crate::params::PoiseParams;
-use crate::profiler::{profile_grid, run_tuple, GridSpec, ProfileWindow};
+use crate::profiler::{profile_grid_runs, run_tuple, GridSpec, ProfileWindow};
 use gpu_sim::{GpuConfig, KernelSource, WarpTuple, WindowSample};
 use poise_ml::{scoring, FeatureVector, TrainedModel, TrainingSample, TrainingThresholds};
 use workloads::{training_suite, Workload};
@@ -35,7 +35,8 @@ pub fn collect_sample_scored(
     scoring: &poise_ml::ScoringWeights,
 ) -> TrainingSample {
     let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let profile = profile_grid(spec, cfg, grid, window);
+    let runs = profile_grid_runs(spec, cfg, grid, window);
+    let profile = &runs.grid;
 
     let (target, _) = profile
         .best_scored(scoring)
@@ -43,9 +44,14 @@ pub fn collect_sample_scored(
     let best_speedup = profile.best_performance().map(|(_, s)| s).unwrap_or(1.0);
     let scaled = scoring::scale_tuple(target, max_warps, cfg.max_warps_per_scheduler);
 
-    // Feature sampling at the same two reference points the HIE uses.
-    let base = run_tuple(spec, cfg, WarpTuple::max(max_warps), window);
-    let refp = run_tuple(spec, cfg, WarpTuple { n: 1, p: 1 }, window);
+    // Feature sampling at the same two reference points the HIE uses:
+    // the profile's baseline and, when the grid holds it, its (1, 1) run.
+    let base = &runs.base;
+    let one = WarpTuple { n: 1, p: 1 };
+    let refp = runs
+        .run_at(one)
+        .cloned()
+        .unwrap_or_else(|| run_tuple(spec, cfg, one, window));
     let base_s = WindowSample::from_counters(&base.window);
     let ref_s = WindowSample::from_counters(&refp.window);
 

@@ -2,8 +2,9 @@
 //!
 //! The differential suite proves the step modes agree with each other,
 //! but `Reference` shares the per-SM issue logic (`Sm::step`,
-//! `Sm::issue_one`, the L1) with the fast loops, so a bug there moves
-//! every mode together and stays invisible to it. These values were
+//! `Sm::issue_one` apart from its reject memo, the L1) with the fast
+//! loops, so a bug there moves every mode together and stays invisible
+//! to it. These values were
 //! generated once, before the ALU-run bursts and the MSHR-reject memo
 //! existed, and pin the issue path itself: any change to a simulated
 //! counter — under `PerSm`, `ParallelSm` or `Reference` — fails here.

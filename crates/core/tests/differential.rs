@@ -291,7 +291,7 @@ fn per_sm_decoupling_beats_the_global_skip_on_multi_sm_machines() {
 fn reject_storms_are_identical_under_steering_controllers() {
     // Full occupancy (24 warps/scheduler, 48 outstanding loads wanted
     // against 32 MSHRs) drives the L1 into a structural reject storm —
-    // the regime the per-SM structural-stall replay exists for. Dynamic
+    // the regime the per-SM known-reject replay exists for. Dynamic
     // controllers steer tuples mid-storm, repeatedly moving the machine
     // in and out of it; every mode must agree bit-for-bit. The budget is
     // modest because the reference loop really steps every storm cycle.

@@ -16,52 +16,73 @@
 //!   accounting the skipped span. One busy scheduler anywhere pins the
 //!   whole machine to stepping, which caps the win at high occupancy.
 //! * [`StepMode::PerSm`] (the default) gives every SM its **own local
-//!   clock** and lets it run ahead — and skip its own stalled spans —
-//!   independently of the others. It also bulk-replays **structural
-//!   stalls** (ready warps retrying rejected loads against exhausted
-//!   MSHRs, where no "nothing can issue" span ever appears): a stepped
-//!   cycle that issues nothing and leaves the SM's warp-state version
-//!   unchanged can only have bumped reject/stall counters, so its exact
-//!   replicas up to the next event are accounted without stepping.
+//!   clock** and lets it run ahead — and replay its own repetitive spans
+//!   — independently of the others.
 //!
-//! Two more mechanisms make the per-SM advance pay per state change
-//! rather than per cycle or per probe in the two regimes Poise sweeps
-//! most — compute-bound kernels at full occupancy and memory-bound
-//! kernels whose `N` exceeds the MSHRs:
+//! ### The replay rule
 //!
-//! * **ALU-run bursts** (in `Lane::advance`, so [`StepMode::PerSm`] and
-//!   [`StepMode::ParallelSm`] get them; `Reference` and `EventDriven`
-//!   keep stepping one cycle at a time, which keeps `Reference` an
-//!   independent oracle for bursts). After a stepped cycle that issued,
-//!   if every scheduler either has no ready vital warp or has a ready
-//!   vital greedy warp with no stashed instruction whose stream reports
-//!   an ALU run ([`InstructionStream::alu_run`]), the next `k = min(runs,
-//!   next event, horizon, barrier) − clock` cycles repeat one issue
-//!   pattern: GTO re-picks each greedy warp, which issues an ALU
-//!   instruction, and the rest stall. A burst accounts them at once: `k`
-//!   onto each issuing warp's `instructions`, `since_last_load` and
-//!   `fetched` (its stream skips `k` through
-//!   [`InstructionStream::skip_alu`]), `k` per issuing scheduler onto
-//!   `instructions` and `busy_scheduler_cycles`, and `k` per live stalled
-//!   scheduler onto `stall_scheduler_cycles`. `alu_run` may under-report
-//!   (0 means unknown) but never over-report.
-//! * **The reject memo** (in `Sm::issue_one`, shared by every loop). Each
-//!   scheduler keeps a mask of the warps whose stashed load the L1
-//!   rejected at the L1's current *epoch*. The epoch moves wherever a
-//!   reject can turn into an accept: an MSHR allocation (a later load to
-//!   that line can now merge) and an MSHR completion (an entry frees, a
-//!   merge count drops, a line turns valid); hits, merges, rejects and
-//!   store invalidations cannot, so they leave it. A masked probe is a
-//!   known reject: it still counts toward the arbitration width and
-//!   bumps `l1_rejects` (total and window), moves no version, and skips
-//!   the set index, tag probe, MSHR scan and reuse-stack update (the
-//!   stashed line already tops that warp's reuse stack). Moving the
-//!   epoch more often would only be slower.
+//! The per-SM advance (`Lane::advance`, so [`StepMode::PerSm`] and
+//! [`StepMode::ParallelSm`]) pays per state change rather than per cycle.
+//! At the top of each iteration, once the events due have been delivered,
+//! it checks every scheduler of the SM (`Sm::replay_len`, O(schedulers)
+//! on masks). Each must be in one of three states:
 //!
-//! Both are derived state: the mask, the epochs and the
-//! [`SmFastForward`] burst counts stay out of [`Counters`] and out of
-//! snapshots (a restored machine starts with an empty memo), and
-//! [`Gpu::new`] allocates nothing for them.
+//! * **idle** — no ready vital warp: a stepped cycle only bumps its
+//!   `stall_scheduler_cycles` if it has live warps;
+//! * **known-reject storm** — every warp its scan would probe (the greedy
+//!   warp, then the oldest, at most 8) is a known reject of the reject
+//!   memo below: a stepped cycle only counts those `l1_rejects` and a
+//!   stall;
+//! * **ALU run** — its ready greedy warp has no stashed instruction and
+//!   its stream reports an ALU run ([`InstructionStream::alu_run`], which
+//!   may under-report, 0 meaning unknown, but never over-report): GTO
+//!   re-picks that warp every cycle and it issues one ALU instruction.
+//!
+//! Then nothing but those counters and the issuing warps' streams moves
+//! until the shortest run ends, so `k = min(shortest run, next event,
+//! horizon, barrier) − clock` cycles are accounted at once (`Sm::replay`):
+//! `k` onto each issuing warp's `instructions`, `since_last_load` and
+//! `fetched` (its stream skips `k` through
+//! [`InstructionStream::skip_alu`]) and per issuing scheduler onto
+//! `instructions` and `busy_scheduler_cycles`, `k` per other live
+//! scheduler onto `stall_scheduler_cycles`, and `k` times each storm
+//! scheduler's probe count onto `l1_rejects`. Otherwise the SM steps one
+//! cycle. A replay with no issuing scheduler counts in [`SmFastForward`]
+//! as a span, any other as a burst. `Reference` and `EventDriven` step
+//! every cycle, so `Reference` checks every replay.
+//!
+//! ### The reject memo
+//!
+//! Each scheduler memoises which warps' stashed loads the L1 rejected
+//! (`WarpScheduler::known_rejects`). Every load reject is one of two
+//! kinds, each with an exact validity rule:
+//!
+//! * a **full** reject — no free MSHR, and the line is not in flight —
+//!   stays a reject while the free list is empty and no MSHR has been
+//!   allocated for that line since: the load could only be accepted by
+//!   merging into an entry for its line, by hitting (a line turns valid
+//!   only through a fill, and a fill needs an allocation first), or by
+//!   allocating a free entry;
+//! * a **merge-limit** reject — the line's entry already holds the
+//!   maximum number of waiters — stays a reject until that entry
+//!   completes, because its waiters only grow until then and no second
+//!   entry, hence no fill, can exist for the line meanwhile.
+//!
+//! So the known rejects are the memo when the free list is empty and only
+//! its merge-limit bits otherwise; an MSHR allocation or completion for a
+//! line forgets the warps stashed on that line (walking only memo'd
+//! warps), and a real probe forgets the probed warp first. Hits, merges,
+//! rejects and store invalidations change no outcome. `Sm::issue_one`
+//! answers known rejects without calling the L1: they still count toward
+//! the arbitration width, and those ahead of the next real probe are
+//! counted with one `l1_rejects` bump (the stashed line already tops the
+//! warp's reuse stack, so skipping the probe skips nothing else). Every
+//! loop but `Reference` consults the memo; `Reference` probes for real,
+//! which makes it the memo's oracle.
+//!
+//! The memo and the [`SmFastForward`] counts are derived state: they stay
+//! out of [`Counters`] and out of snapshots, and a restored machine
+//! starts with an empty memo.
 //!
 //! [`InstructionStream::alu_run`]: crate::instruction::InstructionStream::alu_run
 //! [`InstructionStream::skip_alu`]: crate::instruction::InstructionStream::skip_alu
@@ -103,14 +124,12 @@
 //! completion cycle is `max(per-SM drain) + 1`, exactly where the
 //! reference loop's global check fires.
 //!
-//! Skipped spans are bulk-accounted exactly as the reference loop would:
-//! global `cycles` advances at barriers by the epoch length, and every
-//! scheduler with live warps accrues `stall_scheduler_cycles` for each
-//! skipped local cycle (no scheduler can issue inside a span by
-//! construction, and warp state only changes through events or controller
-//! steering, neither of which occurs inside a span). All counters — IPC,
-//! AML, hit rates, gap statistics — are therefore bit-identical across
-//! the three modes.
+//! Replayed cycles are accounted exactly as the reference loop would
+//! step them: global `cycles` advances at barriers by the epoch length,
+//! and a replay never crosses an event, the horizon or a barrier, the
+//! only points where another SM or the controller can change this SM's
+//! state. All counters — IPC, AML, hit rates, gap statistics — are
+//! therefore bit-identical across the step modes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -384,13 +403,13 @@ impl Gpu {
         )
     }
 
-    /// Per-SM fast-forward breakdown (spans, skipped SM-cycles, horizon
-    /// stalls, ALU-run bursts), indexed by SM id. Only the per-SM loops
-    /// populate it; use it to see *why* a workload does not skip
-    /// (frequent `horizon_stalls` mean the SM keeps hitting the
-    /// shared-memory horizon; zero `spans` mean its schedulers stay busy,
-    /// and `burst_cycles` then says how much of that busy time was
-    /// accounted in bursts rather than stepped).
+    /// Per-SM fast-forward breakdown (non-issuing replays and their
+    /// SM-cycles, horizon stalls, issuing replays and theirs), indexed by
+    /// SM id. Only the per-SM loops populate it; use it to see *why* a
+    /// workload does not skip (frequent `horizon_stalls` mean the SM
+    /// keeps hitting the shared-memory horizon; zero `spans` mean its
+    /// schedulers stay busy, and `burst_cycles` then says how much of
+    /// that busy time was replayed rather than stepped).
     pub fn fast_forward_breakdown(&self) -> &[SmFastForward] {
         &self.stats.fast_forward
     }
@@ -738,7 +757,7 @@ impl Gpu {
     /// divergence is how skipped spans are *partitioned* (a round
     /// boundary can split one `PerSm` span in two), which moves the
     /// [`SmFastForward`] diagnostics but none of the architectural
-    /// accounting — reject replay and stall bulk-accounting are
+    /// accounting — a replay accounts each of its cycles alike, so it is
     /// span-partition-invariant.
     fn run_parallel(&mut self, controller: &mut dyn Controller, end: u64) -> bool {
         if self.pool.is_none() {
@@ -953,7 +972,7 @@ impl Lane<'_> {
     }
 
     /// Advance until the barrier, the lane's drain, its horizon, or a
-    /// cancellation stops it, skipping stalled spans in bulk along the
+    /// cancellation stops it, replaying repetitive spans along the
     /// way. The body is the former sequential `advance_sm`, verbatim up
     /// to the borrow seam: memory requests go through a [`PortRequester`]
     /// over the lane's own port (identical parking semantics; the front
@@ -997,97 +1016,55 @@ impl Lane<'_> {
                 self.stats.fast_forward[self.ff_idx].horizon_stalls += 1;
                 break;
             }
-            if self.sm.can_issue() {
-                let pre_version = self.sm.version();
-                let pre_instr = self.stats.total.instructions;
-                let pre_rejects = self.stats.total.l1_rejects;
-                self.sm.step(
-                    clock,
-                    &mut PortRequester {
-                        sm: self.id,
-                        port: &mut *self.port,
-                    },
-                    &mut SmSink {
-                        sm: self.id,
-                        q: &mut *self.q,
-                        seq: &mut *self.seq,
-                    },
-                    self.stats,
-                );
-                if hz == u64::MAX {
-                    hz = self.horizon();
-                }
-                let drained = !self.sm.live() && self.q.is_empty();
-                if drained {
-                    self.done_at = Some(clock);
-                }
-                clock += 1;
-                if drained {
-                    break;
-                }
-                // Structural-stall replay: the step issued nothing and
-                // changed no warp state (a ready warp kept retrying a
-                // structurally rejected load — MSHRs exhausted or merge
-                // limit hit). Until an event, the horizon or the barrier
-                // intervenes, every following cycle replays it
-                // bit-identically, so account the replicas in bulk
-                // (reject and stall counters are its only effects).
-                let issued = self.stats.total.instructions != pre_instr;
-                if !issued && self.sm.version() == pre_version {
-                    let next_ev = self.q.peek().map_or(u64::MAX, |r| r.0.at);
-                    let target = next_ev.min(hz).min(self.barrier);
-                    if target > clock {
-                        let span = target - clock;
-                        let rejects = self.stats.total.l1_rejects - pre_rejects;
-                        let stalled = self.sm.live_scheduler_count();
-                        self.stats.bump(|c| {
-                            c.l1_rejects += rejects * span;
-                            c.stall_scheduler_cycles += span * stalled;
-                        });
-                        let ff = &mut self.stats.fast_forward[self.ff_idx];
-                        ff.spans += 1;
-                        ff.skipped += span;
-                        clock = target;
-                    }
-                } else if issued {
-                    // ALU-run burst: every scheduler either stalls or
-                    // keeps issuing its greedy warp's ALU run, so until
-                    // the shortest run ends (or an event, the horizon or
-                    // the barrier intervenes) every cycle repeats the
-                    // same issue pattern; account those cycles at once.
-                    let run = self.sm.alu_burst_len();
-                    if run > 0 {
-                        let next_ev = self.q.peek().map_or(u64::MAX, |r| r.0.at);
-                        let target = clock
-                            .saturating_add(run)
-                            .min(next_ev)
-                            .min(hz)
-                            .min(self.barrier);
-                        if target > clock {
-                            let k = target - clock;
-                            self.sm.account_alu_burst(k, self.stats);
-                            let ff = &mut self.stats.fast_forward[self.ff_idx];
-                            ff.bursts += 1;
-                            ff.burst_cycles += k;
-                            clock = target;
-                        }
-                    }
-                }
-            } else {
-                // Nothing can issue before the next event, the horizon or
-                // the barrier: skip the whole span, bulk-accounting it
-                // exactly as that many stepped stall cycles.
+            // The replay rule: when every scheduler is idle, in a
+            // known-reject storm or issuing its greedy warp's ALU run,
+            // each cycle until the shortest run ends (or an event, the
+            // horizon or the barrier intervenes) repeats the same
+            // effects, so account them at once.
+            if let Some(run) = self.sm.replay_len() {
                 let next_ev = self.q.peek().map_or(u64::MAX, |r| r.0.at);
-                let target = next_ev.min(hz).min(self.barrier);
+                let target = clock
+                    .saturating_add(run)
+                    .min(next_ev)
+                    .min(hz)
+                    .min(self.barrier);
                 debug_assert!(target > clock);
-                let span = target - clock;
-                let stalled = self.sm.live_scheduler_count();
-                self.stats
-                    .bump(|c| c.stall_scheduler_cycles += span * stalled);
+                let k = target - clock;
+                let issued = self.sm.replay(k, self.stats);
                 let ff = &mut self.stats.fast_forward[self.ff_idx];
-                ff.spans += 1;
-                ff.skipped += span;
+                if issued {
+                    ff.bursts += 1;
+                    ff.burst_cycles += k;
+                } else {
+                    ff.spans += 1;
+                    ff.skipped += k;
+                }
                 clock = target;
+                continue;
+            }
+            self.sm.step(
+                clock,
+                &mut PortRequester {
+                    sm: self.id,
+                    port: &mut *self.port,
+                },
+                &mut SmSink {
+                    sm: self.id,
+                    q: &mut *self.q,
+                    seq: &mut *self.seq,
+                },
+                self.stats,
+            );
+            if hz == u64::MAX {
+                hz = self.horizon();
+            }
+            let drained = !self.sm.live() && self.q.is_empty();
+            if drained {
+                self.done_at = Some(clock);
+            }
+            clock += 1;
+            if drained {
+                break;
             }
         }
         self.clock = clock;
@@ -1394,8 +1371,9 @@ mod tests {
         // 24 warps/scheduler want 48 outstanding loads against 32 MSHRs:
         // ready warps retry structurally rejected loads every cycle, so no
         // mode can ever find a "nothing can issue" span. The decoupled
-        // loop must replay those reject cycles in bulk — bit-identically
-        // (every retry bumps `l1_rejects`) and actually skipping them.
+        // loop must replay those known-reject cycles in bulk —
+        // bit-identically (every retry bumps `l1_rejects`) and actually
+        // skipping them.
         let kernel = UniformKernel::streaming(24, 0);
         let run = |mode: StepMode| {
             let cfg = cfg_with(GpuConfig::scaled(2), mode);
@@ -1421,13 +1399,13 @@ mod tests {
         );
         assert!(
             tskip > 15_000,
-            "parallel structural-stall replay must engage too, got {tskip}"
+            "parallel known-reject replay must engage too, got {tskip}"
         );
         assert!(rc.l1_rejects > 20_000, "storm must reject heavily");
         assert_eq!(eskip, 0, "the global skip cannot engage in a storm");
         assert!(
             pskip > 15_000,
-            "per-SM structural-stall replay must skip most of the storm, got {pskip}"
+            "per-SM known-reject replay must skip most of the storm, got {pskip}"
         );
     }
 

@@ -28,7 +28,11 @@ pub enum AccessOutcome {
     },
     /// Structural reject: MSHRs exhausted or merge limit reached. The load
     /// must be retried on a later cycle.
-    Reject,
+    Reject {
+        /// The line is in flight and its entry already holds the maximum
+        /// number of waiters (otherwise no MSHR was free).
+        merge_limited: bool,
+    },
 }
 
 /// A warp waiting on an MSHR fill.
@@ -95,14 +99,6 @@ pub struct L1Data {
     /// Per-PC force-bypass flags set by bypass policies.
     pub(crate) bypass_pc: Vec<bool>,
     pub(crate) track_pcs: bool,
-    /// Bumped wherever a structural reject can turn into an accept: an
-    /// MSHR allocation (a later load to that line may now merge) and an
-    /// MSHR completion (an entry frees, a merge count drops, a line turns
-    /// valid). Hits, merges, rejects and store invalidations leave it
-    /// alone — none can make a rejected load acceptable — so a load
-    /// rejected at epoch `e` is still rejected while the epoch is `e`
-    /// (the schedulers' reject memo). Derived state: never snapshotted.
-    pub(crate) epoch: u64,
 }
 
 impl L1Data {
@@ -117,7 +113,6 @@ impl L1Data {
             pc_stats: vec![PcStats::default(); n_pcs.max(1)],
             bypass_pc: vec![false; n_pcs.max(1)],
             track_pcs: cfg.track_pc_stats,
-            epoch: 0,
         }
     }
 
@@ -129,6 +124,13 @@ impl L1Data {
     /// Number of MSHR entries currently in use.
     pub fn mshrs_in_use(&self) -> usize {
         self.in_use.len()
+    }
+
+    /// Whether every MSHR entry is in use (a miss to a line not in
+    /// flight is rejected).
+    #[inline]
+    pub fn mshrs_exhausted(&self) -> bool {
+        self.free.is_empty()
     }
 
     /// Set or clear the force-bypass flag of a load PC (APCM).
@@ -206,7 +208,9 @@ impl L1Data {
                 if let Some(idx) = self.find_mshr(line) {
                     if self.mshrs[idx].waiters.len() >= self.merge_limit {
                         stats.bump(|c| c.l1_rejects += 1);
-                        return AccessOutcome::Reject;
+                        return AccessOutcome::Reject {
+                            merge_limited: true,
+                        };
                     }
                     self.count_access(polluting, pc, stats);
                     self.mshrs[idx].waiters.push(MshrWaiter {
@@ -222,10 +226,11 @@ impl L1Data {
                 // Primary miss: need a free MSHR.
                 let Some(free_idx) = self.free.pop() else {
                     stats.bump(|c| c.l1_rejects += 1);
-                    return AccessOutcome::Reject;
+                    return AccessOutcome::Reject {
+                        merge_limited: false,
+                    };
                 };
                 self.count_access(polluting, pc, stats);
-                self.epoch += 1;
                 let idx = free_idx as usize;
                 self.in_use.push((line, free_idx));
                 // Polluting warps reserve a line for the fill; non-polluting
@@ -263,17 +268,18 @@ impl L1Data {
     }
 
     /// Complete the fill of MSHR entry `mshr` at time `now`, draining the
-    /// waiters into `out` for warp wake-up. `out` is cleared first; using a
-    /// caller-owned scratch (instead of returning a fresh `Vec`) keeps the
-    /// per-fill hot path allocation-free — `drain` preserves the MSHR
-    /// entry's waiter capacity for reuse too.
+    /// waiters into `out` for warp wake-up, and return the filled line.
+    /// `out` is cleared first; using a caller-owned scratch (instead of
+    /// returning a fresh `Vec`) keeps the per-fill hot path
+    /// allocation-free — `drain` preserves the MSHR entry's waiter
+    /// capacity for reuse too.
     pub fn complete_fill_into(
         &mut self,
         mshr: usize,
         now: u64,
         stats: &mut GpuStats,
         out: &mut Vec<MshrWaiter>,
-    ) {
+    ) -> u64 {
         out.clear();
         let e = &mut self.mshrs[mshr];
         debug_assert!(e.in_use, "fill of a free MSHR entry");
@@ -302,7 +308,6 @@ impl L1Data {
             .expect("completed entry was in use");
         self.in_use.swap_remove(pos);
         self.free.push(mshr as u32);
-        self.epoch += 1;
         stats.bump(|c| {
             c.l1_misses_completed += waiters.len() as u64;
             c.miss_latency_sum += waiters
@@ -310,6 +315,7 @@ impl L1Data {
                 .map(|w| now.saturating_sub(w.issued_at))
                 .sum::<u64>();
         });
+        e.line
     }
 
     /// [`Self::complete_fill_into`] with a freshly allocated waiter list.
@@ -437,7 +443,9 @@ mod tests {
         // Merge limit is 2: the third requester is rejected.
         assert_eq!(
             l1.access_load(9, 2, true, 0, 2, waiter(0, 2), &mut st),
-            AccessOutcome::Reject
+            AccessOutcome::Reject {
+                merge_limited: true
+            }
         );
         assert_eq!(st.total.mshr_merges, 1);
         assert_eq!(st.total.l1_rejects, 1);
@@ -456,9 +464,12 @@ mod tests {
                 AccessOutcome::Miss { .. }
             ));
         }
+        assert!(l1.mshrs_exhausted());
         assert_eq!(
             l1.access_load(999, 0, true, 0, 0, waiter(0, 0), &mut st),
-            AccessOutcome::Reject
+            AccessOutcome::Reject {
+                merge_limited: false
+            }
         );
     }
 

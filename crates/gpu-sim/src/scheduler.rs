@@ -21,13 +21,17 @@ pub struct WarpScheduler {
     pub(crate) tuple: WarpTuple,
     /// Index of the warp currently favoured by the greedy policy.
     pub(crate) greedy: usize,
-    /// Reject memo: bit `w` set iff warp `w`'s stashed load was rejected
-    /// by the L1 at L1 epoch `rejected_epoch` (see [`crate::l1::L1Data`]'s
-    /// `epoch`). A reject can only turn into an accept when the epoch
-    /// moves, so until then a marked probe is a known reject. Derived
-    /// state: never snapshotted, empty after a restore.
+    /// Reject memo: bit `w` set iff the L1 rejected warp `w`'s stashed
+    /// load and no MSHR for its line was allocated or completed since
+    /// ([`WarpScheduler::known_rejects`]). Derived state: never
+    /// snapshotted, empty after a restore.
     pub(crate) rejected: u64,
-    pub(crate) rejected_epoch: u64,
+    /// The bits of `rejected` whose load hit the merge limit of its
+    /// line's in-flight MSHR entry; these hold whatever the free list.
+    pub(crate) merge_limited: u64,
+    /// The stashed line of each warp in `rejected`, so an MSHR change for
+    /// one line forgets exactly the warps waiting to load it.
+    pub(crate) rejected_line: Vec<u64>,
 }
 
 impl WarpScheduler {
@@ -39,7 +43,8 @@ impl WarpScheduler {
             tuple: WarpTuple::max(n_warps),
             greedy: 0,
             rejected: 0,
-            rejected_epoch: 0,
+            merge_limited: 0,
+            rejected_line: vec![0; n_warps],
         }
     }
 
@@ -78,25 +83,55 @@ impl WarpScheduler {
         (self.greedy < self.n_warps).then_some(self.greedy)
     }
 
-    /// The warps whose stashed load is a known reject at L1 epoch `epoch`.
+    /// The greedy favourite as a warp bitmask.
     #[inline]
-    pub(crate) fn known_rejects(&self, epoch: u64) -> u64 {
-        if self.rejected_epoch == epoch {
+    pub(crate) fn greedy_bit(&self) -> u64 {
+        self.greedy_warp().map_or(0, |g| 1u64 << g)
+    }
+
+    /// The warps whose stashed load is a known reject: every memo'd warp
+    /// while no MSHR is free, otherwise only the merge-limited ones (the
+    /// validity rules and why they are exact are in the `gpu` module
+    /// docs).
+    #[inline]
+    pub(crate) fn known_rejects(&self, mshrs_exhausted: bool) -> u64 {
+        if mshrs_exhausted {
             self.rejected
         } else {
-            0
+            self.merge_limited
         }
     }
 
-    /// Record that warp `w`'s stashed load was rejected at L1 epoch
-    /// `epoch`, forgetting marks from earlier epochs.
+    /// Record that the L1 rejected warp `w`'s load of `line`.
     #[inline]
-    pub(crate) fn note_reject(&mut self, w: usize, epoch: u64) {
-        if self.rejected_epoch != epoch {
-            self.rejected = 0;
-            self.rejected_epoch = epoch;
+    pub(crate) fn note_reject(&mut self, w: usize, line: u64, merge_limited: bool) {
+        let bit = 1u64 << w;
+        self.rejected |= bit;
+        if merge_limited {
+            self.merge_limited |= bit;
         }
-        self.rejected |= 1u64 << w;
+        self.rejected_line[w] = line;
+    }
+
+    /// Forget warp `w`'s memo (it is about to be probed for real).
+    #[inline]
+    pub(crate) fn forget(&mut self, w: usize) {
+        self.rejected &= !(1u64 << w);
+        self.merge_limited &= !(1u64 << w);
+    }
+
+    /// Forget every warp whose stashed load targets `line`: an MSHR for
+    /// it was just allocated or completed.
+    #[inline]
+    pub(crate) fn forget_line(&mut self, line: u64) {
+        let mut marked = self.rejected;
+        while marked != 0 {
+            let w = marked.trailing_zeros() as usize;
+            marked &= marked - 1;
+            if self.rejected_line[w] == line {
+                self.forget(w);
+            }
+        }
     }
 
     /// Candidate warps in GTO priority order: the greedy favourite first,

@@ -1,6 +1,6 @@
 //! One streaming multiprocessor: warps, schedulers, L1, issue logic.
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, StepMode};
 use crate::instruction::{Instr, KernelSource};
 use crate::l1::{sm_local_warp_bit, AccessOutcome, L1Data, MshrWaiter};
 use crate::memsys::MemRequester;
@@ -61,17 +61,30 @@ pub struct Sm {
     pub(crate) ready_mask: Vec<u64>,
     /// Per-scheduler count of live warps.
     pub(crate) live_warps: Vec<u32>,
-    /// Monotone version of the SM's observable warp state: bumped on
-    /// every ready/live transition and on every instruction pulled from a
-    /// stream. A cycle that issues nothing and leaves the version
-    /// unchanged touched nothing but reject/stall counters — it will
-    /// replay bit-identically until an event arrives (the basis of the
-    /// decoupled loop's structural-stall fast-forward).
-    pub(crate) version: u64,
+    /// Whether the issue scan answers known rejects from the schedulers'
+    /// reject memo. Off in [`StepMode::Reference`], so that loop probes
+    /// the L1 for every retry and checks the memo.
+    pub(crate) use_memo: bool,
     /// Reused scratch for fill completions: [`L1Data::complete_fill_into`]
     /// drains each MSHR entry's waiters into this buffer so the hot path
     /// allocates nothing per fill.
     pub(crate) fill_scratch: Vec<MshrWaiter>,
+}
+
+/// Where the GTO scan of `ready` (oldest first, at most `left` probes)
+/// next probes the L1 for real: the number of known rejects it counts
+/// first, and the bit of the warp it then probes — 0 when the width runs
+/// out or only known rejects remain.
+#[inline]
+fn next_real_probe(ready: u64, known: u64, left: u32) -> (u32, u64) {
+    let real = ready & !known;
+    let next = real & real.wrapping_neg();
+    let ahead = (ready & next.wrapping_sub(1)).count_ones();
+    if ahead >= left {
+        (left, 0)
+    } else {
+        (ahead, next)
+    }
 }
 
 /// Bitmask of the `n` lowest warp slots.
@@ -125,14 +138,9 @@ impl Sm {
             hit_latency: cfg.l1_hit_latency,
             ready_mask,
             live_warps,
-            version: 0,
+            use_memo: cfg.step_mode != StepMode::Reference,
             fill_scratch: Vec::new(),
         }
-    }
-
-    /// The SM's warp-state version (see the field docs).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Rebuild the derived readiness/liveness structures from the warps
@@ -208,7 +216,6 @@ impl Sm {
             } else {
                 self.ready_mask[sched] &= !bit;
             }
-            self.version += 1;
         }
         if was_live != now_live {
             if now_live {
@@ -216,7 +223,6 @@ impl Sm {
             } else {
                 self.live_warps[sched] -= 1;
             }
-            self.version += 1;
         }
         r
     }
@@ -264,106 +270,142 @@ impl Sm {
         // change the probed warp's own state, so the snapshot taken here
         // matches a fresh readiness check at every candidate.
         //
-        // The reject memo answers probes of warps whose stashed load the
-        // L1 already rejected at its current epoch: such a probe would
-        // only bump `l1_rejects` (the stashed line already tops the warp's
-        // reuse stack, and no version moves), so count it without calling
-        // `try_issue`. A failed probe never moves the epoch, so the memo
-        // read here holds for the whole scan.
+        // A probe of a known reject (the reject memo) would only bump
+        // `l1_rejects`: the stashed line already tops the warp's reuse
+        // stack. Such probes still count toward the width but skip
+        // `try_issue`, and the ones between two real probes are counted
+        // at once. A failed probe allocates and completes no MSHR, so the
+        // memo read here holds for the whole scan.
         let sched = &self.schedulers[sched_idx];
-        let mut ready = self.issue_candidates(sched_idx);
-        let known_rejects = sched.known_rejects(self.l1.epoch);
-        let greedy = sched.greedy_warp().filter(|&g| sched.vital(g));
-        let mut attempts = 0;
-        if let Some(g) = greedy {
-            let bit = 1u64 << g;
-            if ready & bit != 0 {
-                attempts += 1;
-                if known_rejects & bit != 0 {
-                    stats.bump(|c| c.l1_rejects += 1);
-                } else if let Some(kind) = self.try_issue(sched_idx, g, now, mem, events, stats) {
-                    self.note_issued(sched_idx, g, kind, stats);
-                    return true;
+        let ready = self.issue_candidates(sched_idx);
+        let known = if self.use_memo {
+            sched.known_rejects(self.l1.mshrs_exhausted())
+        } else {
+            0
+        };
+        let greedy = sched.greedy_bit() & ready;
+        let mut left = MAX_ISSUE_ATTEMPTS as u32;
+        let mut rejects = 0u64;
+        let mut issued = false;
+        for mut todo in [greedy, ready & !greedy] {
+            while !issued && left > 0 && todo != 0 {
+                let (ahead, next) = next_real_probe(todo, known, left);
+                rejects += u64::from(ahead);
+                left -= ahead;
+                if next == 0 {
+                    break;
                 }
-            }
-            ready &= !bit;
-        }
-        while ready != 0 {
-            let w_idx = ready.trailing_zeros() as usize;
-            ready &= ready - 1;
-            attempts += 1;
-            if attempts > MAX_ISSUE_ATTEMPTS {
-                break;
-            }
-            if known_rejects & (1u64 << w_idx) != 0 {
-                stats.bump(|c| c.l1_rejects += 1);
-            } else if let Some(kind) = self.try_issue(sched_idx, w_idx, now, mem, events, stats) {
-                self.note_issued(sched_idx, w_idx, kind, stats);
-                return true;
+                left -= 1;
+                todo &= !(next | next.wrapping_sub(1));
+                issued = self.probe(sched_idx, next, now, mem, events, stats);
             }
         }
-        false
+        if rejects > 0 {
+            stats.bump(|c| c.l1_rejects += rejects);
+        }
+        issued
     }
 
-    /// How many cycles after a stepped cycle can be accounted as one ALU
-    /// burst: every scheduler either has no ready vital warp (it stalls
-    /// until an event) or has a ready vital greedy warp with no stashed
-    /// instruction whose stream reports an ALU run (it issues that warp's
-    /// ALU instructions, one per cycle). The result is the shortest run
-    /// over the issuing schedulers; 0 when any scheduler is in neither
-    /// state or none issues. The caller also bounds it by the next event,
-    /// the memory horizon and the barrier.
-    pub(crate) fn alu_burst_len(&self) -> u64 {
+    /// Probe the warp of scheduler `sched_idx` whose bit is `bit` for
+    /// real, forgetting its memo first; book-keep an issue.
+    fn probe<M: MemRequester>(
+        &mut self,
+        sched_idx: usize,
+        bit: u64,
+        now: u64,
+        mem: &mut M,
+        events: &mut dyn EventSink,
+        stats: &mut GpuStats,
+    ) -> bool {
+        let w_idx = bit.trailing_zeros() as usize;
+        self.schedulers[sched_idx].forget(w_idx);
+        match self.try_issue(sched_idx, w_idx, now, mem, events, stats) {
+            Some(kind) => {
+                self.note_issued(sched_idx, w_idx, kind, stats);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Forget every memo'd reject of a load to `line`: an MSHR for it was
+    /// just allocated or completed.
+    fn forget_rejects_on(&mut self, line: u64) {
+        for sched in &mut self.schedulers {
+            sched.forget_line(line);
+        }
+    }
+
+    /// The replay rule (see the `gpu` module docs): `Some(run)` when
+    /// every scheduler is idle, in a known-reject storm or issuing its
+    /// greedy warp's ALU run, with `run` the shortest such run
+    /// (`u64::MAX` when none issues); `None` when the SM must step. The
+    /// caller also bounds the replay by the next event, the memory
+    /// horizon and the barrier. O(schedulers), on masks.
+    pub(crate) fn replay_len(&self) -> Option<u64> {
+        let exhausted = self.l1.mshrs_exhausted();
         let mut run = u64::MAX;
         for (s, sched) in self.schedulers.iter().enumerate() {
             let ready = self.issue_candidates(s);
             if ready == 0 {
                 continue;
             }
-            let Some(g) = sched.greedy_warp().filter(|&g| ready & (1u64 << g) != 0) else {
-                return 0;
-            };
-            let warp = &self.warps[s][g];
-            if warp.has_pending() {
-                return 0;
+            let known = sched.known_rejects(exhausted);
+            let greedy = sched.greedy_bit() & ready;
+            if greedy & !known != 0 {
+                let warp = &self.warps[s][greedy.trailing_zeros() as usize];
+                let alu = if warp.has_pending() {
+                    0
+                } else {
+                    warp.stream.alu_run()
+                };
+                if alu == 0 {
+                    return None;
+                }
+                run = run.min(alu);
+                continue;
             }
-            run = run.min(warp.stream.alu_run());
-            if run == 0 {
-                return 0;
+            // The greedy warp, if ready, is a known reject; the rest of
+            // the scan must reach no real probe either.
+            let width = MAX_ISSUE_ATTEMPTS as u32 - greedy.count_ones();
+            if next_real_probe(ready & !greedy, known, width).1 != 0 {
+                return None;
             }
         }
-        if run == u64::MAX {
-            0
-        } else {
-            run
-        }
+        Some(run)
     }
 
-    /// Account `k <= self.alu_burst_len()` cycles at once, exactly as `k`
-    /// stepped cycles: each issuing scheduler's greedy warp issues `k`
-    /// ALU instructions, and each other scheduler with live warps
-    /// stalls `k` cycles.
-    pub(crate) fn account_alu_burst(&mut self, k: u64, stats: &mut GpuStats) {
-        let (mut issuing, mut stalled) = (0u64, 0u64);
+    /// Account `k` cycles, at most what [`Self::replay_len`] allowed,
+    /// exactly as `k` stepped cycles. Returns whether any scheduler
+    /// issued.
+    pub(crate) fn replay(&mut self, k: u64, stats: &mut GpuStats) -> bool {
+        let exhausted = self.l1.mshrs_exhausted();
+        let (mut issuing, mut stalled, mut rejects) = (0u64, 0u64, 0u64);
         for s in 0..self.schedulers.len() {
-            if self.issue_candidates(s) != 0 {
-                let warp = &mut self.warps[s][self.schedulers[s].greedy];
+            let ready = self.issue_candidates(s);
+            let sched = &self.schedulers[s];
+            let greedy = sched.greedy_bit() & ready & !sched.known_rejects(exhausted);
+            if greedy != 0 {
+                let warp = &mut self.warps[s][greedy.trailing_zeros() as usize];
                 warp.stream.skip_alu(k);
                 warp.fetched += k;
                 warp.instructions += k;
                 warp.since_last_load += k;
                 issuing += 1;
+            } else if ready != 0 {
+                stalled += 1;
+                rejects += u64::from(ready.count_ones().min(MAX_ISSUE_ATTEMPTS as u32));
             } else if self.live_warps[s] > 0 {
                 stalled += 1;
             }
         }
-        // One bump per instruction pulled from a stream, as stepping does.
-        self.version += k * issuing;
         stats.bump(|c| {
             c.instructions += k * issuing;
             c.busy_scheduler_cycles += k * issuing;
             c.stall_scheduler_cycles += k * stalled;
+            c.l1_rejects += k * rejects;
         });
+        issuing > 0
     }
 
     /// Book-keeping for a successful issue: greedy favourite, instruction
@@ -419,12 +461,6 @@ impl Sm {
             // `fetch` may exhaust the stream (ready/live transition) and a
             // sync with loads outstanding blocks the warp (ready
             // transition); route both through the counter-tracking helper.
-            // A fetch that pulls from the stream (rather than re-reading a
-            // stashed instruction) advances warp state even when nothing
-            // issues, so it bumps the version.
-            if !self.warps[sched_idx][w_idx].has_pending() {
-                self.version += 1;
-            }
             let instr = self.update_warp(sched_idx, w_idx, Warp::fetch)?;
             match instr {
                 Instr::Alu => return Some(IssuedKind::Alu),
@@ -487,16 +523,17 @@ impl Sm {
                                 // immediately, or (in deferred mode) once
                                 // the request is applied in global order.
                                 mem.read(self.id, line, now, mshr, events, stats);
+                                self.forget_rejects_on(line);
                             }
                             return Some(IssuedKind::Load);
                         }
-                        AccessOutcome::Reject => {
-                            // Structural hazard: stash, remember the reject
-                            // until the L1 epoch moves, and let the
-                            // scheduler try another warp this cycle.
+                        AccessOutcome::Reject { merge_limited } => {
+                            // Structural hazard: stash, memo the reject,
+                            // and let the scheduler try another warp this
+                            // cycle.
                             let warp = &mut self.warps[sched_idx][w_idx];
                             warp.stash(instr);
-                            self.schedulers[sched_idx].note_reject(w_idx, self.l1.epoch);
+                            self.schedulers[sched_idx].note_reject(w_idx, line, merge_limited);
                             return None;
                         }
                     }
@@ -511,7 +548,8 @@ impl Sm {
         match ev {
             SmEvent::Fill { mshr } => {
                 let mut waiters = std::mem::take(&mut self.fill_scratch);
-                self.l1.complete_fill_into(mshr, now, stats, &mut waiters);
+                let line = self.l1.complete_fill_into(mshr, now, stats, &mut waiters);
+                self.forget_rejects_on(line);
                 for w in &waiters {
                     self.update_warp(w.scheduler as usize, w.warp as usize, Warp::load_completed);
                 }
@@ -633,6 +671,148 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Warp `w` of the single scheduler runs `self.0[w]`, then ends.
+    struct Scripted(Vec<Vec<Instr>>);
+
+    struct ScriptStream(std::vec::IntoIter<Instr>);
+
+    impl crate::instruction::InstructionStream for ScriptStream {
+        fn next_instr(&mut self) -> Option<Instr> {
+            self.0.next()
+        }
+    }
+
+    impl KernelSource for Scripted {
+        fn stream_for(
+            &self,
+            _sm: usize,
+            _sched: usize,
+            warp: usize,
+        ) -> Box<dyn crate::instruction::InstructionStream> {
+            Box::new(ScriptStream(self.0[warp].clone().into_iter()))
+        }
+        fn warps_per_scheduler(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    fn load(line: u64) -> Instr {
+        Instr::Load { line, pc: 0 }
+    }
+
+    /// One scheduler, 2 MSHRs, merge limit 2, memo consulted.
+    fn memo_setup(scripts: Vec<Vec<Instr>>) -> (Sm, MemSystem, GpuStats, VecSink) {
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.schedulers_per_sm = 1;
+        cfg.l1_mshrs = 2;
+        cfg.mshr_merge_limit = 2;
+        cfg.step_mode = crate::config::StepMode::PerSm;
+        (
+            Sm::new(0, &cfg, &Scripted(scripts)),
+            MemSystem::new(&cfg),
+            GpuStats::new(),
+            VecSink(Vec::new()),
+        )
+    }
+
+    fn known(sm: &Sm) -> u64 {
+        sm.schedulers[0].known_rejects(sm.l1.mshrs_exhausted())
+    }
+
+    fn complete(sm: &mut Sm, line: u64, now: u64, st: &mut GpuStats) {
+        let &(_, mshr) = sm.l1.in_use.iter().find(|e| e.0 == line).unwrap();
+        sm.handle_event(
+            SmEvent::Fill {
+                mshr: mshr as usize,
+            },
+            now,
+            st,
+        );
+    }
+
+    /// Cycles 0-2 of the memo tests: warps 0 and 1 take both MSHRs with
+    /// lines 1 and 2, and the rest are full rejects.
+    fn fill_mshrs(scripts: Vec<Vec<Instr>>) -> (Sm, MemSystem, GpuStats, VecSink) {
+        let (mut sm, mut mem, mut st, mut ev) = memo_setup(scripts);
+        for t in 0..3 {
+            sm.step(t, &mut mem, &mut ev, &mut st);
+        }
+        assert_eq!(st.total.mshr_allocations, 2);
+        assert!(sm.l1.mshrs_exhausted());
+        (sm, mem, st, ev)
+    }
+
+    #[test]
+    fn allocating_a_stashed_line_forgets_its_rejects() {
+        // Warps 2 and 3 both want line 3, which is not in flight.
+        let (mut sm, mut mem, mut st, mut ev) = fill_mshrs(vec![
+            vec![load(1)],
+            vec![load(2)],
+            vec![load(3)],
+            vec![load(3)],
+        ]);
+        assert_eq!(known(&sm), 0b1100);
+        // Line 1 completes; warp 2 takes the freed entry for line 3, so
+        // warp 3 can now merge although the free list is empty again.
+        complete(&mut sm, 1, 3, &mut st);
+        sm.step(3, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.mshr_allocations, 3);
+        assert!(sm.l1.mshrs_exhausted());
+        assert_eq!(known(&sm), 0);
+        sm.step(4, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.mshr_merges, 1);
+    }
+
+    #[test]
+    fn completing_a_merge_limited_line_forgets_its_rejects() {
+        // Warp 2 is the third requester of line 1: a merge-limit reject,
+        // known whatever the free list holds.
+        let (mut sm, mut mem, mut st, mut ev) =
+            memo_setup(vec![vec![load(1)], vec![load(1)], vec![load(1)]]);
+        for t in 0..3 {
+            sm.step(t, &mut mem, &mut ev, &mut st);
+        }
+        assert_eq!(st.total.mshr_merges, 1);
+        assert!(!sm.l1.mshrs_exhausted());
+        assert_eq!(known(&sm), 0b100);
+        // The fill makes line 1 valid: warp 2 now hits.
+        complete(&mut sm, 1, 3, &mut st);
+        assert_eq!(known(&sm), 0);
+        sm.step(4, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.l1_hits, 1);
+    }
+
+    #[test]
+    fn a_free_mshr_suspends_full_rejects() {
+        let (mut sm, mut mem, mut st, mut ev) =
+            fill_mshrs(vec![vec![load(1)], vec![load(2)], vec![load(3)]]);
+        assert_eq!(known(&sm), 0b100);
+        // An unrelated line completes: warp 2's miss could now allocate.
+        complete(&mut sm, 1, 3, &mut st);
+        assert_eq!(known(&sm), 0);
+        sm.step(3, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.mshr_allocations, 3);
+    }
+
+    #[test]
+    fn unrelated_mshr_changes_keep_full_rejects() {
+        // Warp 1 (the greedy favourite after cycle 1) also wants line 5.
+        let (mut sm, mut mem, mut st, mut ev) = fill_mshrs(vec![
+            vec![load(1)],
+            vec![load(2), load(5)],
+            vec![load(3)],
+            vec![load(4)],
+        ]);
+        assert_eq!(known(&sm), 0b1110);
+        // Line 1 completes and warp 1 allocates line 5: neither touches
+        // lines 3 or 4, and the free list is empty again.
+        complete(&mut sm, 1, 3, &mut st);
+        sm.step(3, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.mshr_allocations, 3);
+        assert!(sm.l1.mshrs_exhausted());
+        assert_eq!(known(&sm), 0b1100);
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn write_sm(
         hit_latency: _,  // from the config
         ready_mask: _,   // recomputed from the warps on restore
         live_warps: _,   // recomputed from the warps on restore
-        version: _,      // relative only; restore resets to 0
+        use_memo: _,     // from the config
         fill_scratch: _, // scratch
     } = sm;
     let _ = writeln!(out, "sm {id}");
@@ -322,8 +322,9 @@ fn write_sm(
             n_warps: _, // from the kernel/config
             tuple,
             greedy,
-            rejected: _,       // reject memo: derived, empty on restore
-            rejected_epoch: _, // reject memo: derived, empty on restore
+            rejected: _,      // reject memo: derived, empty on restore
+            merge_limited: _, // reject memo: derived, empty on restore
+            rejected_line: _, // reject memo: derived, empty on restore
         } = sched;
         let _ = writeln!(out, "sched {si} {} {} {greedy}", tuple.n, tuple.p);
     }
@@ -374,7 +375,6 @@ fn write_l1(out: &mut String, l1: &L1Data) {
         pc_stats,
         bypass_pc,
         track_pcs: _, // from the config
-        epoch: _,     // reject-memo epoch: derived, restarts at 0
     } = l1;
     write_tag_store(out, "l1line", None, tags);
     let _ = writeln!(out, "l1stamp {}", tags.stamp);
@@ -1155,7 +1155,6 @@ impl Gpu {
             for &idx in &smdoc.bypass {
                 sm.l1.bypass_pc[idx] = true;
             }
-            sm.version = 0;
             sm.recompute_activity();
         }
         for (i, bd) in doc.banks.iter().enumerate() {

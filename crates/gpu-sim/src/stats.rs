@@ -300,15 +300,16 @@ impl WindowSample {
 /// [`StepMode::ParallelSm`]: crate::config::StepMode::ParallelSm
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmFastForward {
-    /// Contiguous spans this SM skipped without stepping.
+    /// Replays in which no scheduler issued (every scheduler idle or in
+    /// a known-reject storm; see the `gpu` module docs).
     pub spans: u64,
     /// SM-local cycles covered by those spans.
     pub skipped: u64,
     /// Times the SM's advance stopped at the conservative memory-system
     /// horizon (an own read still unresolved) instead of an event/barrier.
     pub horizon_stalls: u64,
-    /// ALU-run bursts: issuing stretches accounted in one go after a
-    /// stepped cycle.
+    /// Replays in which at least one scheduler issued its greedy warp's
+    /// ALU run.
     pub bursts: u64,
     /// SM-local cycles covered by those bursts. They are not in
     /// `skipped`, so the SM-cycles stepped one at a time are the total

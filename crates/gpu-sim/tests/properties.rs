@@ -193,7 +193,7 @@ proptest! {
 
     /// MSHR reject storms (occupancy beyond the MSHR file, so ready warps
     /// retry structurally rejected loads every cycle) are the regime the
-    /// structural-stall replay targets; the bulk-accounted reject and
+    /// known-reject replay targets; the bulk-accounted reject and
     /// stall counters must stay bit-identical to stepping each retry.
     /// Cases are few and budgets short because the reference loop really
     /// does step every storm cycle.

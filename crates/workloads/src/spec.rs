@@ -227,16 +227,26 @@ impl AddressSpace {
 }
 
 /// Deterministic per-warp instruction stream realising a [`KernelSpec`].
+///
+/// The current mix is read in place from `phases`; the address generator
+/// state lives in its own field so it can advance while the mix is
+/// borrowed.
 struct SpecStream {
     phases: Vec<Phase>,
     trace_len: Option<u64>,
-    addr: AddressSpace,
-    rng: SmallRng,
     phase_idx: usize,
     instr_in_phase: u64,
     emitted: u64,
     /// Position inside the repeating iteration pattern.
     slot: IterSlot,
+    gen: AddressGen,
+}
+
+/// The random draws and region cursors behind a stream's memory
+/// operations.
+struct AddressGen {
+    addr: AddressSpace,
+    rng: SmallRng,
     hot_pos: u64,
     hot_rep: usize,
     cold_pos: u64,
@@ -262,31 +272,33 @@ impl SpecStream {
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(((sm as u64) << 32) ^ ((scheduler as u64) << 16) ^ warp as u64);
-        let mix = spec.phases[0].mix;
+        let mix = &spec.phases[0].mix;
         let mut rng = SmallRng::seed_from_u64(seed);
         // Desynchronise warps within the shared and cold regions so reuse
         // is temporal, not lock-step.
-        let shared_pos = rng.gen_range(0..spec.phases[0].mix.shared_lines as u64);
-        let cold_pos = rng.gen_range(0..spec.phases[0].mix.cold_lines as u64);
+        let shared_pos = rng.gen_range(0..mix.shared_lines as u64);
+        let cold_pos = rng.gen_range(0..mix.cold_lines as u64);
         SpecStream {
             phases: spec.phases.clone(),
             trace_len: spec.trace_len,
-            addr: AddressSpace::new(sm, scheduler, warp),
-            rng,
             phase_idx: 0,
             instr_in_phase: 0,
             emitted: 0,
             slot: IterSlot::Alu(mix.alu_per_load),
-            hot_pos: 0,
-            hot_rep: 0,
-            cold_pos,
-            shared_pos,
-            stream_pos: 0,
+            gen: AddressGen {
+                addr: AddressSpace::new(sm, scheduler, warp),
+                rng,
+                hot_pos: 0,
+                hot_rep: 0,
+                cold_pos,
+                shared_pos,
+                stream_pos: 0,
+            },
         }
     }
 
-    fn mix(&self) -> AccessMix {
-        self.phases[self.phase_idx].mix
+    fn mix(&self) -> &AccessMix {
+        &self.phases[self.phase_idx].mix
     }
 
     fn advance_phase_if_due(&mut self) {
@@ -294,11 +306,12 @@ impl SpecStream {
         if self.instr_in_phase >= dur {
             self.instr_in_phase = 0;
             self.phase_idx = (self.phase_idx + 1) % self.phases.len();
-            let mix = self.mix();
-            self.slot = IterSlot::Alu(mix.alu_per_load);
+            self.slot = IterSlot::Alu(self.mix().alu_per_load);
         }
     }
+}
 
+impl AddressGen {
     fn next_address(&mut self, mix: &AccessMix) -> (u64, u32) {
         let r: f64 = self.rng.gen();
         if r < mix.shared_frac {
@@ -333,7 +346,7 @@ impl InstructionStream for SpecStream {
             }
         }
         self.advance_phase_if_due();
-        let mix = self.mix();
+        let mix = &self.phases[self.phase_idx].mix;
         loop {
             match self.slot {
                 IterSlot::Alu(0) => {
@@ -352,8 +365,8 @@ impl InstructionStream for SpecStream {
                     self.slot = IterSlot::Mem(k - 1);
                     self.emitted += 1;
                     self.instr_in_phase += 1;
-                    let (line, pc) = self.next_address(&mix);
-                    let is_store = self.rng.gen::<f64>() < mix.store_frac;
+                    let (line, pc) = self.gen.next_address(mix);
+                    let is_store = self.gen.rng.gen::<f64>() < mix.store_frac;
                     return Some(if is_store {
                         Instr::Store { line, pc }
                     } else {

@@ -1,8 +1,8 @@
 //! Criterion benches — one group per paper table/figure, each timing a
 //! scaled-down version of the regeneration pipeline (1-SM machine, short
-//! windows). The full-size regenerators are the `poise-bench` binaries
-//! (`cargo run --release -p poise-bench --bin fig07_performance`, or
-//! `run_all`); these bench targets exist so `cargo bench` exercises every
+//! windows). The full-size regenerator is `run_all` (`cargo run
+//! --release -p poise-bench --bin run_all -- --only fig07` for one
+//! figure); these bench targets exist so `cargo bench` exercises every
 //! experiment's code path with measured cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};

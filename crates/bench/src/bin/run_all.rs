@@ -10,12 +10,13 @@
 //!
 //! Flags: `--keep-going` (render every figure even after failures, then
 //! summarise), `--only <a,b,...>` (exact names or underscore prefixes,
-//! e.g. `fig12`), `--list`, `--gc` (prune cache entries the current job
-//! set no longer references), `--set <knob>=<value>` (apply a knob to
-//! the base setup, e.g. `--set sms=32`), and `--sweep <knob>=<v1,v2,..>`
-//! (sweep a knob across every selected figure's plan — see
-//! `poise::plan` and the "Plans & sweeps" section of EXPERIMENTS.md for
-//! the knob grammar).
+//! e.g. `fig12`; one figure is `--only fig07`), `--list`, `--gc` (prune
+//! cache entries the current job set no longer references), `--set
+//! <knob>=<value>` (apply a knob to the base setup, e.g. `--set
+//! sms=32`), and `--sweep <knob>=<v1,v2,..>` (sweep a knob across every
+//! selected figure's plan — see `poise::plan` and the "Plans & sweeps"
+//! section of EXPERIMENTS.md for the knob grammar). Any other argument
+//! is an error.
 //!
 //! Robustness: `--inject seed=S,rate=P[,kinds=a+b]` turns on
 //! deterministic fault injection (panics, transient errors, stalls,
@@ -26,32 +27,11 @@
 //! every troubled job's attempt history lands in
 //! `results/run_all_failures.txt` (prose) and
 //! `results/run_all_failures.jsonl` (machine-readable, one JSON object
-//! per troubled job with worker attribution). `--fsck` re-validates the
-//! whole cache offline and reclaims orphaned worker leases. Exit codes:
-//! 0 clean, 1 hard failures, 3 pass after self-healing, 4 timeout-only
-//! failures (see "Failure handling & fault injection" in
-//! EXPERIMENTS.md).
+//! per troubled job). `--fsck` re-validates the whole cache offline.
+//! Exit codes: 0 clean, 1 hard failures or a bad command line, 3 pass
+//! after self-healing, 4 timeout-only failures (see "Failure handling &
+//! fault injection" in EXPERIMENTS.md).
 //!
-//! Distributed sweeps: `--workers N` drains the job graph cooperatively
-//! across N worker processes sharing `results/cache/` via crash-safe
-//! lease files — dead workers' claims are stolen by survivors, and the
-//! coordinator's final in-process pass keeps the exit-code contract.
-//! `--worker [--fabric-dir D] [--worker-id ID]` runs one standalone
-//! worker (joining from another terminal or host sharing the
-//! filesystem). See "Distributed sweeps" in EXPERIMENTS.md.
-//!
-//! Sweep daemon: `--connect [<socket>]` submits the plan to a running
-//! `poised` service instead of executing locally — the daemon admits,
-//! coalesces and schedules concurrent clients' plans over the same
-//! lease fabric, streams per-job progress back, and this process then
-//! renders from the daemon-warmed shared cache (byte-identical
-//! outputs). `--client`/`--priority` tag the submission; `--status`,
-//! `--daemon-cancel <id>` and `--daemon-shutdown [now]` manage the
-//! service. See "The sweep daemon" in EXPERIMENTS.md.
-//!
-//! The legacy effort-knob environment variables (`POISE_SMS`,
-//! `POISE_KERNELS_CAP`, `POISE_TRAIN_CAP`, `POISE_RUN_CYCLES`) are
-//! deprecated aliases feeding the same knob overlay; `--set` wins.
 //! `POISE_RERUN=1` bypasses the result cache wholesale, `POISE_RETRAIN=1`
 //! re-runs training only. Editing any job input (kernel specs, schemes,
 //! parameters, machine configuration) invalidates exactly the affected

@@ -12,8 +12,8 @@
 //! [`poise::jobs::Engine`] — which deduplicates across figures, executes
 //! the unique set once over the shared work queue, and answers repeats
 //! from the content-addressed cache — then renders each figure in order.
-//! The per-figure binaries call [`figure_main`] with just their own jobs,
-//! hitting the same cache.
+//! `run_all --only <figure>` renders a single figure through the same
+//! path.
 //!
 //! ## Byte-compatibility with the retired per-binary harness
 //!
@@ -30,9 +30,10 @@ use std::time::Instant;
 use gpu_sim::{KernelSource, SetIndexing, WarpTuple};
 use poise::experiment::{self, arithmetic_mean, harmonic_mean, Scheme, Setup};
 use poise::jobs::{
-    Engine, IdentityTable, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore,
-    RunReport, SampleSpec, SharedSpec, SimJob, TupleRunSpec,
+    Engine, IdentityTable, JobTrouble, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec,
+    ResultStore, RunReport, SampleSpec, SharedSpec, SimJob, TupleRunSpec,
 };
+use poise::json::{obj, Json};
 use poise::plan::{Axis, ExperimentPlan, KnobOverlay, PlanExpansion, SweepPoint};
 use poise::policies::swl_tuple_from_grid;
 use poise::profiler::{GridSpec, ProfileWindow};
@@ -49,7 +50,7 @@ use crate::{
 };
 
 /// Shared context every figure declares and renders against: the
-/// environment-derived [`Setup`] and the default training [`ModelSpec`].
+/// knob-derived [`Setup`] and the default training [`ModelSpec`].
 pub struct FigCtx {
     /// The experiment setup (machine, params, effort caps).
     pub setup: Setup,
@@ -80,13 +81,6 @@ impl FigCtx {
             trace_errors,
         }
     }
-
-    /// Build the context from the deprecated `POISE_*` aliases only (the
-    /// per-figure binary shims take no `--set` arguments). Errors on
-    /// malformed alias values.
-    pub fn from_env() -> Result<Self, String> {
-        Ok(FigCtx::new(crate::base_setup(&crate::env_overlay()?)))
-    }
 }
 
 /// One registered figure/table.
@@ -99,7 +93,7 @@ impl FigCtx {
 /// setup, the one offline-trained model every point deploys, and the
 /// trace workloads.
 pub struct Figure {
-    /// Binary-compatible name, e.g. `"fig07_performance"`.
+    /// Output name, e.g. `"fig07_performance"` (`--only` matches it).
     pub name: &'static str,
     /// The figure's intrinsic sweep axes over the base setup.
     pub axes: fn(&FigCtx) -> Vec<Axis>,
@@ -1770,40 +1764,6 @@ fn render_sm_scaling(
 // Entry points.
 // ---------------------------------------------------------------------------
 
-/// Run a single figure end to end (the per-figure binary shims call
-/// this): expand its plan, execute the jobs — answered from the shared
-/// cache when warm — then render.
-pub fn figure_main(name: &str) -> ExitCode {
-    let registry = registry();
-    let Some(figure) = registry.iter().find(|f| f.name == name) else {
-        eprintln!("[bench] unknown figure {name:?}");
-        return ExitCode::FAILURE;
-    };
-    let ctx = match FigCtx::from_env() {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("[bench] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let engine = Engine::from_env(&results_dir());
-    let exp = figure.expand(&ctx, &[], &mut IdentityTable::default());
-    if exp.points.len() > 1 {
-        eprintln!(
-            "[bench] {name}: {} sweep points, {} jobs shared across points (executed once)",
-            exp.points.len(),
-            exp.shared
-        );
-    }
-    let (store, report) = engine.run(&exp.jobs);
-    if let Err(e) = (figure.render)(&ctx, &exp.points, &store) {
-        eprintln!("[bench] {name} FAILED: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[bench] {name} done ({})", report.summary_line());
-    ExitCode::SUCCESS
-}
-
 /// The `--only` filter: exact figure name or a prefix up to an
 /// underscore (`fig12` matches `fig12_cache_size`).
 fn name_matches(only: Option<&[String]>, name: &str) -> bool {
@@ -1833,13 +1793,10 @@ pub struct PlannedJobs {
     pub prefix_shared: usize,
 }
 
-/// The one planning path shared by `run_all` and the sweep daemon's
-/// planner (see [`poise::daemon::Planner`]): apply the overlay, select
-/// figures, expand every plan, reject sweeps that reach single-point
-/// renderers, and factor shared snapshot prefixes. Deterministic in its
-/// arguments — a daemon and a client expanding the same plan must
-/// derive the same job graph, or the client would re-simulate instead
-/// of rendering from the daemon-warmed cache.
+/// The planning path of `run_all`: apply the overlay, select figures,
+/// expand every plan, reject sweeps that reach single-point renderers,
+/// and factor shared snapshot prefixes. Deterministic in its arguments,
+/// so a warm pass re-derives the cold pass's job graph and cache keys.
 pub fn plan_jobs(
     base: KnobOverlay,
     sets: &[String],
@@ -1904,10 +1861,7 @@ pub fn plan_jobs(
     let mut jobs: Vec<SimJob> = expansions.iter().flat_map(|e| e.jobs.clone()).collect();
     // Prefix factoring: runs that differ only in their cycle horizon
     // collapse into one chained simulation plus per-horizon forks (a
-    // `run_cycles` sweep axis is the canonical producer). This must run
-    // on the shared declaration path — coordinator, fabric workers and
-    // the daemon each re-derive the same factored graph, so the
-    // manifest and the prefix cache keys agree across the fleet.
+    // `run_cycles` sweep axis is the canonical producer).
     let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every, &mut ids);
     if verbose && prefix_shared > 0 {
         eprintln!(
@@ -1934,6 +1888,57 @@ enum FigStatus {
     Skipped,
 }
 
+/// `run_all`'s command line (see [`run_all_main`] for the flags).
+#[derive(Default)]
+struct RunAllArgs {
+    keep_going: bool,
+    gc: bool,
+    fsck: bool,
+    list: bool,
+    only: Option<Vec<String>>,
+    sets: Vec<String>,
+    sweeps: Vec<String>,
+    inject: Option<String>,
+}
+
+impl RunAllArgs {
+    /// Parse `args`. Every argument must be a known flag or a known
+    /// flag's value; anything else is an error naming it, so a typo or
+    /// a retired flag never degrades into a silent default run.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut a = RunAllArgs::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = |flag: &str| -> Result<String, String> {
+                it.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .cloned()
+                    .ok_or_else(|| format!("{flag} needs an argument"))
+            };
+            match arg.as_str() {
+                "--keep-going" => a.keep_going = true,
+                "--gc" => a.gc = true,
+                "--fsck" => a.fsck = true,
+                "--list" => a.list = true,
+                "--only" => {
+                    let v = value("--only")?;
+                    a.only = Some(v.split(',').map(|s| s.trim().to_string()).collect());
+                }
+                "--set" => a.sets.push(value("--set")?),
+                "--sweep" => a.sweeps.push(value("--sweep")?),
+                "--inject" => a.inject = Some(value("--inject")?),
+                other => {
+                    return Err(format!(
+                        "unknown argument `{other}` (flags: --keep-going, --only, --set, \
+                         --sweep, --list, --gc, --inject, --fsck)"
+                    ))
+                }
+            }
+        }
+        Ok(a)
+    }
+}
+
 /// One-command reproduction of the evaluation section: collect every
 /// figure's jobs up front, execute the deduplicated set once across
 /// cores, then render each figure. Flags:
@@ -1944,7 +1949,8 @@ enum FigStatus {
 /// * `--only <a,b,...>` — restrict to the named figures (exact name or a
 ///   prefix up to an underscore: `fig12` matches `fig12_cache_size`);
 /// * `--set <knob>=<value>` (repeatable) — apply a knob to the base
-///   setup (the declarative replacement for the `POISE_*` env vars);
+///   setup (`--set sim_threads=N` steps the SMs of each simulation on
+///   `N` threads, bit-identical to single-threaded);
 /// * `--sweep <knob>=<v1,v2,...>` (repeatable) — sweep a knob: replaces
 ///   a same-knob default axis of each selected figure (e.g.
 ///   `sm_scaling`'s SM ladder) or extends the figure's plan. Figures
@@ -1962,177 +1968,51 @@ enum FigStatus {
 ///   with backoff, watchdog deadlines, cache quarantine) absorbs the
 ///   faults; surviving outputs are bit-identical to a fault-free pass;
 /// * `--fsck` — offline cache re-validation: parse and checksum every
-///   entry, quarantine invalid ones, remove stale temp files and
-///   orphaned job leases, then exit (failure exit if anything was
-///   corrupt — a second `--fsck` passes);
-/// * `--workers <N>` (or `--set workers=N`) — distributed sweep: spawn
-///   `N` worker processes that execute the job graph cooperatively over
-///   the shared cache via crash-safe leases (see [`poise::fabric`]),
-///   then run the authoritative in-process pass over the warmed store;
-/// * `--worker --fabric-dir <D> [--worker-id <id>]` — run as one fabric
-///   worker (what `--workers` spawns; usable standalone to grow a fleet
-///   by hand). Workers execute and report but render nothing.
-/// * `--set sim_threads=N` — step the SMs of each simulation on `N`
-///   threads (bit-identical to single-threaded; engine knob, shares the
-///   process thread budget with the fleet: each spawned worker gets
-///   `POISE_THREAD_BUDGET / (workers + 1)`).
-/// * `--connect [<socket>]` — submit this plan to a running sweep
-///   daemon (`poised`; default socket `results/daemon.sock`) instead of
-///   executing locally: the daemon coalesces it with other clients'
-///   submissions, executes shared jobs once, and streams progress back;
-///   the figures are then rendered locally from the shared cache.
-///   `--client <name>` and `--priority <n>` tag the submission. With no
-///   daemon listening, degrades to the ordinary in-process run;
-/// * `--status` — show queued/running submissions from a live daemon,
-///   or (headless) summarize job leases, the fabric manifest and the
-///   daemon event log;
-/// * `--daemon-shutdown [now]` — stop the daemon: drain the queue
-///   first, or cancel everything with `now`;
-/// * `--daemon-cancel <id>` — withdraw submission `<id>`; jobs shared
-///   with other live submissions keep running.
+///   entry, quarantine invalid ones and remove stale temp files, then
+///   exit (failure exit if anything was corrupt — a second `--fsck`
+///   passes).
+///
+/// Any other argument is an error (exit 1), reported before anything
+/// runs.
 ///
 /// Exit codes (CI and scripts key off these):
 /// * `0` — clean pass;
 /// * `1` — figure or job failures (hard errors: panics, exhausted
-///   retries, dependency failures, render errors);
+///   retries, dependency failures, render errors) or a bad command line;
 /// * `3` — every figure passed but the run needed self-healing
 ///   (retried-then-recovered jobs or quarantined cache corruption);
 /// * `4` — failures whose job-level causes are exclusively watchdog
 ///   timeouts (raise `--set job_deadline=...` and retry).
-///
-/// A worker process's exit reflects only its local view (`0` when it saw
-/// no hard job failures, `1` otherwise); the coordinator's exit is the
-/// authoritative one.
 pub fn run_all_main(args: &[String]) -> ExitCode {
-    let keep_going = args.iter().any(|a| a == "--keep-going");
-    let gc = args.iter().any(|a| a == "--gc");
-    if args.iter().any(|a| a == "--fsck") {
+    let args = match RunAllArgs::parse(args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("[run_all] {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if args.fsck {
         return fsck_main();
     }
-    let worker_mode = args.iter().any(|a| a == "--worker");
-    let mut fabric_dir: Option<String> = None;
-    let mut worker_id: Option<String> = None;
-    let mut sets: Vec<String> = Vec::new();
-    let mut sweeps: Vec<String> = Vec::new();
-    let mut inject: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        let value = |flag: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs an argument"))
-        };
-        match a.as_str() {
-            "--set" => match value("--set") {
-                Ok(v) => sets.push(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sweep" => match value("--sweep") {
-                Ok(v) => sweeps.push(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--inject" => match value("--inject") {
-                Ok(v) => inject = Some(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // Sugar for `--set workers=N`, through the same knob so the
-            // value is validated once and recorded in the overlay.
-            "--workers" => match value("--workers") {
-                Ok(v) => sets.push(format!("workers={v}")),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fabric-dir" => match value("--fabric-dir") {
-                Ok(v) => fabric_dir = Some(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--worker-id" => match value("--worker-id") {
-                Ok(v) => worker_id = Some(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => {}
-        }
-    }
-    let faults = match inject.as_deref().map(FaultPlan::parse).transpose() {
+    let faults = match args.inject.as_deref().map(FaultPlan::parse).transpose() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("[run_all] --inject: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Daemon client flags (see `poise::daemon` and EXPERIMENTS.md §
-    // "The sweep daemon"). `--connect` takes an optional socket path;
-    // the default lives beside the shared store.
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    };
-    let socket: std::path::PathBuf = flag_value("--connect")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::client::default_socket);
-    let connect = args.iter().any(|a| a == "--connect");
-    if args.iter().any(|a| a == "--status") {
-        return crate::client::status_main(&socket);
-    }
-    if args.iter().any(|a| a == "--daemon-shutdown") {
-        let now = flag_value("--daemon-shutdown").as_deref() == Some("now");
-        return crate::client::shutdown_main(&socket, now);
-    }
-    if args.iter().any(|a| a == "--daemon-cancel") {
-        return match flag_value("--daemon-cancel") {
-            Some(id) => crate::client::cancel_main(&socket, &id),
-            None => {
-                eprintln!("[run_all] --daemon-cancel needs a submission id");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let only: Option<Vec<String>> = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect());
-    if args.iter().any(|a| a == "--list") {
+    let only = args.only.as_deref();
+    if args.list {
         for f in registry() {
-            if name_matches(only.as_deref(), f.name) {
+            if name_matches(only, f.name) {
                 println!("{}", f.name);
             }
         }
         return ExitCode::SUCCESS;
     }
 
-    // The knob overlay: deprecated env aliases first, then --set
-    // assignments (CLI wins). Parsed exactly once, on the planning path
-    // shared with the daemon's planner.
-    let env = match crate::env_overlay() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("[run_all] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let t0 = Instant::now();
-    let planned = match plan_jobs(env, &sets, &sweeps, only.as_deref(), true) {
+    let planned = match plan_jobs(KnobOverlay::default(), &args.sets, &args.sweeps, only, true) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("[run_all] {e}");
@@ -2164,57 +2044,12 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         engine.set_faults(Some(plan));
     }
 
-    // Fabric worker mode: execute cooperatively over the shared cache,
-    // publish a report, render nothing (the coordinator renders).
-    if worker_mode {
-        let dir = fabric_dir
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| results_dir().join("fabric"));
-        let id = worker_id.unwrap_or_else(|| format!("w{}", std::process::id()));
-        return worker_main(&engine, &jobs, &ctx.setup, &dir, &id);
-    }
-
-    // Daemon mode: hand the plan to a running `poised`, stream its
-    // progress, then fall through to the in-process pass — by then
-    // every job answers from the shared cache, so the figures rendered
-    // below are byte-identical to a standalone run's. An unreachable or
-    // rejecting daemon degrades to the ordinary in-process run.
-    let mut daemon_ran = false;
-    if connect {
-        let req = poise::daemon::SubmitRequest {
-            client: flag_value("--client")
-                .or_else(|| std::env::var("USER").ok())
-                .unwrap_or_else(|| "anon".to_string()),
-            priority: flag_value("--priority")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0),
-            set: sets.clone(),
-            sweep: sweeps.clone(),
-            only: only.clone(),
-        };
-        match crate::client::submit_and_stream(&socket, &req) {
-            Ok(out) => {
-                eprintln!(
-                    "[run_all] daemon submission {} finished: {} ({} executed, {} cache \
-                     hit(s), {} failed); rendering from the shared store",
-                    out.id, out.outcome, out.executed, out.cache_hits, out.failed
-                );
-                daemon_ran = true;
-            }
-            Err(e) => eprintln!("[run_all] {e}; degrading to the in-process run"),
-        }
-    }
-
     eprintln!(
         "[run_all] {} figures declared {} jobs; executing the deduplicated set...",
         figures.len(),
         jobs.len()
     );
-    let (store, report) = if ctx.setup.workers > 0 && !daemon_ran {
-        run_fleet(&engine, &jobs, &ctx.setup, args)
-    } else {
-        engine.run(&jobs)
-    };
+    let (store, report) = engine.run(&jobs);
 
     // Phase 2: render in order.
     let mut statuses: Vec<(&str, FigStatus)> = Vec::new();
@@ -2231,7 +2066,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
             Err(e) => {
                 eprintln!("[run_all] {} FAILED: {e}", figure.name);
                 statuses.push((figure.name, FigStatus::Fail(e)));
-                if !keep_going {
+                if !args.keep_going {
                     stop = true;
                 }
             }
@@ -2246,13 +2081,13 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         eprintln!("[run_all] could not write {}: {e}", failures_path.display());
     }
     // The machine-readable twin: one JSON object per troubled job with
-    // worker id, spec key, failure class and per-attempt timings, so
-    // chaos tests and CI assert on fields instead of scraping prose.
+    // spec key, failure class and per-attempt timings, so tests and CI
+    // assert on fields instead of scraping prose.
     let jsonl_path = results_dir().join("run_all_failures.jsonl");
     let jsonl: String = report
         .trouble
         .iter()
-        .map(|t| poise::fabric::trouble_json(t).render() + "\n")
+        .map(|t| trouble_json(t).render() + "\n")
         .collect();
     if let Err(e) = std::fs::write(&jsonl_path, jsonl) {
         eprintln!("[run_all] could not write {}: {e}", jsonl_path.display());
@@ -2311,7 +2146,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     // set no longer references. Only when every requested figure ran —
     // a failed/skipped figure's entries must survive for the retry —
     // and never under --only, which would see a partial job set.
-    if gc {
+    if args.gc {
         let all_ran = statuses
             .iter()
             .all(|(_, s)| matches!(s, FigStatus::Pass(_)));
@@ -2366,162 +2201,18 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `run_all --worker`: one fabric worker process (see [`poise::fabric`]).
-/// Verifies its job-graph expansion against the coordinator's manifest
-/// (publishing one first when run standalone), drains the graph
-/// cooperatively, and publishes its report. Renders nothing.
-fn worker_main(
-    engine: &Engine,
-    jobs: &[SimJob],
-    setup: &Setup,
-    fabric_dir: &std::path::Path,
-    worker_id: &str,
-) -> ExitCode {
-    use poise::fabric;
-    if fabric::verify_manifest(fabric_dir, jobs).is_err() {
-        // Standalone worker (no coordinator): publish the manifest for
-        // later-joining peers, then re-verify — a real skew (peers
-        // expanding a different graph) still fails loudly.
-        let _ = fabric::write_manifest(fabric_dir, jobs);
-        if let Err(e) = fabric::verify_manifest(fabric_dir, jobs) {
-            eprintln!("[{worker_id}] {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let cfg = fabric::FabricConfig::for_worker(fabric_dir, worker_id, setup);
-    let (_store, report) = fabric::run_worker(engine, jobs, &cfg);
-    if let Err(e) = fabric::write_worker_report(fabric_dir, worker_id, &report) {
-        eprintln!("[{worker_id}] could not write report: {e}");
-    }
-    // A worker's exit reflects its local view only; the coordinator's
-    // final pass decides the authoritative outcome.
-    if report.failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `run_all --workers N`: the fabric coordinator. Publishes the job
-/// manifest, spawns `N` worker processes re-running this invocation with
-/// `--worker`, waits them out (dead workers are expected under chaos —
-/// survivors steal their leases), then runs the authoritative in-process
-/// pass over the warmed store and folds the worker reports in for
-/// attribution.
-fn run_fleet(
-    engine: &Engine,
-    jobs: &[SimJob],
-    setup: &Setup,
-    args: &[String],
-) -> (ResultStore, RunReport) {
-    use poise::fabric;
-    use std::collections::HashSet;
-
-    let fabric_dir = results_dir().join("fabric");
-    let _ = std::fs::remove_dir_all(&fabric_dir);
-    let _ = std::fs::create_dir_all(fabric_dir.join("reports"));
-    if let Err(e) = fabric::write_manifest(&fabric_dir, jobs) {
-        eprintln!("[fabric] cannot write manifest: {e}; running in-process instead");
-        return engine.run(jobs);
-    }
-    // Startup sweep: leases left by a previous (crashed) fleet are all
-    // orphans — ours is the only fleet on this store now.
-    let reaped0 = engine.cache().reap_stale_leases(0.0) as u64;
-    if reaped0 > 0 {
-        eprintln!("[fabric] reaped {reaped0} orphaned lease(s) at startup");
-    }
-
-    // Divide the process thread budget across the fleet (coordinator +
-    // N workers) so per-run `sim_threads` pools compose with process
-    // fan-out instead of oversubscribing the host.
-    let share = (gpu_sim::threadpool::thread_budget() / (setup.workers + 1)).max(1);
-    let mut children = Vec::new();
-    match std::env::current_exe() {
-        Ok(exe) => {
-            for i in 1..=setup.workers {
-                let id = format!("w{i}");
-                match std::process::Command::new(&exe)
-                    .args(args)
-                    .arg("--worker")
-                    .arg("--fabric-dir")
-                    .arg(&fabric_dir)
-                    .args(["--worker-id", &id])
-                    .env(gpu_sim::threadpool::BUDGET_ENV, share.to_string())
-                    .spawn()
-                {
-                    Ok(c) => children.push((id, c)),
-                    Err(e) => eprintln!("[fabric] could not spawn {id}: {e}"),
-                }
-            }
-        }
-        Err(e) => eprintln!("[fabric] current_exe: {e}; running in-process only"),
-    }
-    eprintln!(
-        "[fabric] coordinator: {} worker(s) over the shared cache",
-        children.len()
-    );
-    for (id, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => eprintln!("[fabric] {id} exited with {status}"),
-            Err(e) => eprintln!("[fabric] waiting on {id} failed: {e}"),
-        }
-    }
-
-    // Every worker has exited, so any lease still on disk is orphaned
-    // (held by a killed worker). Reap before the final pass.
-    let reaped1 = engine.cache().reap_stale_leases(0.0) as u64;
-    // The authoritative pass: resolves the whole graph from the warmed
-    // store in-process, re-executing whatever dying workers left
-    // behind. Kill faults never apply here (see FabricConfig), so this
-    // pass always terminates.
-    let (store, mut report) = engine.run(jobs);
-    report.workers = setup.workers;
-    report.reaped = reaped0 + reaped1;
-
-    // Fold worker reports in: attribution lines, fabric counters, and
-    // re-attribution of work (a job a worker executed is a cache hit to
-    // the final pass).
-    let mut seen: HashSet<String> = report.trouble.iter().map(|t| t.spec_hash.clone()).collect();
-    for (id, w) in fabric::read_worker_reports(&fabric_dir) {
-        eprintln!(
-            "[fabric] {id}: executed={} cache_hits={} failed={} stolen={} lost={} wall={:.1}s",
-            w.executed,
-            w.cache_hits,
-            w.failed.len(),
-            w.stolen,
-            w.lost,
-            w.wall.as_secs_f64()
-        );
-        report.cache_hits = report.cache_hits.saturating_sub(w.executed);
-        report.executed += w.executed;
-        report.retried += w.retried;
-        report.recovered += w.recovered;
-        report.stolen += w.stolen;
-        report.lost += w.lost;
-        report.corrupt += w.corrupt;
-        report.quarantined += w.quarantined;
-        for t in w.trouble {
-            if seen.insert(t.spec_hash.clone()) {
-                report.trouble.push(t);
-            }
-        }
-    }
-    (store, report)
-}
-
 /// `run_all --fsck`: offline re-validation of every cache entry (see
-/// [`Engine::fsck`]), plus reclamation of tmp orphans and job leases
-/// left by killed workers. Corrupt entries are quarantined, so a
-/// failing fsck leaves the store clean and a second pass succeeds.
+/// [`Engine::fsck`]), plus removal of tmp orphans left by killed
+/// writers. Corrupt entries are quarantined, so a failing fsck leaves
+/// the store clean and a second pass succeeds.
 fn fsck_main() -> ExitCode {
     let engine = Engine::from_env(&results_dir());
     match engine.fsck() {
         Ok(r) => {
             println!(
                 "[run_all] fsck: {} entries scanned, {} valid, {} corrupt (quarantined), \
-                 {} stale temp file(s) removed, {} orphaned lease(s) reclaimed",
-                r.scanned, r.valid, r.corrupt, r.tmp_removed, r.leases_removed
+                 {} stale temp file(s) removed",
+                r.scanned, r.valid, r.corrupt, r.tmp_removed
             );
             if r.corrupt > 0 {
                 ExitCode::FAILURE
@@ -2578,4 +2269,54 @@ fn failures_report(engine: &Engine, report: &RunReport) -> String {
         }
     }
     s
+}
+
+/// One [`JobTrouble`] as a JSON object: the line format of
+/// `results/run_all_failures.jsonl`. `worker` is always `"local"`; the
+/// field stays so the line format does not change.
+fn trouble_json(t: &JobTrouble) -> Json {
+    let attempts = t
+        .attempts
+        .iter()
+        .map(|a| {
+            obj(vec![
+                ("class", Json::Str(a.class.name().to_string())),
+                ("error", Json::Str(a.error.clone())),
+                ("backoff_ms", Json::Num(a.backoff_ms as f64)),
+                ("wall_ms", Json::Num(a.wall_ms as f64)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("label", Json::Str(t.label.clone())),
+        ("spec_hash", Json::Str(t.spec_hash.clone())),
+        ("worker", Json::Str("local".to_string())),
+        ("outcome", Json::Str(t.outcome.name().to_string())),
+        ("attempts", Json::Arr(attempts)),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use poise::jobs::{AttemptRecord, FailClass, JobOutcome};
+
+    #[test]
+    fn failures_jsonl_lines_keep_their_format() {
+        let t = JobTrouble {
+            label: "run[k]".to_string(),
+            spec_hash: "ab12".to_string(),
+            attempts: vec![AttemptRecord {
+                class: FailClass::Transient,
+                error: "injected fault: transient error".to_string(),
+                backoff_ms: 50,
+                wall_ms: 3,
+            }],
+            outcome: JobOutcome::Recovered,
+        };
+        assert_eq!(
+            trouble_json(&t).render(),
+            r#"{"label":"run[k]","spec_hash":"ab12","worker":"local","outcome":"recovered","attempts":[{"class":"transient","error":"injected fault: transient error","backoff_ms":50,"wall_ms":3}]}"#
+        );
+    }
 }

@@ -4,21 +4,17 @@
 //! [`figures::Figure`]: a declaration of the simulation jobs it needs
 //! (executed once, deduplicated across figures, and cached by content
 //! hash — see `poise::jobs`) plus a renderer that formats the cached
-//! results. The per-figure binaries under `src/bin/` are thin shims over
-//! [`figures::figure_main`] kept for CLI compatibility; `run_all` executes
-//! the union of every figure's jobs in one in-process pass. See
-//! `EXPERIMENTS.md` at the workspace root for the engine, the cache
-//! layout/keys, and the `--set`/`--sweep` knob grammar (the `POISE_SMS`,
-//! `POISE_KERNELS_CAP`, `POISE_TRAIN_CAP` and `POISE_RUN_CYCLES`
-//! environment variables survive as deprecated aliases feeding the same
-//! [`poise::plan::KnobOverlay`]; `POISE_RERUN`/`POISE_RETRAIN` control
+//! results. The `run_all` binary executes the union of every selected
+//! figure's jobs in one in-process pass and renders them (`run_all
+//! --only <figure>` for one figure). See `EXPERIMENTS.md` at the
+//! workspace root for the engine, the cache layout/keys, and the
+//! `--set`/`--sweep` knob grammar (`POISE_RERUN`/`POISE_RETRAIN` control
 //! the cache, not the setup).
 //!
 //! Shared plumbing in this module: [`base_setup`] builds the experiment
 //! [`Setup`] by applying a knob overlay to the pure default, plus small
 //! text/table formatting helpers.
 
-pub mod client;
 pub mod figures;
 
 use std::fmt::Write as _;
@@ -48,19 +44,6 @@ pub fn results_dir() -> PathBuf {
     };
     std::fs::create_dir_all(&p).expect("create results dir");
     p
-}
-
-/// Parse the deprecated `POISE_*` effort-knob aliases into an overlay —
-/// the **one** place the environment is read for setup knobs, called
-/// once per process at CLI entry. Prints a deprecation warning per alias
-/// found; malformed values are a loud error (they used to fall back to
-/// defaults silently).
-pub fn env_overlay() -> Result<KnobOverlay, String> {
-    let (overlay, warnings) = KnobOverlay::from_env()?;
-    for w in warnings {
-        eprintln!("[bench] {w}");
-    }
-    Ok(overlay)
 }
 
 /// The base experiment setup: the pure [`Setup::default`] with `overlay`

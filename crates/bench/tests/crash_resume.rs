@@ -147,100 +147,3 @@ fn sigkill_mid_wave_resumes_to_an_identical_store() {
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
 }
-
-/// Multi-worker crash tolerance: three standalone fabric workers drain
-/// one shared store; one is SIGKILLed mid-wave. The survivors steal its
-/// stale leases and finish the graph, fsck reclaims whatever lease the
-/// dead worker still held, and a plain `run_all` pass over the store
-/// completes from cache alone.
-#[test]
-fn sigkill_one_of_three_workers_survivors_finish() {
-    let dir = tmp_dir("fleet");
-    let fabric_dir = dir.join("fabric");
-    // A short lease TTL so survivors steal the dead worker's claims
-    // quickly instead of waiting out the default 2 s.
-    let worker_knobs: Vec<String> = KNOBS
-        .iter()
-        .map(|s| s.to_string())
-        .chain(["--set".into(), "lease_ttl=0.5".into()])
-        .collect();
-    let spawn_worker = |id: &str| {
-        Command::new(run_all_bin())
-            .args(&worker_knobs)
-            .arg("--worker")
-            .arg("--fabric-dir")
-            .arg(&fabric_dir)
-            .args(["--worker-id", id])
-            .env("POISE_RESULTS_DIR", &dir)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn worker")
-    };
-    let mut victim = spawn_worker("w1");
-    let mut survivors = vec![("w2", spawn_worker("w2")), ("w3", spawn_worker("w3"))];
-
-    // Kill w1 once the store shows progress (so it plausibly holds a
-    // lease when it dies).
-    let cache = dir.join("cache");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if Instant::now() > deadline {
-            break;
-        }
-        if victim.try_wait().expect("try_wait").is_some() {
-            break; // finished early: degenerates to a two-survivor drain
-        }
-        let committed = std::fs::read_dir(&cache)
-            .map(|d| {
-                d.filter_map(|e| e.ok())
-                    .filter(|e| e.file_name().to_string_lossy().ends_with(".txt"))
-                    .count()
-            })
-            .unwrap_or(0);
-        if committed >= 2 {
-            victim.kill().expect("SIGKILL w1");
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let _ = victim.wait();
-
-    // The survivors must finish the whole graph on their own.
-    for (id, child) in &mut survivors {
-        let status = child.wait().expect("wait worker");
-        assert!(status.success(), "worker {id} failed: {status}");
-    }
-    for (id, _) in &survivors {
-        assert!(
-            fabric_dir
-                .join("reports")
-                .join(format!("{id}.json"))
-                .is_file(),
-            "worker {id} published no report"
-        );
-    }
-
-    // fsck reclaims any lease the dead worker still held and finds no
-    // corruption (SIGKILL cannot tear committed entries).
-    let fsck = Command::new(run_all_bin())
-        .arg("--fsck")
-        .env("POISE_RESULTS_DIR", &dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .expect("spawn fsck");
-    assert!(fsck.success(), "fsck found corruption after worker death");
-    let leases = std::fs::read_dir(cache.join("leases"))
-        .map(|d| d.count())
-        .unwrap_or(0);
-    assert_eq!(leases, 0, "stale leases survived fsck");
-
-    // A plain pass over the drained store completes purely from cache
-    // and renders the figure.
-    let status = run_to_completion(&dir);
-    assert!(status.success(), "post-fleet run failed: {status}");
-    assert!(dir.join("fig07_performance.txt").is_file());
-
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -52,27 +52,7 @@
 //! [`Cache::set_faults`] injects torn (truncated) writes and single-bit
 //! body flips at the store seam, deterministically per entry key and
 //! store occurrence — see [`crate::faults`] for how occurrences count
-//! quarantined casualties so that self-healing converges. The lease seam
-//! ([`Cache::try_claim`]) additionally honours
-//! [`FaultKind::TornLease`](crate::faults::FaultKind::TornLease):
-//! the claim file is truncated mid-write, exercising the garbage-lease
-//! recovery path (wait for staleness, then steal).
-//!
-//! ## Leases (the distributed sweep fabric)
-//!
-//! `leases/<kind>-<key>.lease` files beside the store are the fabric's
-//! crash-safe claim protocol (see [`crate::fabric`]). A worker *claims*
-//! a job by creating its lease with `O_EXCL` semantics
-//! ([`Cache::try_claim`]) — exactly one creator wins — and keeps the
-//! claim alive by touching the file's mtime ([`Cache::heartbeat`]). A
-//! lease whose heartbeat goes stale (dead worker) or whose claim age
-//! exceeds the straggler deadline is *stolen* ([`Cache::try_steal`]):
-//! the thief atomically renames the lease aside — only one renamer can
-//! win — reads the prior owner's attempt count out of the wreck, and
-//! re-claims carrying it, so the engine's bounded-retry accounting
-//! spans process boundaries. Lease files are coordination state, not
-//! results: [`Cache::reap_stale_leases`] (startup sweeps) and
-//! [`Cache::fsck`] reclaim orphans left by SIGKILLed workers.
+//! quarantined casualties so that self-healing converges.
 //!
 //! ## Float canonicalisation
 //!
@@ -122,10 +102,6 @@ pub struct CacheStats {
     pub corrupt: AtomicU64,
     /// Corrupt entries successfully moved under `quarantine/`.
     pub quarantined: AtomicU64,
-    /// Leases stolen from stale owners (dead workers / stragglers).
-    pub leases_stolen: AtomicU64,
-    /// Orphaned lease files reclaimed by startup sweeps / fsck.
-    pub leases_reaped: AtomicU64,
 }
 
 impl CacheStats {
@@ -146,16 +122,6 @@ impl CacheStats {
     /// Quarantined-entry count.
     pub fn quarantined_count(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Stolen-lease count (see the field docs).
-    pub fn leases_stolen_count(&self) -> u64 {
-        self.leases_stolen.load(Ordering::Relaxed)
-    }
-
-    /// Reaped-lease count (see the field docs).
-    pub fn leases_reaped_count(&self) -> u64 {
-        self.leases_reaped.load(Ordering::Relaxed)
     }
 }
 
@@ -189,86 +155,6 @@ pub struct FsckReport {
     pub corrupt: usize,
     /// Orphaned `.tmp-*` files from crashed writers, removed.
     pub tmp_removed: usize,
-    /// Lease files reclaimed (fsck is offline: any surviving lease is an
-    /// orphan of a dead worker).
-    pub leases_removed: usize,
-}
-
-/// One fabric claim, as serialised into a `leases/<kind>-<key>.lease`
-/// file. The file's *content* carries identity and the cumulative
-/// attempt count; its *mtime* is the heartbeat (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeaseInfo {
-    /// Claiming worker's id (for reports/attribution).
-    pub worker: String,
-    /// Unique claim token (worker + pid + sequence): ownership checks
-    /// compare this, not the worker id, so re-claims are unambiguous.
-    pub nonce: String,
-    /// Cumulative execution attempts carried into this claim.
-    pub attempt: u32,
-    /// Claim wall-clock (UNIX epoch seconds) — the straggler deadline
-    /// (`steal_after`) is measured from here.
-    pub claimed_at: f64,
-}
-
-impl LeaseInfo {
-    /// A fresh lease for `worker` carrying `attempt`, claimed now.
-    pub fn new(worker: &str, nonce: &str, attempt: u32) -> Self {
-        LeaseInfo {
-            worker: worker.to_string(),
-            nonce: nonce.to_string(),
-            attempt,
-            claimed_at: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0.0, |d| d.as_secs_f64()),
-        }
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "# poise lease v1\nworker {}\nnonce {}\nattempt {}\nclaimed {}\n",
-            self.worker,
-            self.nonce,
-            self.attempt,
-            fmt_f64(self.claimed_at)
-        )
-    }
-
-    fn parse(text: &str) -> Option<LeaseInfo> {
-        let mut lines = text.lines();
-        if lines.next() != Some("# poise lease v1") {
-            return None;
-        }
-        let mut field = |name: &str| -> Option<String> {
-            lines
-                .next()
-                .and_then(|l| l.strip_prefix(name))
-                .and_then(|v| v.strip_prefix(' '))
-                .map(str::to_string)
-        };
-        Some(LeaseInfo {
-            worker: field("worker")?,
-            nonce: field("nonce")?,
-            attempt: field("attempt")?.parse().ok()?,
-            claimed_at: parse_f64(&field("claimed")?)?,
-        })
-    }
-
-    /// Seconds since this lease was claimed (straggler age).
-    pub fn claim_age(&self) -> f64 {
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0.0, |d| d.as_secs_f64());
-        (now - self.claimed_at).max(0.0)
-    }
-}
-
-/// Seconds since `path` was last modified; `None` when it is gone.
-fn file_age_secs(path: &Path) -> Option<f64> {
-    std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .map(|t| t.elapsed().map_or(0.0, |d| d.as_secs_f64()))
 }
 
 /// Internal parse result: valid body, or invalid with whatever wall
@@ -298,9 +184,6 @@ pub struct Cache {
     /// In-process store count per file name, part of the fault-decision
     /// occurrence index (see [`crate::faults`]).
     store_counts: Mutex<HashMap<String, u64>>,
-    /// In-process claim count per lease name: the occurrence index for
-    /// injected lease faults ([`FaultKind::TornLease`]).
-    claim_counts: Mutex<HashMap<String, u64>>,
 }
 
 impl Cache {
@@ -316,7 +199,6 @@ impl Cache {
             seq: AtomicU64::new(0),
             faults: None,
             store_counts: Mutex::new(HashMap::new()),
-            claim_counts: Mutex::new(HashMap::new()),
         }
     }
 
@@ -553,205 +435,13 @@ impl Cache {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Leases: the fabric's crash-safe claim protocol (see module docs).
-    // -----------------------------------------------------------------
-
-    /// The lease directory (`<root>/leases`); created lazily.
-    pub fn leases_root(&self) -> PathBuf {
-        self.root.join("leases")
-    }
-
-    fn lease_path(&self, kind: &str, key: &str) -> PathBuf {
-        self.leases_root().join(format!("{kind}-{key}.lease"))
-    }
-
-    /// Atomically claim `<kind>-<key>` for `worker`: create the lease
-    /// file with `O_EXCL` semantics, so exactly one racing claimer wins.
-    /// `nonce` must be unique per claim (worker id + pid + sequence) —
-    /// ownership checks compare it, so a lease stolen and re-claimed by
-    /// the same worker id is still distinguishable. `attempt` is the
-    /// cumulative execution-attempt count carried into this claim (0 for
-    /// a fresh job; prior+1 after a steal).
-    ///
-    /// Returns `true` only when the claim file was created *and* reads
-    /// back as ours: an injected torn lease write
-    /// ([`FaultKind::TornLease`]) leaves an unreadable claim on disk that
-    /// nobody owns — it must age out and be stolen like any other wreck,
-    /// never silently treated as held.
-    pub fn try_claim(&self, kind: &str, key: &str, lease: &LeaseInfo) -> bool {
-        use std::io::Write as _;
-        let dir = self.leases_root();
-        if std::fs::create_dir_all(&dir).is_err() {
-            return false;
-        }
-        let path = self.lease_path(kind, key);
-        let Ok(mut f) = std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        else {
-            return false;
-        };
-        let mut text = lease.render();
-        if let Some(plan) = &self.faults {
-            let name = format!("{kind}-{key}.lease");
-            let occurrence = {
-                let mut counts = self.claim_counts.lock().expect("claim counts");
-                let c = counts.entry(name.clone()).or_insert(0);
-                let mine = *c;
-                *c += 1;
-                mine
-            };
-            if plan.lease_fault(&name, occurrence) {
-                let cut = plan.corrupt_offset(&name, occurrence, text.len()).max(1);
-                text.truncate(cut);
-            }
-        }
-        let _ = f.write_all(text.as_bytes());
-        drop(f);
-        // Read-back verification closes the torn-write hole.
-        matches!(self.read_lease(kind, key), Some(Ok(l)) if l.nonce == lease.nonce)
-    }
-
-    /// Read the lease for `<kind>-<key>`: `None` when free,
-    /// `Some(Err(age))` for an unreadable (torn/garbage) lease with its
-    /// mtime age in seconds, `Some(Ok(info))` for a parseable claim.
-    pub fn read_lease(&self, kind: &str, key: &str) -> Option<Result<LeaseInfo, f64>> {
-        let path = self.lease_path(kind, key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match LeaseInfo::parse(&text) {
-            Some(info) => Some(Ok(info)),
-            None => Some(Err(file_age_secs(&path).unwrap_or(0.0))),
-        }
-    }
-
-    /// Seconds since the lease's last heartbeat (mtime). `None` when the
-    /// lease does not exist.
-    pub fn lease_age(&self, kind: &str, key: &str) -> Option<f64> {
-        file_age_secs(&self.lease_path(kind, key))
-    }
-
-    /// Refresh the heartbeat (mtime) of a lease we own. Returns `false`
-    /// when the lease is gone or no longer ours — the caller lost it to
-    /// a steal and must discard any in-flight result.
-    pub fn heartbeat(&self, kind: &str, key: &str, nonce: &str) -> bool {
-        if !self.owns(kind, key, nonce) {
-            return false;
-        }
-        let path = self.lease_path(kind, key);
-        std::fs::File::options()
-            .append(true)
-            .open(&path)
-            .and_then(|f| f.set_modified(std::time::SystemTime::now()))
-            .is_ok()
-    }
-
-    /// Is the lease for `<kind>-<key>` still ours (same nonce)?
-    pub fn owns(&self, kind: &str, key: &str, nonce: &str) -> bool {
-        matches!(self.read_lease(kind, key), Some(Ok(l)) if l.nonce == nonce)
-    }
-
-    /// Release a lease we own. Returns `false` when it was already lost
-    /// (stolen by another worker) — never removes a lease that is not
-    /// ours.
-    pub fn release(&self, kind: &str, key: &str, nonce: &str) -> bool {
-        if !self.owns(kind, key, nonce) {
-            return false;
-        }
-        std::fs::remove_file(self.lease_path(kind, key)).is_ok()
-    }
-
-    /// Steal a stale lease: atomically rename it aside (exactly one
-    /// racing thief wins the rename), read the prior owner's cumulative
-    /// attempt count out of the wreck, and remove it. The caller then
-    /// re-claims via [`Cache::try_claim`] carrying `prior + 1`.
-    ///
-    /// `min_age` re-verifies staleness (heartbeat mtime age in seconds)
-    /// immediately before the rename, so a lease whose owner heartbeats
-    /// between the caller's staleness check and the steal is left alone.
-    /// Returns the prior attempt count (0 for an unreadable wreck), or
-    /// `None` when the lease is gone, fresh, or lost to a racing thief.
-    pub fn try_steal(&self, kind: &str, key: &str, min_age: f64) -> Option<u32> {
-        let path = self.lease_path(kind, key);
-        let age = file_age_secs(&path)?;
-        if age < min_age {
-            return None;
-        }
-        let aside = self.leases_root().join(format!(
-            ".steal-{}-{}",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::rename(&path, &aside).ok()?;
-        let prior = std::fs::read_to_string(&aside)
-            .ok()
-            .and_then(|t| LeaseInfo::parse(&t))
-            .map_or(0, |l| l.attempt);
-        let _ = std::fs::remove_file(&aside);
-        self.stats.leases_stolen.fetch_add(1, Ordering::Relaxed);
-        Some(prior)
-    }
-
-    /// Reap orphaned lease files whose heartbeat mtime is at least
-    /// `older_than` seconds old (plus `.steal-*` temporaries of the same
-    /// age, left by thieves killed mid-steal). `0.0` reaps everything —
-    /// only safe when no worker can be alive (a coordinator that has
-    /// reaped its fleet, or an offline fsck). Returns the count.
-    pub fn reap_stale_leases(&self, older_than: f64) -> usize {
-        let dir = self.leases_root();
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            return 0;
-        };
-        let mut reaped = 0;
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !(name.ends_with(".lease") || name.starts_with(".steal-")) {
-                continue; // foreign file
-            }
-            let stale = file_age_secs(&entry.path()).is_some_and(|age| age >= older_than);
-            if stale && std::fs::remove_file(entry.path()).is_ok() {
-                reaped += 1;
-            }
-        }
-        self.stats
-            .leases_reaped
-            .fetch_add(reaped as u64, Ordering::Relaxed);
-        reaped
-    }
-
-    /// Remove orphaned `.tmp-*` files left by crashed writers. A light
-    /// sibling of [`Cache::fsck`] for service startup/shutdown hygiene:
-    /// no entry is read or validated, so it is cheap on a large store.
-    /// Only safe when no writer can be alive (a daemon that owns the
-    /// store, a coordinator that has reaped its fleet). Returns the
-    /// count removed.
-    pub fn sweep_tmp(&self) -> usize {
-        let Ok(entries) = std::fs::read_dir(&self.root) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") && std::fs::remove_file(entry.path()).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
-    }
-
     /// Re-validate every entry offline: header, key-vs-filename, end
     /// marker, checksum, plus the caller's body validation (typically a
-    /// deserialisation round-trip). Invalid entries are quarantined.
-    /// Orphaned `.tmp-*` files are removed, and — fsck being an offline
-    /// tool — every surviving lease file is an orphan of a dead worker
-    /// and is reclaimed. Foreign files (no `.txt` suffix or unrecognised
-    /// name shape) are left alone.
+    /// deserialisation round-trip). Invalid entries are quarantined and
+    /// orphaned `.tmp-*` files are removed. Foreign files (no `.txt`
+    /// suffix or unrecognised name shape) are left alone.
     pub fn fsck(&self, validate: &dyn Fn(&str, &str) -> bool) -> std::io::Result<FsckReport> {
-        let mut report = FsckReport {
-            leases_removed: self.reap_stale_leases(0.0),
-            ..FsckReport::default()
-        };
+        let mut report = FsckReport::default();
         for entry in std::fs::read_dir(&self.root)? {
             let entry = entry?;
             if !entry.file_type()?.is_file() {
@@ -1035,132 +725,6 @@ mod tests {
             matches!(cache.lookup("run", &key), Lookup::Corrupt { .. }),
             "flipped body must fail the checksum"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lease_claim_is_exclusive_and_round_trips() {
-        let dir = tmp_dir("lease");
-        let cache = Cache::new(&dir);
-        let key = sha256_hex("job");
-        assert!(cache.read_lease("run", &key).is_none(), "free initially");
-        let a = LeaseInfo::new("w1", "w1-1-0", 0);
-        assert!(cache.try_claim("run", &key, &a));
-        assert!(cache.owns("run", &key, "w1-1-0"));
-        assert!(!cache.owns("run", &key, "w2-1-0"));
-        // A second claim loses while the first is held.
-        let b = LeaseInfo::new("w2", "w2-1-0", 0);
-        assert!(!cache.try_claim("run", &key, &b));
-        let held = cache.read_lease("run", &key).unwrap().unwrap();
-        assert_eq!((held.worker.as_str(), held.attempt), ("w1", 0));
-        assert!(held.claimed_at > 0.0);
-        // Heartbeat refreshes only for the owner; release removes it.
-        assert!(cache.heartbeat("run", &key, "w1-1-0"));
-        assert!(!cache.heartbeat("run", &key, "w2-1-0"));
-        assert!(!cache.release("run", &key, "w2-1-0"));
-        assert!(cache.release("run", &key, "w1-1-0"));
-        assert!(cache.read_lease("run", &key).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn racing_claims_have_exactly_one_winner() {
-        let dir = tmp_dir("lease-race");
-        let cache = Cache::new(&dir);
-        let key = sha256_hex("contested");
-        let wins: Vec<bool> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|i| {
-                    let cache = &cache;
-                    let key = key.clone();
-                    s.spawn(move || {
-                        let lease = LeaseInfo::new(&format!("w{i}"), &format!("w{i}-n"), 0);
-                        cache.try_claim("run", &key, &lease)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            wins.iter().filter(|w| **w).count(),
-            1,
-            "exactly one racing claimer may win: {wins:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_lease_is_stolen_with_attempts_carried() {
-        let dir = tmp_dir("lease-steal");
-        let cache = Cache::new(&dir);
-        let key = sha256_hex("stuck");
-        assert!(cache.try_claim("run", &key, &LeaseInfo::new("w1", "w1-n", 2)));
-        // Fresh heartbeat: the steal is refused.
-        assert_eq!(cache.try_steal("run", &key, 0.5), None);
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        // Stale now (no heartbeat for 120ms > 0.1s): the thief wins and
-        // carries the prior owner's cumulative attempt count.
-        assert_eq!(cache.try_steal("run", &key, 0.1), Some(2));
-        assert_eq!(cache.stats.leases_stolen_count(), 1);
-        assert!(cache.read_lease("run", &key).is_none(), "wreck removed");
-        // Only one racing thief can win (the rename is exclusive).
-        assert_eq!(cache.try_steal("run", &key, 0.0), None);
-        // The thief re-claims carrying prior + 1.
-        assert!(cache.try_claim("run", &key, &LeaseInfo::new("w2", "w2-n", 3)));
-        assert_eq!(
-            cache.read_lease("run", &key).unwrap().unwrap().attempt,
-            3,
-            "cumulative attempts survive the ownership change"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_lease_write_claims_nothing_and_ages_out() {
-        let dir = tmp_dir("lease-torn");
-        let mut cache = Cache::new(&dir);
-        cache.set_faults(Some(Arc::new(
-            FaultPlan::new(1, 1.0).with_kinds(&[FaultKind::TornLease]),
-        )));
-        let key = sha256_hex("torn");
-        let lease = LeaseInfo::new("w1", "w1-n", 0);
-        assert!(
-            !cache.try_claim("run", &key, &lease),
-            "a torn claim must not report success"
-        );
-        // The wreck exists but parses as garbage — held by nobody.
-        assert!(matches!(cache.read_lease("run", &key), Some(Err(_))));
-        assert!(!cache.owns("run", &key, "w1-n"));
-        // Nobody can claim over it while it is fresh...
-        cache.set_faults(None);
-        assert!(!cache.try_claim("run", &key, &LeaseInfo::new("w2", "w2-n", 0)));
-        // ...but once stale it is stolen like any dead claim (attempt
-        // carry unknown: 0).
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        assert_eq!(cache.try_steal("run", &key, 0.05), Some(0));
-        assert!(cache.try_claim("run", &key, &LeaseInfo::new("w2", "w2-n", 1)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reap_stale_leases_and_fsck_reclaim_orphans() {
-        let dir = tmp_dir("lease-reap");
-        let cache = Cache::new(&dir);
-        let (k1, k2) = (sha256_hex("a"), sha256_hex("b"));
-        assert!(cache.try_claim("run", &k1, &LeaseInfo::new("w1", "n1", 0)));
-        assert!(cache.try_claim("run", &k2, &LeaseInfo::new("w1", "n2", 0)));
-        std::fs::write(cache.leases_root().join(".steal-9-9"), "wreck").unwrap();
-        std::fs::write(cache.leases_root().join("README"), "foreign").unwrap();
-        assert_eq!(cache.reap_stale_leases(30.0), 0, "fresh leases survive");
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        assert_eq!(cache.reap_stale_leases(0.05), 3, "stale leases + steal tmp");
-        assert_eq!(cache.stats.leases_reaped_count(), 3);
-        assert!(cache.leases_root().join("README").exists());
-        // fsck reclaims any survivor unconditionally (offline tool).
-        assert!(cache.try_claim("run", &k1, &LeaseInfo::new("w2", "n3", 0)));
-        let report = cache.fsck(&|_, _| true).unwrap();
-        assert_eq!(report.leases_removed, 1);
-        assert!(cache.read_lease("run", &k1).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

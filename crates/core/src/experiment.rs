@@ -98,24 +98,13 @@ pub struct Setup {
     /// timed out. `None` = unbounded. An engine robustness knob — never
     /// part of any job's cache identity (no spec renders it).
     pub job_deadline: Option<f64>,
-    /// Fabric worker processes (`workers` knob): 0 = plain in-process
-    /// run, N ≥ 1 = coordinator + N spawned workers sharing the cache
-    /// via leases. Engine-only — never part of cache identity.
-    pub workers: usize,
-    /// Lease heartbeat TTL in seconds (`lease_ttl` knob): a lease whose
-    /// heartbeat is older than this is considered owned by a dead
-    /// worker and may be stolen. Engine-only.
-    pub lease_ttl: f64,
-    /// Straggler threshold in seconds (`steal_after` knob): a lease
-    /// older than this is stolen even with a live heartbeat. `None` =
-    /// heartbeat-staleness only. Engine-only.
-    pub steal_after: Option<f64>,
     /// Periodic snapshot barrier interval in cycles (`snapshot_every`
     /// knob): `> 0` threads checkpoint barriers at every multiple into
-    /// each factorable run's prefix chain, so interrupted runs (and
-    /// stolen fabric leases) resume from the last published blob rather
-    /// than cycle 0. `0` disables. Pure execution strategy — results are
-    /// bit-identical either way, so never part of cache identity.
+    /// each factorable run's prefix chain, so an interrupted or
+    /// watchdog-cancelled run resumes from the last published blob
+    /// rather than cycle 0. `0` disables. Pure execution strategy —
+    /// results are bit-identical either way, so never part of cache
+    /// identity.
     pub snapshot_every: u64,
 }
 
@@ -123,8 +112,7 @@ impl Default for Setup {
     fn default() -> Self {
         // Deliberately a *pure* constant: effort knobs reach a Setup only
         // through an explicitly applied `crate::plan::KnobOverlay`, parsed
-        // once at CLI entry (`--set` / `--sweep`, with the legacy
-        // `POISE_*` variables as deprecated aliases). Reading the
+        // once at CLI entry (`--set` / `--sweep`). Reading the
         // environment here let two jobs built in one process silently
         // disagree when a variable changed mid-run.
         Setup {
@@ -138,9 +126,6 @@ impl Default for Setup {
             train_cap_per_benchmark: 8,
             rr_seeds: vec![11, 23, 47],
             job_deadline: None,
-            workers: 0,
-            lease_ttl: 2.0,
-            steal_after: None,
             snapshot_every: 0,
         }
     }
@@ -163,9 +148,6 @@ impl Setup {
             train_cap_per_benchmark: 4,
             rr_seeds: vec![1],
             job_deadline: None,
-            workers: 0,
-            lease_ttl: 2.0,
-            steal_after: None,
             snapshot_every: 0,
         }
     }
@@ -348,8 +330,8 @@ pub fn run_kernel_configured(
 }
 
 /// Version header of the serialized prefix blob (see [`PrefixBlob`]).
-/// Bump on any encoding change — blobs are durable cache entries shared
-/// between fleet workers, like `SimJob::spec_text`.
+/// Bump on any encoding change — blobs are durable cache entries, like
+/// `SimJob::spec_text`.
 pub const PREFIX_HEADER: &str = "poise-prefix v1";
 
 /// A serialized simulation prefix: the full machine image plus the

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the experiment engine.
 //!
-//! A [`FaultPlan`] turns the failure modes a distributed sweep fabric
-//! must survive — crashing workers, flaky transient errors, hung jobs,
-//! writers dying mid-store, silent media corruption — into *injectable,
+//! A [`FaultPlan`] turns the failure modes the engine and its cache must
+//! survive — crashing jobs, flaky transient errors, hung jobs, writers
+//! dying mid-store, silent media corruption — into *injectable,
 //! reproducible* events. Every decision is a pure function of the plan
 //! seed, the injection site, a stable identity (the job's spec hash or
 //! the cache entry's key) and an occurrence index; no wall clock, no
@@ -52,31 +52,15 @@ pub enum FaultKind {
     /// One bit of the stored entry body flips (silent media corruption);
     /// only the body checksum can catch it.
     BitFlip,
-    /// The whole worker process is killed (SIGKILL semantics: `abort()`
-    /// immediately after a claim, lease held, nothing released). Fires
-    /// only in spawned fabric workers — the coordinator's own pass must
-    /// survive to converge the run.
-    WorkerKill,
-    /// The lease claim file is truncated mid-write (a claimer killed
-    /// between `write` and close): the claim reads back as garbage that
-    /// nobody owns and must age out before it can be stolen.
-    TornLease,
-    /// The owner's heartbeat thread stops touching one lease long enough
-    /// for peers to deem it dead and steal it — the owner then wakes up
-    /// late and its store attempt must be discarded.
-    HeartbeatStall,
 }
 
 /// All kinds, in documentation order.
-pub const ALL_KINDS: [FaultKind; 8] = [
+pub const ALL_KINDS: [FaultKind; 5] = [
     FaultKind::Panic,
     FaultKind::Transient,
     FaultKind::Stall,
     FaultKind::TornWrite,
     FaultKind::BitFlip,
-    FaultKind::WorkerKill,
-    FaultKind::TornLease,
-    FaultKind::HeartbeatStall,
 ];
 
 impl FaultKind {
@@ -88,9 +72,6 @@ impl FaultKind {
             FaultKind::Stall => "stall",
             FaultKind::TornWrite => "torn",
             FaultKind::BitFlip => "bitflip",
-            FaultKind::WorkerKill => "kill",
-            FaultKind::TornLease => "tornlease",
-            FaultKind::HeartbeatStall => "hbstall",
         }
     }
 
@@ -110,15 +91,6 @@ impl FaultKind {
     /// Does this kind fire at the store site (`Cache::store`)?
     pub fn is_store(self) -> bool {
         matches!(self, FaultKind::TornWrite | FaultKind::BitFlip)
-    }
-
-    /// Does this kind fire at the fabric seams (lease claims, worker
-    /// processes, heartbeat threads — see [`crate::fabric`])?
-    pub fn is_fabric(self) -> bool {
-        matches!(
-            self,
-            FaultKind::WorkerKill | FaultKind::TornLease | FaultKind::HeartbeatStall
-        )
     }
 }
 
@@ -298,34 +270,6 @@ impl FaultPlan {
         self.roll("store", key, occurrence, &pool)
     }
 
-    /// Does the `claim_seq`-th lease claim of `worker` kill the whole
-    /// worker process ([`FaultKind::WorkerKill`])? Keyed per worker and
-    /// per-process claim sequence, so which jobs die with the worker
-    /// depends on the (racy) claim schedule but *whether and when* a
-    /// given worker dies is a pure function of the seed.
-    pub fn worker_kill(&self, worker: &str, claim_seq: u64) -> bool {
-        let pool = [FaultKind::WorkerKill];
-        self.kinds.contains(&FaultKind::WorkerKill)
-            && self.roll("kill", worker, claim_seq, &pool).is_some()
-    }
-
-    /// Is the `occurrence`-th claim write of lease file `name` torn
-    /// ([`FaultKind::TornLease`])?
-    pub fn lease_fault(&self, name: &str, occurrence: u64) -> bool {
-        let pool = [FaultKind::TornLease];
-        self.kinds.contains(&FaultKind::TornLease)
-            && self.roll("lease", name, occurrence, &pool).is_some()
-    }
-
-    /// Does the heartbeat of the claim on `key` at cumulative attempt
-    /// `attempt` stall ([`FaultKind::HeartbeatStall`]) — long enough for
-    /// peers to steal the lease from the still-running owner?
-    pub fn heartbeat_stall(&self, key: &str, attempt: u32) -> bool {
-        let pool = [FaultKind::HeartbeatStall];
-        self.kinds.contains(&FaultKind::HeartbeatStall)
-            && self.roll("hb", key, u64::from(attempt), &pool).is_some()
-    }
-
     /// A deterministic corruption offset for [`FaultKind::BitFlip`] /
     /// truncation point for [`FaultKind::TornWrite`], in `[0, len)`.
     pub fn corrupt_offset(&self, key: &str, occurrence: u64, len: usize) -> usize {
@@ -393,58 +337,6 @@ mod tests {
         assert_eq!(exec_only.store_fault("x", 0), None);
         assert!(!exec_only.can_stall());
         assert!(FaultPlan::new(0, 0.1).can_stall());
-    }
-
-    #[test]
-    fn fabric_kinds_fire_only_at_fabric_sites() {
-        // Every kind belongs to exactly one site family.
-        for k in ALL_KINDS {
-            assert_eq!(
-                [k.is_exec(), k.is_store(), k.is_fabric()]
-                    .iter()
-                    .filter(|b| **b)
-                    .count(),
-                1,
-                "{k:?} must belong to exactly one site"
-            );
-        }
-        // Enabling the fabric kinds does not perturb exec/store pools:
-        // the PR 6 differential oracle's decisions stay identical.
-        let old = FaultPlan::new(7, 0.5).with_kinds(&[
-            FaultKind::Panic,
-            FaultKind::Transient,
-            FaultKind::Stall,
-            FaultKind::TornWrite,
-            FaultKind::BitFlip,
-        ]);
-        let all = FaultPlan::new(7, 0.5);
-        for i in 0..64 {
-            let s = format!("spec-{i}");
-            assert_eq!(old.exec_fault(&s, 0), all.exec_fault(&s, 0));
-            assert_eq!(old.store_fault(&s, 0), all.store_fault(&s, 0));
-            assert!(!old.worker_kill("w1", i), "kind disabled, never fires");
-        }
-        // Fabric rolls are deterministic and kind-gated.
-        let kill = FaultPlan::new(3, 1.0).with_kinds(&[FaultKind::WorkerKill]);
-        assert!(kill.worker_kill("w1", 0));
-        assert!(!kill.lease_fault("run-x.lease", 0));
-        assert!(!kill.heartbeat_stall("key", 0));
-        let torn = FaultPlan::new(3, 1.0).with_kinds(&[FaultKind::TornLease]);
-        assert!(torn.lease_fault("run-x.lease", 0));
-        assert!(!torn.worker_kill("w1", 0));
-        let stall = FaultPlan::new(3, 1.0).with_kinds(&[FaultKind::HeartbeatStall]);
-        assert!(stall.heartbeat_stall("key", 0));
-        // The CLI grammar knows the new names.
-        let p = FaultPlan::parse("seed=1,rate=0.5,kinds=kill+tornlease+hbstall").unwrap();
-        assert_eq!(
-            p.kinds,
-            vec![
-                FaultKind::WorkerKill,
-                FaultKind::TornLease,
-                FaultKind::HeartbeatStall
-            ]
-        );
-        assert_eq!(p.summary(), "seed=1,rate=0.5,kinds=kill+tornlease+hbstall");
     }
 
     #[test]

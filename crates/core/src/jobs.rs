@@ -66,9 +66,9 @@
 //!
 //! * one per `plan_jobs` call, shared by every figure's
 //!   [`crate::plan::ExperimentPlan::expand`] and by [`factor_prefixes`];
-//! * one per [`Engine::run`] (and per fabric worker pass), built while
-//!   the dependency graph is expanded; the returned [`ResultStore`] keeps
-//!   it, so render-time lookups resolve without rendering.
+//! * one per [`Engine::run`], built while the dependency graph is
+//!   expanded; the returned [`ResultStore`] keeps it, so render-time
+//!   lookups resolve without rendering.
 //!
 //! A lookup computes a cheap fingerprint of the job and compares it
 //! against the table's entries with the *identity equality*: every field
@@ -696,8 +696,7 @@ pub enum SimJob {
     /// but its output is the machine + controller snapshot blob at
     /// `run_cycles`, content-addressed in the cache like any other job
     /// output. Runs (and deeper prefixes) whose declared chain contains
-    /// this barrier fork from the blob instead of re-simulating the span
-    /// — on any worker, since the cache is the fabric's shared medium.
+    /// this barrier fork from the blob instead of re-simulating the span.
     Prefix(KernelRunSpec),
 }
 
@@ -1746,17 +1745,12 @@ impl ResultStore {
 pub enum FailClass {
     /// The job panicked (caught by the engine's isolation layer).
     Panic,
-    /// A transient error (in practice: injected; a real fabric would map
-    /// flaky I/O here). Retryable.
+    /// A transient error (in practice: injected). Retryable.
     Transient,
     /// The watchdog cancelled the attempt past its deadline. Retryable.
     Timeout,
     /// An upstream dependency failed; never attempted.
     Dependency,
-    /// The engine's veto gate refused the job (its submission was
-    /// cancelled — see [`Engine::veto`]). Terminal by construction:
-    /// retrying a job nobody wants would only burn the budget.
-    Cancelled,
 }
 
 impl FailClass {
@@ -1767,19 +1761,6 @@ impl FailClass {
             FailClass::Transient => "transient",
             FailClass::Timeout => "timeout",
             FailClass::Dependency => "dependency",
-            FailClass::Cancelled => "cancelled",
-        }
-    }
-
-    /// Inverse of [`FailClass::name`], for parsing worker reports.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "panic" => Some(FailClass::Panic),
-            "transient" => Some(FailClass::Transient),
-            "timeout" => Some(FailClass::Timeout),
-            "dependency" => Some(FailClass::Dependency),
-            "cancelled" => Some(FailClass::Cancelled),
-            _ => None,
         }
     }
 }
@@ -1795,7 +1776,7 @@ pub struct AttemptRecord {
     /// attempt was terminal).
     pub backoff_ms: u64,
     /// Wall milliseconds the attempt itself ran before failing (0 for
-    /// synthetic records, e.g. a lease-steal marker).
+    /// an attempt that never ran, e.g. a dependency failure).
     pub wall_ms: u64,
 }
 
@@ -1819,16 +1800,6 @@ impl JobOutcome {
             JobOutcome::TimedOut => "timed out",
         }
     }
-
-    /// Inverse of [`JobOutcome::name`], for parsing worker reports.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "recovered" => Some(JobOutcome::Recovered),
-            "failed" => Some(JobOutcome::Failed),
-            "timed out" => Some(JobOutcome::TimedOut),
-            _ => None,
-        }
-    }
 }
 
 /// The full failure history of one troubled job, for the structured
@@ -1837,12 +1808,9 @@ impl JobOutcome {
 pub struct JobTrouble {
     /// The job's progress label.
     pub label: String,
-    /// SHA-256 of the job's spec text — the stable cross-process job
-    /// identity (the full cache key needs dependency outputs).
+    /// SHA-256 of the job's spec text — the stable job identity (the
+    /// full cache key needs dependency outputs).
     pub spec_hash: String,
-    /// Which worker finally disposed of the job: `"local"` for the
-    /// in-process engine, the worker id under the fabric.
-    pub worker: String,
     /// Every failed attempt, in order.
     pub attempts: Vec<AttemptRecord>,
     /// Where the job ended up.
@@ -1878,16 +1846,6 @@ pub struct RunReport {
     /// Failure history of every troubled job — recovered, failed and
     /// timed-out alike — for the structured failures report.
     pub trouble: Vec<JobTrouble>,
-    /// Leases this run stole from stale owners (fabric only).
-    pub stolen: u64,
-    /// Completed executions discarded because the lease was lost
-    /// mid-run (fabric only; never counted in `executed`).
-    pub lost: u64,
-    /// Orphaned leases reaped at startup / shutdown (fabric only).
-    pub reaped: u64,
-    /// Workers that contributed to this report (0 = plain in-process
-    /// run, which omits the fabric counters from the summary line).
-    pub workers: usize,
     /// Wall-clock of the engine run.
     pub wall: Duration,
 }
@@ -1923,12 +1881,6 @@ impl RunReport {
         if self.recovered > 0 {
             s.push_str(&format!(" recovered={}", self.recovered));
         }
-        if self.workers > 0 {
-            s.push_str(&format!(
-                " workers={} stolen={} lost={} reaped={}",
-                self.workers, self.stolen, self.lost, self.reaped
-            ));
-        }
         s.push_str(&format!(
             " hit_rate={:.1}% corrupt={} wall={:.1}s",
             100.0 * self.hit_rate(),
@@ -1954,62 +1906,23 @@ pub enum JobStatus {
     Recovered,
     /// All attempts exhausted (or the failure was terminal).
     Failed,
-    /// Refused by the veto gate: every subscriber cancelled.
-    Cancelled,
-}
-
-impl JobStatus {
-    /// Stable display name (the protocol renders this).
-    pub fn name(self) -> &'static str {
-        match self {
-            JobStatus::Started => "started",
-            JobStatus::Retried => "retried",
-            JobStatus::Hit => "hit",
-            JobStatus::Done => "done",
-            JobStatus::Recovered => "recovered",
-            JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
-        }
-    }
-
-    /// Inverse of [`JobStatus::name`], for protocol parsing.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "started" => Some(JobStatus::Started),
-            "retried" => Some(JobStatus::Retried),
-            "hit" => Some(JobStatus::Hit),
-            "done" => Some(JobStatus::Done),
-            "recovered" => Some(JobStatus::Recovered),
-            "failed" => Some(JobStatus::Failed),
-            "cancelled" => Some(JobStatus::Cancelled),
-            _ => None,
-        }
-    }
-
-    /// Whether this status resolves the job (exactly one terminal event
-    /// is emitted per resolved job; `Started`/`Retried` may repeat).
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, JobStatus::Started | JobStatus::Retried)
-    }
 }
 
 /// One job-lifecycle event, emitted through the engine's
-/// [`ProgressSink`] as execution proceeds (the daemon's per-client
-/// progress streams ride on these).
+/// [`ProgressSink`] as execution proceeds.
 #[derive(Debug, Clone)]
 pub struct JobEvent {
     /// The job's progress label.
     pub label: String,
-    /// SHA-256 of the job's spec text — the stable job identity the
-    /// daemon's submissions subscribe on.
+    /// SHA-256 of the job's spec text — the stable job identity.
     pub spec_hash: String,
     /// What happened.
     pub status: JobStatus,
-    /// Failed attempts so far (cumulative across lease owners).
+    /// Failed attempts so far.
     pub attempts: u32,
     /// Wall seconds of the resolving execution (0 while not terminal).
     pub wall: f64,
-    /// The failure message, for `Failed`/`Cancelled`/`Retried`.
+    /// The failure message, for `Failed`/`Retried`.
     pub error: Option<String>,
 }
 
@@ -2017,20 +1930,15 @@ pub struct JobEvent {
 /// be cheap and non-blocking — events fire inside the engine's parallel
 /// execution loops.
 pub trait ProgressSink: Send + Sync {
-    /// One lifecycle event. Exactly one terminal event per resolved job
-    /// (see [`JobStatus::is_terminal`]); `Started`/`Retried` may repeat
-    /// across attempts and lease owners.
+    /// One lifecycle event. Exactly one of `Hit`, `Done`, `Recovered`
+    /// or `Failed` per resolved job; `Started`/`Retried` may repeat
+    /// across attempts.
     fn job_event(&self, event: &JobEvent);
 }
 
-/// Cancellation predicate consulted by spec hash before each attempt
-/// (`true` = the job was withdrawn and must not execute).
-pub type VetoFn = dyn Fn(&str) -> bool + Send + Sync;
-
 /// The deduplicated dependency closure of `jobs` as
-/// `(spec_hash, label)` pairs in stable execution order — the identity
-/// set the daemon coalesces submissions on (two submissions overlap
-/// exactly where these hashes collide).
+/// `(spec_hash, label)` pairs in stable execution order: the identity
+/// set an [`Engine::run`] over `jobs` resolves.
 pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
     let JobGraph { ids, order } = expand_graph(jobs);
     order
@@ -2049,9 +1957,9 @@ pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
 /// controller barriers (see `gpu_sim::cancel`), so the worker unwinds at
 /// the next epoch boundary instead of wedging the wave.
 #[derive(Default)]
-pub(crate) struct Watchdog {
+struct Watchdog {
     entries: Mutex<Vec<(CancelToken, Instant)>>,
-    pub(crate) stop: AtomicBool,
+    stop: AtomicBool,
 }
 
 impl Watchdog {
@@ -2069,7 +1977,7 @@ impl Watchdog {
             .retain(|(t, _)| !t.same_as(token));
     }
 
-    pub(crate) fn patrol(&self) {
+    fn patrol(&self) {
         while !self.stop.load(Ordering::Relaxed) {
             let now = Instant::now();
             self.entries
@@ -2088,22 +1996,19 @@ impl Watchdog {
     }
 }
 
-/// The deduplicated dependency closure of a requested job set, in the
-/// stable execution order both the local engine and every fabric worker
-/// derive independently (the fabric distributes *work*, not job
-/// descriptions: each worker re-expands the same graph from the same
-/// invocation — see [`crate::fabric`]).
-pub(crate) struct JobGraph {
+/// The deduplicated dependency closure of a requested job set, in
+/// stable execution order.
+struct JobGraph {
     /// The closure's identities, one entry per distinct spec text: the
     /// pass's identity table (see the module docs).
-    pub(crate) ids: IdentityTable,
+    ids: IdentityTable,
     /// Entries of `ids` in execution order.
-    pub(crate) order: Vec<usize>,
+    order: Vec<usize>,
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
 /// canonical spec, ordered by wave then expansion order.
-pub(crate) fn expand_graph(jobs: &[SimJob]) -> JobGraph {
+fn expand_graph(jobs: &[SimJob]) -> JobGraph {
     let mut ids = IdentityTable::default();
     let mut order: Vec<usize> = Vec::new();
     let mut worklist: Vec<Cow<'_, SimJob>> = jobs.iter().map(Cow::Borrowed).collect();
@@ -2138,9 +2043,8 @@ pub(crate) fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// `snapshot_every > 0` additionally threads periodic barrier cycles
 /// (multiples of the knob, below each group's longest horizon) into
 /// every chain. No prefix jobs are materialised for these; runs publish
-/// blobs as they pass, so an interrupted or watchdog-killed run — or a
-/// fabric worker picking up its stolen lease — resumes from the last
-/// checkpoint instead of cycle 0.
+/// blobs as they pass, so an interrupted or watchdog-killed run resumes
+/// from the last checkpoint instead of cycle 0.
 ///
 /// Random-restart runs never factor: their output averages several
 /// seeded reruns of the same span, which has no single shareable
@@ -2226,31 +2130,27 @@ pub fn factor_prefixes(
 /// A job's cache coordinates, resolvable once its dependencies are in
 /// the store (the key hashes dependency-output digests). The spec hash
 /// alone (the job's [`Identity`]) is the stable pre-dependency identity
-/// used by fault plans, manifests and failure reports.
-pub(crate) struct CacheKey {
-    pub(crate) kind: &'static str,
+/// used by fault plans and failure reports.
+struct CacheKey {
+    kind: &'static str,
     /// The full cache key (spec + dependency digests).
-    pub(crate) key: String,
+    key: String,
 }
 
 /// What [`Engine::run_one`] hands back to the wave loop.
-pub(crate) struct Disposition {
-    pub(crate) result: Result<JobOutput, String>,
-    pub(crate) was_hit: bool,
-    pub(crate) wall: f64,
+struct Disposition {
+    result: Result<JobOutput, String>,
+    was_hit: bool,
+    wall: f64,
     /// Failed attempts, in order (empty for a clean first-attempt
     /// success or a cache hit).
-    pub(crate) attempts: Vec<AttemptRecord>,
-    /// The execution succeeded but the store gate refused it (the
-    /// fabric's lease was stolen mid-run): the result was discarded and
-    /// must not be counted as executed.
-    pub(crate) lost: bool,
+    attempts: Vec<AttemptRecord>,
 }
 
 /// The experiment engine: expands, deduplicates, caches and executes
 /// [`SimJob`] graphs. See the module docs.
 pub struct Engine {
-    pub(crate) cache: Cache,
+    cache: Cache,
     /// Re-fit (and re-sample) models even when cached
     /// (`POISE_RETRAIN=1`).
     pub retrain: bool,
@@ -2259,7 +2159,7 @@ pub struct Engine {
     /// Fault-injection plan for the execution seam (`None` in normal
     /// operation). Install via [`Engine::set_faults`] so the cache's
     /// store seam shares the plan.
-    pub(crate) faults: Option<Arc<FaultPlan>>,
+    faults: Option<Arc<FaultPlan>>,
     /// Per-job deadline in seconds. When unset, a job that lost a cache
     /// entry to corruption still gets a budget derived from the entry's
     /// recorded wall time (`4×`, floored at 1 s); otherwise attempts run
@@ -2270,26 +2170,15 @@ pub struct Engine {
     /// First backoff; doubles per retry (`base × 2^attempt`).
     pub backoff_base: Duration,
     /// External observer of job lifecycle events (`None` = silent).
-    /// The daemon installs one to stream per-client progress.
     pub progress: Option<Arc<dyn ProgressSink>>,
-    /// Cancellation gate: `true` for a spec hash means the job was
-    /// cancelled (every subscriber withdrew) and must not execute.
-    /// Checked before each attempt; a veto mid-flight is classified
-    /// [`FailClass::Cancelled`] (terminal). `None` = nothing vetoed.
-    pub veto: Option<Arc<VetoFn>>,
-    /// Cancel tokens of attempts executing right now, by spec hash —
-    /// [`Engine::cancel_spec`] cancels through here so a cooperative
-    /// cancellation interrupts the running simulation at its next
-    /// barrier instead of waiting the attempt out.
-    inflight: Mutex<HashMap<String, CancelToken>>,
 }
 
 /// Detail payload for [`Engine::emit`] (attempt count, wall, error).
 #[derive(Default)]
-pub(crate) struct EventDetail {
-    pub(crate) attempts: u32,
-    pub(crate) wall: f64,
-    pub(crate) error: Option<String>,
+struct EventDetail {
+    attempts: u32,
+    wall: f64,
+    error: Option<String>,
 }
 
 /// One resolved prefix barrier: the cycle and the cache coordinates of
@@ -2302,8 +2191,8 @@ struct PrefixPoint {
 
 /// The engine's [`PrefixStore`]: snapshot blobs are ordinary cache
 /// entries (kind `prefix`), so prefix sharing inherits the cache's whole
-/// story — content addressing, checksums, corruption quarantine, fsck,
-/// gc, and cross-worker sharing through the fabric's shared directory.
+/// story — content addressing, checksums, corruption quarantine, fsck
+/// and gc.
 struct PrefixIo<'a> {
     cache: &'a Cache,
     boundaries: Vec<u64>,
@@ -2358,8 +2247,6 @@ impl Engine {
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
             progress: None,
-            veto: None,
-            inflight: Mutex::new(HashMap::new()),
         }
     }
 
@@ -2391,7 +2278,7 @@ impl Engine {
     }
 
     /// Emit one lifecycle event through the progress sink, if any.
-    pub(crate) fn emit(&self, label: &str, spec_hash: &str, status: JobStatus, d: EventDetail) {
+    fn emit(&self, label: &str, spec_hash: &str, status: JobStatus, d: EventDetail) {
         if let Some(sink) = &self.progress {
             sink.job_event(&JobEvent {
                 label: label.to_string(),
@@ -2401,27 +2288,6 @@ impl Engine {
                 wall: d.wall,
                 error: d.error,
             });
-        }
-    }
-
-    /// Whether the veto gate refuses `spec_hash` (its submission was
-    /// cancelled). `None` gate = nothing vetoed.
-    fn vetoed(&self, spec_hash: &str) -> bool {
-        self.veto.as_ref().is_some_and(|v| v(spec_hash))
-    }
-
-    /// Cooperatively cancel the attempt of `spec_hash` executing right
-    /// now, if any: its token is cancelled, so the simulation unwinds
-    /// at the next controller barrier. Pair with a [`Engine::veto`]
-    /// gate that refuses the hash, or the engine will simply retry.
-    pub fn cancel_spec(&self, spec_hash: &str) {
-        if let Some(token) = self
-            .inflight
-            .lock()
-            .expect("inflight registry")
-            .get(spec_hash)
-        {
-            token.cancel();
         }
     }
 
@@ -2479,7 +2345,7 @@ impl Engine {
                 crate::parallel::parallel_map(&wave_jobs, |&i| {
                     let (job, id) = store.ids.entry(i);
                     let jt = Instant::now();
-                    let d = self.run_one(job, id, &store, &watchdog, 0, None);
+                    let d = self.run_one(job, id, &store, &watchdog);
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
@@ -2511,7 +2377,6 @@ impl Engine {
                         report.trouble.push(JobTrouble {
                             label,
                             spec_hash: id.hash.to_string(),
-                            worker: "local".to_string(),
                             attempts: d.attempts,
                             outcome: JobOutcome::Recovered,
                         });
@@ -2530,7 +2395,6 @@ impl Engine {
                         report.trouble.push(JobTrouble {
                             label,
                             spec_hash: id.hash.to_string(),
-                            worker: "local".to_string(),
                             attempts: d.attempts,
                             outcome: if timed_out {
                                 JobOutcome::TimedOut
@@ -2560,7 +2424,7 @@ impl Engine {
     /// (dependencies must already be resolved there — their output
     /// digests enter the key). `Err` carries the dependency-failure
     /// message.
-    pub(crate) fn identify(
+    fn identify(
         &self,
         job: &SimJob,
         id: &Identity,
@@ -2584,10 +2448,9 @@ impl Engine {
     /// barrier cycle maps to the synthetic [`SimJob::Prefix`] at that
     /// boundary, identified exactly like a real job (spec text + dep
     /// digests), so a chain entry and the standalone prefix job the
-    /// factoring emitted address the same cache entry — on this worker
-    /// or any other sharing the cache. `None` when the job has no chain
-    /// (or its deps failed, in which case `run_one` fails first anyway);
-    /// the job then runs cold.
+    /// factoring emitted address the same cache entry. `None` when the
+    /// job has no chain (or its deps failed, in which case `run_one`
+    /// fails first anyway); the job then runs cold.
     fn prefix_io(&self, job: &SimJob, store: &ResultStore) -> Option<PrefixIo<'_>> {
         let r = match job {
             SimJob::Run(r) | SimJob::Prefix(r) => r,
@@ -2621,29 +2484,18 @@ impl Engine {
     /// already in `store`, with bounded retry for transient failures and
     /// timeouts, a watchdog deadline per attempt, and injected execution
     /// faults when a plan is installed.
-    ///
-    /// `start_attempt` seeds the cumulative attempt counter: the fabric
-    /// passes the count carried in a stolen lease so fault-plan
-    /// occurrence indexing, backoff and the retry budget span process
-    /// boundaries; the local engine passes 0. `store_gate`, when given,
-    /// is consulted immediately before the cache store — a `false`
-    /// verdict (the fabric's lease was stolen while we ran) discards the
-    /// result (`Disposition::lost`) instead of double-committing it.
-    pub(crate) fn run_one(
+    fn run_one(
         &self,
         job: &SimJob,
         id: &Identity,
         store: &ResultStore,
         watchdog: &Watchdog,
-        start_attempt: u32,
-        store_gate: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Disposition {
         let fail = |attempts: Vec<AttemptRecord>, error: String| Disposition {
             result: Err(error),
             was_hit: false,
             wall: 0.0,
             attempts,
-            lost: false,
         };
 
         let spec_hash: &str = &id.hash;
@@ -2697,7 +2549,6 @@ impl Engine {
                             was_hit: true,
                             wall,
                             attempts: Vec::new(),
-                            lost: false,
                         };
                     }
                     // Checksum-valid but semantically stale (format
@@ -2720,31 +2571,7 @@ impl Engine {
         let mut attempts: Vec<AttemptRecord> = Vec::new();
 
         loop {
-            // Cumulative across lease owners: a stolen job resumes the
-            // dead owner's count rather than restarting the budget.
-            let attempt = start_attempt + attempts.len() as u32;
-            // The veto gate: a cancelled submission's jobs stop here —
-            // before the first attempt, and between retries.
-            if self.vetoed(spec_hash) {
-                let error = "cancelled: submission withdrawn".to_string();
-                attempts.push(AttemptRecord {
-                    class: FailClass::Cancelled,
-                    error: error.clone(),
-                    backoff_ms: 0,
-                    wall_ms: 0,
-                });
-                self.emit(
-                    &label,
-                    spec_hash,
-                    JobStatus::Cancelled,
-                    EventDetail {
-                        attempts: attempt,
-                        error: Some(error.clone()),
-                        ..EventDetail::default()
-                    },
-                );
-                return fail(attempts, error);
-            }
+            let attempt = attempts.len() as u32;
             let injected = self
                 .faults
                 .as_ref()
@@ -2762,10 +2589,6 @@ impl Engine {
             if let Some(d) = deadline {
                 watchdog.register(token.clone(), Duration::from_secs_f64(d));
             }
-            self.inflight
-                .lock()
-                .expect("inflight registry")
-                .insert(spec_hash.to_string(), token.clone());
             self.emit(
                 &label,
                 spec_hash,
@@ -2795,10 +2618,6 @@ impl Engine {
                 Ok(job.execute(&dep_outputs, prefixes.as_ref()))
             }));
             watchdog.unregister(&token);
-            self.inflight
-                .lock()
-                .expect("inflight registry")
-                .remove(spec_hash);
             drop(guard);
             let wall = t0.elapsed().as_secs_f64();
             let cancelled = token.is_cancelled();
@@ -2808,23 +2627,6 @@ impl Engine {
             // (possibly early-returned) simulation and must be discarded.
             if let Ok(Ok(out)) = &executed {
                 if !cancelled {
-                    // The gate is the fabric's lease-ownership check: if
-                    // our claim was stolen while we executed, another
-                    // worker owns this key now — discard instead of
-                    // double-committing.
-                    if let Some(gate) = store_gate {
-                        if !gate() {
-                            return Disposition {
-                                result: Err(
-                                    "store discarded: lease lost to another worker".to_string()
-                                ),
-                                was_hit: false,
-                                wall,
-                                attempts,
-                                lost: true,
-                            };
-                        }
-                    }
                     let body = out.to_text();
                     self.cache.store(kind, &key, &id.spec, &body, wall);
                     // Canonicalise through the serialisation so a cold
@@ -2853,7 +2655,6 @@ impl Engine {
                                 was_hit: false,
                                 wall,
                                 attempts,
-                                lost: false,
                             }
                         }
                         None => {
@@ -2878,14 +2679,8 @@ impl Engine {
                 }
             }
 
-            // Classify the failure. A cancelled token with a vetoing
-            // gate is a cooperative cancellation (`Engine::cancel_spec`),
-            // not a watchdog timeout.
+            // Classify the failure: a cancelled token is the watchdog's.
             let (class, error) = match executed {
-                _ if cancelled && self.vetoed(spec_hash) => (
-                    FailClass::Cancelled,
-                    format!("cancelled mid-run after {wall:.1}s: submission withdrawn"),
-                ),
                 _ if cancelled => (
                     FailClass::Timeout,
                     format!(
@@ -2924,11 +2719,7 @@ impl Engine {
                 self.emit(
                     &label,
                     spec_hash,
-                    if class == FailClass::Cancelled {
-                        JobStatus::Cancelled
-                    } else {
-                        JobStatus::Failed
-                    },
+                    JobStatus::Failed,
                     EventDetail {
                         attempts: attempts.len() as u32,
                         wall,
@@ -3710,7 +3501,7 @@ mod tests {
     fn run_published_checkpoints_land_on_prefix_keys() {
         // A run that passes a barrier publishes the blob under the same
         // key a standalone Prefix job would use — so a later ladder (or
-        // a worker resuming a stolen lease) finds it without resimulating.
+        // an interrupted run's restart) finds it without resimulating.
         let setup = tiny_setup();
         let mut r = KernelRunSpec::new(&kernel(9), Scheme::Gto, &setup, None);
         r.run_cycles = 9_000;

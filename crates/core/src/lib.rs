@@ -25,9 +25,7 @@
 //! * [`plan`] — declarative experiment plans: typed sweep axes and the
 //!   knob overlay (`--set` / `--sweep`) whose cartesian expansion feeds
 //!   `(Setup, SimJob)` sets through the engine with cross-point sharing;
-//! * [`daemon`] — the sweep daemon: a Unix-socket service that admits,
-//!   coalesces and streams concurrent experiment plans onto the lease
-//!   fabric (`poised` in `poise-bench` is the binary);
+//! * [`json`] — the small JSON codec of `results/run_all_failures.jsonl`;
 //! * [`hardware_cost`] — the §VII-I storage-overhead accounting
 //!   (≈ 41 bytes per SM).
 //!
@@ -47,13 +45,12 @@
 
 pub mod cache;
 pub(crate) mod ctrl_state;
-pub mod daemon;
 pub mod experiment;
-pub mod fabric;
 pub mod faults;
 pub mod hardware_cost;
 pub mod hie;
 pub mod jobs;
+pub mod json;
 pub mod parallel;
 pub mod params;
 pub mod plan;
@@ -62,10 +59,15 @@ pub mod profiler;
 pub mod train;
 
 pub use experiment::{BenchResult, Scheme, Setup};
-pub use fabric::FabricConfig;
 pub use faults::{FaultKind, FaultPlan};
 pub use hie::{EpochLog, PoiseController};
 pub use jobs::{Engine, JobOutput, ResultStore, RunReport, SimJob};
 pub use params::PoiseParams;
 pub use plan::{Axis, ExperimentPlan, Knob, KnobOverlay, KnobValue, PlanExpansion, SweepPoint};
 pub use profiler::{GridSpec, ProfileWindow};
+
+/// The codec's former path, kept because the benchmark (`perfbench/`)
+/// imports `poise::fabric::json`.
+pub mod fabric {
+    pub use crate::json;
+}

@@ -18,15 +18,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The host's available parallelism, floored at 1. The fan-out width
-/// here and the fabric's per-poll lease-claim cap (claiming more jobs
-/// than cores just widens the blast radius of a worker death).
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Map `f` over `items` in parallel, preserving input order. Helper
 /// threads are leased from the process-wide budget (the calling thread
 /// always participates); empty/singleton inputs and a dry budget fall

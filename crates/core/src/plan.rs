@@ -11,11 +11,10 @@
 //!   field), with a stable CLI name, a value grammar, and an `apply`
 //!   onto [`Setup`];
 //! * [`KnobOverlay`] — an ordered list of `knob = value` assignments,
-//!   parsed **once** at CLI entry from `--set k=v` arguments plus the
-//!   deprecated `POISE_*` environment aliases, and applied explicitly to
-//!   a base [`Setup`]. `Setup::default()` itself never reads the
-//!   environment, so two jobs built in the same process can never
-//!   disagree because a variable changed mid-run;
+//!   parsed **once** at CLI entry from `--set k=v` arguments and applied
+//!   explicitly to a base [`Setup`]. `Setup::default()` itself never
+//!   reads the environment, so two jobs built in the same process can
+//!   never disagree because a variable changed mid-run;
 //! * [`Axis`] — one swept knob with the values it takes
 //!   (`--sweep k=a,b,c`);
 //! * [`ExperimentPlan`] — a base setup plus axes whose cartesian product
@@ -99,9 +98,6 @@ pub enum Knob {
     /// classified `timed out`. Never part of cache identity — no job
     /// spec renders it.
     JobDeadline,
-    /// Fabric worker processes for `run_all` (0 = in-process). Engine
-    /// knob: never part of cache identity.
-    Workers,
     /// Threads stepping SMs inside a single simulation run: `1` keeps
     /// the default single-threaded loop, `n > 1` selects
     /// [`gpu_sim::StepMode::ParallelSm`] with a pool of `n` (bounded by
@@ -109,12 +105,6 @@ pub enum Knob {
     /// bit-identical at every thread count, so it is never part of
     /// cache identity.
     SimThreads,
-    /// Lease heartbeat TTL in seconds before a claim counts as dead and
-    /// becomes stealable. Engine knob.
-    LeaseTtl,
-    /// Straggler threshold in seconds: a lease older than this is
-    /// stolen even with a live heartbeat. Engine knob.
-    StealAfter,
     /// Periodic snapshot barrier interval in cycles (0 disables):
     /// factorable runs publish prefix blobs at every multiple, so an
     /// interrupted run resumes from its last checkpoint. Engine knob:
@@ -123,7 +113,7 @@ pub enum Knob {
     SnapshotEvery,
 }
 
-/// A typed knob value. Produced by [`Knob::parse_value`] (CLI / env) or
+/// A typed knob value. Produced by [`Knob::parse_value`] (CLI) or
 /// the typed [`Axis`] constructors; consumed by [`Knob::apply`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum KnobValue {
@@ -159,7 +149,7 @@ impl fmt::Display for KnobValue {
 }
 
 /// All knobs with their CLI names, in documentation order.
-pub const KNOBS: [(Knob, &str); 26] = [
+pub const KNOBS: [(Knob, &str); 23] = [
     (Knob::Sms, "sms"),
     (Knob::L1Scale, "l1_scale"),
     (Knob::L1Sets, "l1_sets"),
@@ -181,19 +171,8 @@ pub const KNOBS: [(Knob, &str); 26] = [
     (Knob::Strides, "strides"),
     (Knob::Scoring, "scoring"),
     (Knob::JobDeadline, "job_deadline"),
-    (Knob::Workers, "workers"),
     (Knob::SimThreads, "sim_threads"),
-    (Knob::LeaseTtl, "lease_ttl"),
-    (Knob::StealAfter, "steal_after"),
     (Knob::SnapshotEvery, "snapshot_every"),
-];
-
-/// The deprecated environment aliases still feeding the overlay.
-pub const ENV_ALIASES: [(&str, Knob); 4] = [
-    ("POISE_SMS", Knob::Sms),
-    ("POISE_KERNELS_CAP", Knob::KernelsCap),
-    ("POISE_TRAIN_CAP", Knob::TrainCap),
-    ("POISE_RUN_CYCLES", Knob::RunCycles),
 ];
 
 fn knob_list() -> String {
@@ -234,7 +213,7 @@ impl Knob {
             | Knob::L1Ways
             | Knob::L2Banks
             | Knob::SimThreads => count(1),
-            Knob::KernelsCap | Knob::TrainCap | Knob::Workers => count(0),
+            Knob::KernelsCap | Knob::TrainCap => count(0),
             Knob::RunCycles
             | Knob::ProfileWarmup
             | Knob::ProfileMeasure
@@ -250,7 +229,7 @@ impl Knob {
                 let v: f64 = s.parse().map_err(|_| bad("expected a number"))?;
                 Ok(KnobValue::Real(v))
             }
-            Knob::JobDeadline | Knob::LeaseTtl | Knob::StealAfter => {
+            Knob::JobDeadline => {
                 let v: f64 = s.parse().map_err(|_| bad("expected seconds"))?;
                 if !(v > 0.0 && v.is_finite()) {
                     return Err(bad("must be a positive number of seconds"));
@@ -377,10 +356,6 @@ impl Knob {
                 KnobValue::Real(v) => setup.job_deadline = Some(*v),
                 _ => kind_bug(),
             },
-            Knob::Workers => match value {
-                KnobValue::Count(v) => setup.workers = *v,
-                _ => kind_bug(),
-            },
             Knob::SimThreads => {
                 let n = as_count(value);
                 setup.cfg.sim_threads = n;
@@ -393,14 +368,6 @@ impl Knob {
                     gpu_sim::StepMode::default()
                 };
             }
-            Knob::LeaseTtl => match value {
-                KnobValue::Real(v) => setup.lease_ttl = *v,
-                _ => kind_bug(),
-            },
-            Knob::StealAfter => match value {
-                KnobValue::Real(v) => setup.steal_after = Some(*v),
-                _ => kind_bug(),
-            },
             Knob::SnapshotEvery => setup.snapshot_every = as_cycles(value),
         }
     }
@@ -411,10 +378,9 @@ impl Knob {
 // ---------------------------------------------------------------------------
 
 /// An ordered list of `knob = value` assignments applied to a base
-/// [`Setup`]. Parsed exactly once at CLI entry — from `--set` arguments
-/// and the deprecated `POISE_*` environment aliases — and then applied
-/// explicitly, so the setup a process runs with is a pure function of
-/// its invocation.
+/// [`Setup`]. Parsed exactly once at CLI entry from `--set` arguments
+/// and then applied explicitly, so the setup a process runs with is a
+/// pure function of its invocation.
 #[derive(Debug, Clone, Default)]
 pub struct KnobOverlay {
     sets: Vec<(Knob, KnobValue)>,
@@ -441,32 +407,13 @@ impl KnobOverlay {
         Ok(overlay)
     }
 
-    /// Read the deprecated `POISE_*` aliases into an overlay, returning
-    /// one deprecation warning per alias found. Malformed values are
-    /// errors (they used to fall back to defaults silently).
-    pub fn from_env() -> Result<(Self, Vec<String>), String> {
-        let mut overlay = KnobOverlay::default();
-        let mut warnings = Vec::new();
-        for (var, knob) in ENV_ALIASES {
-            if let Ok(raw) = std::env::var(var) {
-                let value = knob.parse_value(&raw).map_err(|e| format!("{var}: {e}"))?;
-                warnings.push(format!(
-                    "{var} is deprecated; use `--set {}={value}`",
-                    knob.name()
-                ));
-                overlay.sets.push((knob, value));
-            }
-        }
-        Ok((overlay, warnings))
-    }
-
     /// Append one assignment.
     pub fn push(&mut self, knob: Knob, value: KnobValue) {
         self.sets.push((knob, value));
     }
 
     /// This overlay followed by `later` (later assignments win, because
-    /// application is in order — CLI `--set`s override env aliases).
+    /// application is in order).
     pub fn merged(mut self, later: KnobOverlay) -> KnobOverlay {
         self.sets.extend(later.sets);
         self
@@ -931,11 +878,6 @@ mod tests {
         assert_eq!(axis.values.len(), 3);
     }
 
-    /// Serialises the one test in this binary that mutates the process
-    /// environment (set_var races concurrent env reads on glibc); any
-    /// future env-touching test must take the same lock.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn job_deadline_knob_parses_and_applies() {
         assert_eq!(Knob::from_name("job_deadline"), Some(Knob::JobDeadline));
@@ -978,49 +920,5 @@ mod tests {
             crate::jobs::spec_render::gpu_config(&base.cfg),
             crate::jobs::spec_render::gpu_config(&threaded.cfg),
         );
-    }
-
-    #[test]
-    fn fabric_knobs_parse_and_apply() {
-        let mut s = Setup::for_tests();
-        assert_eq!(s.workers, 0, "in-process by default");
-        assert_eq!(s.lease_ttl, 2.0);
-        assert_eq!(s.steal_after, None, "heartbeat-staleness only");
-
-        let v = Knob::Workers.parse_value("3").unwrap();
-        Knob::Workers.apply(&mut s, &v);
-        assert_eq!(s.workers, 3);
-        assert!(Knob::Workers.parse_value("-1").is_err());
-
-        let v = Knob::LeaseTtl.parse_value("0.5").unwrap();
-        Knob::LeaseTtl.apply(&mut s, &v);
-        assert_eq!(s.lease_ttl, 0.5);
-        assert!(Knob::LeaseTtl.parse_value("0").is_err());
-
-        let v = Knob::StealAfter.parse_value("30").unwrap();
-        Knob::StealAfter.apply(&mut s, &v);
-        assert_eq!(s.steal_after, Some(30.0));
-        assert!(Knob::StealAfter.parse_value("nan").is_err());
-
-        // Engine knobs never reach a job spec, so they cannot perturb
-        // cache identity.
-        assert_eq!(Knob::from_name("workers"), Some(Knob::Workers));
-        assert_eq!(Knob::from_name("lease_ttl"), Some(Knob::LeaseTtl));
-        assert_eq!(Knob::from_name("steal_after"), Some(Knob::StealAfter));
-    }
-
-    #[test]
-    fn env_aliases_feed_the_overlay_with_warnings() {
-        let _guard = ENV_LOCK.lock().expect("env lock");
-        std::env::set_var("POISE_SMS", "3");
-        std::env::set_var("POISE_RUN_CYCLES", "5555");
-        let (overlay, warnings) = KnobOverlay::from_env().expect("valid env");
-        std::env::remove_var("POISE_SMS");
-        std::env::remove_var("POISE_RUN_CYCLES");
-        let s = overlay.applied_to(&Setup::for_tests());
-        assert_eq!(s.cfg.sms, 3);
-        assert_eq!(s.run_cycles, 5555);
-        assert!(warnings.iter().any(|w| w.contains("POISE_SMS")));
-        assert!(warnings.iter().any(|w| w.contains("deprecated")));
     }
 }

@@ -11,8 +11,8 @@
 //! Mid-run re-entry is covered too: a chain of snapshots, each restored
 //! into a fresh machine and a fresh controller rebuilt purely from
 //! `Controller::save_state` text, must compose to the same end state.
-//! This is what lets any fabric worker pick up another worker's prefix
-//! blob at any barrier and continue the suffix.
+//! This is what lets any later run pick up a cached prefix blob at any
+//! barrier and continue the suffix.
 
 use std::fmt::Debug;
 

@@ -23,10 +23,10 @@
 //! already-running thread that *calls* into a fan-out participates in the
 //! work for free. The cap is `available_parallelism` minus the caller,
 //! overridable with the `POISE_THREAD_BUDGET` environment variable
-//! (useful for CI and for the sweep fabric, which divides the host
-//! between worker processes). [`acquire_helpers`] never blocks: it grants
-//! what is available (possibly zero) and callers degrade gracefully to
-//! running sequentially on their own thread.
+//! (useful for CI and for benchmarks that pin the thread count).
+//! [`acquire_helpers`] never blocks: it grants what is available
+//! (possibly zero) and callers degrade gracefully to running
+//! sequentially on their own thread.
 
 use crate::cancel;
 use std::panic::{catch_unwind, AssertUnwindSafe};

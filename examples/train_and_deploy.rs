@@ -4,8 +4,12 @@
 //! no-profiling-burden-for-the-end-user story.
 //!
 //! ```sh
-//! POISE_TRAIN_CAP=6 cargo run --release --example train_and_deploy
+//! cargo run --release --example train_and_deploy
 //! ```
+//!
+//! The caps are fixed in `main` (at most 6 kernels per training
+//! benchmark, 2 per evaluation benchmark); edit them there to trade run
+//! time for fidelity. The example reads no environment variable.
 
 use poise_repro::poise::experiment::{self, Scheme, Setup};
 use poise_repro::poise::train;
@@ -13,7 +17,7 @@ use poise_repro::workloads::evaluation_suite;
 
 fn main() {
     let mut setup = Setup::default();
-    // Keep the example quick: small caps unless overridden by env.
+    // Keep the example quick: cap the default setup's kernel counts.
     setup.train_cap_per_benchmark = setup.train_cap_per_benchmark.min(6);
     setup.kernels_cap = setup.kernels_cap.min(2);
 

@@ -413,7 +413,7 @@ fn prefix_reuse_end_to_end(opts: &Opts) -> PrefixReuseResult {
     assert_eq!(cold.failed.len(), 0, "cold pass must succeed");
 
     let mut factored = declared.clone();
-    let prefix_shared = factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
+    let prefix_shared = factor_prefixes(&mut factored, &mut IdentityTable::default());
     let mut fork_engine = Engine::new(&fork_dir);
     fork_engine.quiet = true;
     let t = Instant::now();

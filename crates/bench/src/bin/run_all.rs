@@ -19,18 +19,17 @@
 //! is an error.
 //!
 //! Robustness: `--inject seed=S,rate=P[,kinds=a+b]` turns on
-//! deterministic fault injection (panics, transient errors, stalls,
-//! torn cache writes, bit flips — see `poise::faults`); the engine
-//! retries transient failures with backoff, a watchdog cancels jobs
-//! past `--set job_deadline=<secs>`, and corrupt cache entries are
+//! deterministic fault injection (panics, transient errors, torn cache
+//! writes, bit flips — see `poise::faults`); the engine retries
+//! transient failures with backoff, and corrupt cache entries are
 //! quarantined and re-run. Failed points render as `MISSING` cells and
 //! every troubled job's attempt history lands in
 //! `results/run_all_failures.txt` (prose) and
 //! `results/run_all_failures.jsonl` (machine-readable, one JSON object
 //! per troubled job). `--fsck` re-validates the whole cache offline.
 //! Exit codes: 0 clean, 1 hard failures or a bad command line, 3 pass
-//! after self-healing, 4 timeout-only failures (see "Failure handling &
-//! fault injection" in EXPERIMENTS.md).
+//! after self-healing (see "Failure handling & fault injection" in
+//! EXPERIMENTS.md).
 //!
 //! `POISE_RERUN=1` bypasses the result cache wholesale, `POISE_RETRAIN=1`
 //! re-runs training only. Editing any job input (kernel specs, schemes,

@@ -1735,10 +1735,10 @@ fn render_sm_scaling(
                 cell(ipc, 3),
                 cell(ipc / gto_ipc, 3),
                 thr,
-                // Engine context for the throughput column: how many
-                // threads stepped the SMs of the runs that recorded
-                // these walls. Results (IPC, vs GTO) are bit-identical
-                // across thread counts, so only `sim Mcyc/s` varies.
+                // Threads that stepped the SMs of these runs: always 1,
+                // as no knob selects `ParallelSm`. The column stays
+                // because perfbench's figure digest expects six-field
+                // rows here.
                 setup.cfg.sim_threads.to_string(),
             ]);
         }
@@ -1862,7 +1862,7 @@ pub fn plan_jobs(
     // Prefix factoring: runs that differ only in their cycle horizon
     // collapse into one chained simulation plus per-horizon forks (a
     // `run_cycles` sweep axis is the canonical producer).
-    let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every, &mut ids);
+    let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, &mut ids);
     if verbose && prefix_shared > 0 {
         eprintln!(
             "[run_all] prefix factoring: {prefix_shared} run(s) fork from shared \
@@ -1949,8 +1949,7 @@ impl RunAllArgs {
 /// * `--only <a,b,...>` — restrict to the named figures (exact name or a
 ///   prefix up to an underscore: `fig12` matches `fig12_cache_size`);
 /// * `--set <knob>=<value>` (repeatable) — apply a knob to the base
-///   setup (`--set sim_threads=N` steps the SMs of each simulation on
-///   `N` threads, bit-identical to single-threaded);
+///   setup;
 /// * `--sweep <knob>=<v1,v2,...>` (repeatable) — sweep a knob: replaces
 ///   a same-knob default axis of each selected figure (e.g.
 ///   `sm_scaling`'s SM ladder) or extends the figure's plan. Figures
@@ -1963,10 +1962,10 @@ impl RunAllArgs {
 ///   occasional `--gc` it grows without bound across spec edits;
 /// * `--inject seed=S,rate=P[,kinds=a+b+...]` — deterministic fault
 ///   injection (see [`poise::faults`]): job panics, transient errors,
-///   stalls, torn cache writes and bit flips, all derived from the seed
-///   so a run is exactly reproducible. The robustness machinery (retry
-///   with backoff, watchdog deadlines, cache quarantine) absorbs the
-///   faults; surviving outputs are bit-identical to a fault-free pass;
+///   torn cache writes and bit flips, all derived from the seed so a
+///   run is exactly reproducible. The robustness machinery (retry with
+///   backoff, cache quarantine) absorbs the faults; surviving outputs
+///   are bit-identical to a fault-free pass;
 /// * `--fsck` — offline cache re-validation: parse and checksum every
 ///   entry, quarantine invalid ones and remove stale temp files, then
 ///   exit (failure exit if anything was corrupt — a second `--fsck`
@@ -1980,9 +1979,7 @@ impl RunAllArgs {
 /// * `1` — figure or job failures (hard errors: panics, exhausted
 ///   retries, dependency failures, render errors) or a bad command line;
 /// * `3` — every figure passed but the run needed self-healing
-///   (retried-then-recovered jobs or quarantined cache corruption);
-/// * `4` — failures whose job-level causes are exclusively watchdog
-///   timeouts (raise `--set job_deadline=...` and retry).
+///   (retried-then-recovered jobs or quarantined cache corruption).
 pub fn run_all_main(args: &[String]) -> ExitCode {
     let args = match RunAllArgs::parse(args) {
         Ok(a) => a,
@@ -1996,8 +1993,9 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     }
     let faults = match args.inject.as_deref().map(FaultPlan::parse).transpose() {
         Ok(p) => p,
+        // `FaultPlan::parse` errors already name `--inject`.
         Err(e) => {
-            eprintln!("[run_all] --inject: {e}");
+            eprintln!("[run_all] {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -2030,17 +2028,8 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         ..
     } = planned;
     let mut engine = Engine::from_env(&results_dir());
-    // The `job_deadline` knob is an engine (watchdog) setting, not part
-    // of any job's cache identity — lift it off the setup here.
-    engine.deadline = ctx.setup.job_deadline;
     if let Some(plan) = faults {
         eprintln!("[run_all] fault injection: {}", plan.summary());
-        if plan.can_stall() && engine.deadline.is_none() {
-            // Stalls never finish on their own; without a watchdog
-            // deadline the run would wedge. Pick a generous default.
-            engine.deadline = Some(10.0);
-            eprintln!("[run_all] stall faults without --set job_deadline=...; defaulting to 10s");
-        }
         engine.set_faults(Some(plan));
     }
 
@@ -2165,7 +2154,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     }
 
     // Exit-code mapping (documented on `run_all_main`): clean 0; hard
-    // failures 1; timeout-only failures 4; pass-after-self-healing 3.
+    // failures 1; pass-after-self-healing 3.
     let job_failures = report.failed.len();
     if failed > 0 || job_failures > 0 {
         if failed > 0 {
@@ -2173,16 +2162,11 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         }
         if job_failures > 0 {
             eprintln!(
-                "[run_all] {job_failures} job(s) failed, {} timed out (see {})",
-                report.timed_out,
+                "[run_all] {job_failures} job(s) failed (see {})",
                 failures_path.display()
             );
         }
-        if job_failures > 0 && report.timed_out == job_failures {
-            ExitCode::from(4)
-        } else {
-            ExitCode::FAILURE
-        }
+        ExitCode::FAILURE
     } else if report.recovered > 0 || report.corrupt > 0 {
         println!(
             "\n[run_all] all experiments complete in {:.0}s; outputs in results/ \
@@ -2229,7 +2213,7 @@ fn fsck_main() -> ExitCode {
 
 /// Render `results/run_all_failures.txt`: the fault plan (if any), the
 /// engine summary, cache-corruption counters, and the full attempt
-/// history of every troubled job — recovered, failed and timed-out.
+/// history of every troubled job — recovered and failed.
 fn failures_report(engine: &Engine, report: &RunReport) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();

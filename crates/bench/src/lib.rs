@@ -236,10 +236,9 @@ pub fn cell(v: f64, decimals: usize) -> String {
     if v.is_finite() {
         format!("{v:.decimals$}")
     } else {
-        // A failed or missing sweep point (job failure, timeout,
-        // degraded render): an explicit marker beats `NaN` in a table
-        // meant for human diffing. Details live in
-        // `results/run_all_failures.txt`.
+        // A failed or missing sweep point (job failure, degraded
+        // render): an explicit marker beats `NaN` in a table meant for
+        // human diffing. Details live in `results/run_all_failures.txt`.
         "MISSING".to_string()
     }
 }

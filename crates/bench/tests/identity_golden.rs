@@ -58,13 +58,3 @@ fn smoke_plan_identities_match_goldens() {
         "the spec hashes of the planned closure changed"
     );
 }
-
-#[test]
-fn engine_only_sweeps_share_every_job() {
-    // `sim_threads` never enters a spec text, so both sweep points
-    // declare the same identities and every job is shared.
-    let planned = plan(&["sim_threads=1,2"], Some(&["sm_scaling"]));
-    let closure = graph_closure(&planned.jobs);
-    assert_eq!(planned.sweep_shared, closure.len());
-    assert_eq!(closure.len(), 101);
-}

@@ -135,13 +135,7 @@ pub enum Lookup {
     /// No entry (or bypass mode).
     Miss,
     /// An entry existed but failed validation; it has been quarantined.
-    /// `prior_wall` carries the entry's recorded wall seconds when the
-    /// header survived — the best available deadline budget for the
-    /// re-run.
-    Corrupt {
-        /// Wall seconds of the producing run, if the header parsed.
-        prior_wall: Option<f64>,
-    },
+    Corrupt,
 }
 
 /// Result of an offline [`Cache::fsck`] pass.
@@ -157,11 +151,10 @@ pub struct FsckReport {
     pub tmp_removed: usize,
 }
 
-/// Internal parse result: valid body, or invalid with whatever wall
-/// metadata survived.
+/// Internal parse result: valid body and recorded wall, or invalid.
 enum Parsed {
     Valid { body: String, wall: f64 },
-    Invalid { prior_wall: Option<f64> },
+    Invalid,
 }
 
 /// A content-addressed result store rooted at a directory
@@ -244,8 +237,7 @@ impl Cache {
     }
 
     /// Look up `key`, distinguishing a plain miss from a corrupt entry.
-    /// A corrupt entry is counted, quarantined, and reported with
-    /// whatever wall metadata survived.
+    /// A corrupt entry is counted, quarantined and reported as such.
     pub fn lookup(&self, kind: &str, key: &str) -> Lookup {
         if self.bypass {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -262,13 +254,13 @@ impl Cache {
                 self.touch(kind, key);
                 Lookup::Hit(body, wall)
             }
-            Parsed::Invalid { prior_wall } => {
+            Parsed::Invalid => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
                 if self.quarantine(&path) {
                     self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
                 }
-                Lookup::Corrupt { prior_wall }
+                Lookup::Corrupt
             }
         }
     }
@@ -313,14 +305,13 @@ impl Cache {
     }
 
     fn parse_entry(text: &str, key: &str) -> Parsed {
-        let invalid = |prior_wall: Option<f64>| Parsed::Invalid { prior_wall };
         let mut lines = text.lines();
         if lines.next() != Some("# poise job cache v1") {
-            return invalid(None);
+            return Parsed::Invalid;
         }
         match lines.next().and_then(|l| l.strip_prefix("# key: ")) {
             Some(k) if k == key => {}
-            _ => return invalid(None),
+            _ => return Parsed::Invalid,
         }
         // Metadata lines: optional (absent in entries written before
         // they existed — still valid, the recorded time is just unknown
@@ -340,15 +331,15 @@ impl Cache {
         // everything after, terminated by an explicit end marker so a
         // truncated write can be told apart from a short body.
         let Some(marker) = text.find("\n# end-spec\n") else {
-            return invalid(wall);
+            return Parsed::Invalid;
         };
         let body = &text[marker + "\n# end-spec\n".len()..];
         let Some(body) = body.strip_suffix("# end\n") else {
-            return invalid(wall);
+            return Parsed::Invalid;
         };
         if let Some(sha) = sha {
             if sha256_hex(body) != sha {
-                return invalid(wall);
+                return Parsed::Invalid;
             }
         }
         Parsed::Valid {
@@ -464,7 +455,7 @@ impl Cache {
                 .ok()
                 .is_some_and(|text| match Self::parse_entry(&text, key) {
                     Parsed::Valid { body, .. } => validate(kind, &body),
-                    Parsed::Invalid { .. } => false,
+                    Parsed::Invalid => false,
                 });
             if ok {
                 report.valid += 1;
@@ -621,9 +612,7 @@ mod tests {
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
         match cache.lookup("run", &key) {
-            Lookup::Corrupt { prior_wall } => {
-                assert_eq!(prior_wall, Some(0.5), "wall survives truncation")
-            }
+            Lookup::Corrupt => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert_eq!(cache.stats.corrupt_count(), 1);
@@ -640,12 +629,7 @@ mod tests {
         let full = std::fs::read_to_string(&path).unwrap();
         let flipped = full.replace("body line", "bodz line");
         std::fs::write(&path, flipped).unwrap();
-        assert!(matches!(
-            cache.lookup("run", &key),
-            Lookup::Corrupt {
-                prior_wall: Some(_)
-            }
-        ));
+        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt));
         assert_eq!(cache.stats.corrupt_count(), 2);
         assert!(
             cache
@@ -664,15 +648,12 @@ mod tests {
         let key = sha256_hex("x");
         let path = dir.join(format!("run-{key}.txt"));
         std::fs::write(&path, "not a cache file").unwrap();
-        assert!(matches!(
-            cache.lookup("run", &key),
-            Lookup::Corrupt { prior_wall: None }
-        ));
+        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt));
         // Wrong key in the header.
         let other = sha256_hex("y");
         cache.store("run", &other, "spec", "body\n", 0.0);
         std::fs::rename(dir.join(format!("run-{other}.txt")), &path).unwrap();
-        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt { .. }));
+        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -702,7 +683,7 @@ mod tests {
         let key = sha256_hex("t");
         cache.store("run", &key, "spec", "body\n", 0.0);
         // Occurrence 0 tore the write; detection quarantines it.
-        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt { .. }));
+        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt));
         assert_eq!(cache.stats.quarantined_count(), 1);
         // rate=1.0 tears every occurrence; drop the plan to verify the
         // occurrence index advanced past the quarantined casualty.
@@ -722,7 +703,7 @@ mod tests {
         let key = sha256_hex("f");
         cache.store("run", &key, "spec", "value 1.25\n", 0.0);
         assert!(
-            matches!(cache.lookup("run", &key), Lookup::Corrupt { .. }),
+            matches!(cache.lookup("run", &key), Lookup::Corrupt),
             "flipped body must fail the checksum"
         );
         let _ = std::fs::remove_dir_all(&dir);

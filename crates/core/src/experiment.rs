@@ -8,9 +8,7 @@
 //! for rates).
 //!
 //! Kernel runs are independent (each owns its `Gpu`), so [`run_benchmark`]
-//! fans its kernels across the host's cores and [`run_schemes`] fans the
-//! whole scheme × kernel product, profiling each kernel offline exactly
-//! once for all profile-driven schemes.
+//! fans its kernels across the host's cores.
 
 use crate::hie::PoiseController;
 use crate::parallel::parallel_map;
@@ -93,19 +91,6 @@ pub struct Setup {
     pub train_cap_per_benchmark: usize,
     /// Seeds for random-restart averaging.
     pub rr_seeds: Vec<u64>,
-    /// Per-job watchdog deadline in wall seconds (`job_deadline` knob):
-    /// a job attempt exceeding it is cooperatively cancelled and marked
-    /// timed out. `None` = unbounded. An engine robustness knob — never
-    /// part of any job's cache identity (no spec renders it).
-    pub job_deadline: Option<f64>,
-    /// Periodic snapshot barrier interval in cycles (`snapshot_every`
-    /// knob): `> 0` threads checkpoint barriers at every multiple into
-    /// each factorable run's prefix chain, so an interrupted or
-    /// watchdog-cancelled run resumes from the last published blob
-    /// rather than cycle 0. `0` disables. Pure execution strategy —
-    /// results are bit-identical either way, so never part of cache
-    /// identity.
-    pub snapshot_every: u64,
 }
 
 impl Default for Setup {
@@ -125,8 +110,6 @@ impl Default for Setup {
             kernels_cap: 3,
             train_cap_per_benchmark: 8,
             rr_seeds: vec![11, 23, 47],
-            job_deadline: None,
-            snapshot_every: 0,
         }
     }
 }
@@ -147,8 +130,6 @@ impl Setup {
             kernels_cap: 2,
             train_cap_per_benchmark: 4,
             rr_seeds: vec![1],
-            job_deadline: None,
-            snapshot_every: 0,
         }
     }
 }
@@ -665,44 +646,6 @@ pub fn run_benchmark(
         run_kernel(spec, scheme, model, profile.as_ref(), setup)
     });
     aggregate(bench.name.clone(), scheme, kernels)
-}
-
-/// Run one benchmark under several schemes at once, fanning the whole
-/// scheme × kernel product across the host's cores.
-///
-/// Offline profiles are computed once per kernel (in parallel) and shared
-/// by every profile-driven scheme, so adding SWL / PCAL-SWL / Static-Best
-/// to a comparison costs no extra profiling. Results come back in
-/// `schemes` order.
-pub fn run_schemes(
-    bench: &Benchmark,
-    schemes: &[Scheme],
-    model: &TrainedModel,
-    setup: &Setup,
-) -> Vec<BenchResult> {
-    let capped = bench.capped(setup.kernels_cap);
-    let profiles: Option<Vec<OfflineProfile>> = schemes
-        .iter()
-        .any(|&s| needs_profile(s))
-        .then(|| parallel_map(&capped.kernels, |spec| offline_profile(spec, setup)));
-    let pairs: Vec<(Scheme, usize)> = schemes
-        .iter()
-        .flat_map(|&s| (0..capped.kernels.len()).map(move |i| (s, i)))
-        .collect();
-    let runs = parallel_map(&pairs, |&(scheme, i)| {
-        let profile =
-            needs_profile(scheme).then(|| &profiles.as_ref().expect("profiles computed")[i]);
-        run_kernel(&capped.kernels[i], scheme, model, profile, setup)
-    });
-    schemes
-        .iter()
-        .enumerate()
-        .map(|(si, &scheme)| {
-            let lo = si * capped.kernels.len();
-            let kernels = runs[lo..lo + capped.kernels.len()].to_vec();
-            aggregate(bench.name.clone(), scheme, kernels)
-        })
-        .collect()
 }
 
 /// Aggregate per-kernel runs into a [`BenchResult`] the way the paper

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the experiment engine.
 //!
 //! A [`FaultPlan`] turns the failure modes the engine and its cache must
-//! survive — crashing jobs, flaky transient errors, hung jobs, writers
-//! dying mid-store, silent media corruption — into *injectable,
+//! survive — crashing jobs, flaky transient errors, writers dying
+//! mid-store, silent media corruption — into *injectable,
 //! reproducible* events. Every decision is a pure function of the plan
 //! seed, the injection site, a stable identity (the job's spec hash or
 //! the cache entry's key) and an occurrence index; no wall clock, no
@@ -15,9 +15,9 @@
 //! ## Sites and kinds
 //!
 //! Execution faults fire in `Engine::run` around a job attempt
-//! ([`FaultKind::Panic`], [`FaultKind::Transient`], [`FaultKind::Stall`]),
-//! keyed by the job's spec hash and the attempt number — so a retried
-//! attempt re-rolls independently and bounded retry genuinely converges.
+//! ([`FaultKind::Panic`], [`FaultKind::Transient`]), keyed by the job's
+//! spec hash and the attempt number — so a retried attempt re-rolls
+//! independently and bounded retry genuinely converges.
 //! Store faults fire in `Cache::store` ([`FaultKind::TornWrite`],
 //! [`FaultKind::BitFlip`]), keyed by the entry key and an occurrence
 //! index that counts both prior in-process stores *and* quarantined
@@ -43,9 +43,6 @@ pub enum FaultKind {
     /// The job fails with a transient error (a flaky I/O layer, a lost
     /// RPC). Retryable with exponential backoff.
     Transient,
-    /// The job hangs until the watchdog's cooperative cancellation fires
-    /// (a wedged worker). Surfaces as a timeout; retryable.
-    Stall,
     /// The cache entry is truncated mid-write (a writer killed between
     /// `write` and `rename` on a filesystem without atomic semantics).
     TornWrite,
@@ -55,10 +52,9 @@ pub enum FaultKind {
 }
 
 /// All kinds, in documentation order.
-pub const ALL_KINDS: [FaultKind; 5] = [
+pub const ALL_KINDS: [FaultKind; 4] = [
     FaultKind::Panic,
     FaultKind::Transient,
-    FaultKind::Stall,
     FaultKind::TornWrite,
     FaultKind::BitFlip,
 ];
@@ -69,7 +65,6 @@ impl FaultKind {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Transient => "transient",
-            FaultKind::Stall => "stall",
             FaultKind::TornWrite => "torn",
             FaultKind::BitFlip => "bitflip",
         }
@@ -82,10 +77,7 @@ impl FaultKind {
 
     /// Does this kind fire at the execution site (`Engine::run`)?
     pub fn is_exec(self) -> bool {
-        matches!(
-            self,
-            FaultKind::Panic | FaultKind::Transient | FaultKind::Stall
-        )
+        matches!(self, FaultKind::Panic | FaultKind::Transient)
     }
 
     /// Does this kind fire at the store site (`Cache::store`)?
@@ -125,7 +117,7 @@ impl FaultPlan {
 
     /// Parse the `--inject` grammar: comma-separated `seed=S`, `rate=P`
     /// and optional `kinds=a+b+c` (kind names joined by `+`). `seed` and
-    /// `rate` are required; `kinds` defaults to all five.
+    /// `rate` are required; `kinds` defaults to all four.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut seed: Option<u64> = None;
         let mut rate: Option<f64> = None;
@@ -207,13 +199,6 @@ impl FaultPlan {
             )
         };
         format!("seed={},rate={}{kinds}", self.seed, self.rate)
-    }
-
-    /// Does the plan enable any stall faults? (The engine applies a
-    /// fallback deadline when stalls are injectable but no budget is
-    /// configured, so a stalled job cannot wedge the wave forever.)
-    pub fn can_stall(&self) -> bool {
-        self.kinds.contains(&FaultKind::Stall)
     }
 
     /// The two independent 64-bit lanes of one decision hash.
@@ -335,8 +320,6 @@ mod tests {
         assert_eq!(store_only.store_fault("x", 0), Some(FaultKind::TornWrite));
         assert_eq!(exec_only.exec_fault("x", 0), Some(FaultKind::Transient));
         assert_eq!(exec_only.store_fault("x", 0), None);
-        assert!(!exec_only.can_stall());
-        assert!(FaultPlan::new(0, 0.1).can_stall());
     }
 
     #[test]

@@ -94,8 +94,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup};
@@ -110,8 +110,8 @@ use crate::profiler::{pbest, profile_grid, run_tuple, GridSpec, ProfileWindow, S
 use crate::train::{collect_sample_scored, fit_samples};
 use gpu_sim::KernelSource;
 use gpu_sim::{
-    CacheGeometry, CancelToken, Counters, DramConfig, EnergyBreakdown, EnergyConfig, GpuConfig,
-    L2Config, SetIndexing, WarpTuple,
+    CacheGeometry, Counters, DramConfig, EnergyBreakdown, EnergyConfig, GpuConfig, L2Config,
+    SetIndexing, WarpTuple,
 };
 use poise_ml::{ScoringWeights, SpeedupGrid, TrainedModel, TrainingSample, N_FEATURES};
 use workloads::{training_suite, AccessMix, KernelSpec, Phase, Workload};
@@ -187,7 +187,7 @@ pub mod spec_render {
             track_reuse_distance,
             track_pc_stats,
             step_mode: _,   // bit-identical by contract; see above.
-            sim_threads: _, // engine knob — bit-identical by contract; see above.
+            sim_threads: _, // read by `ParallelSm` only; see above.
         } = c;
         let L2Config {
             geometry: l2_geo,
@@ -1737,18 +1737,16 @@ impl ResultStore {
 }
 
 /// How one execution attempt (or a whole job) failed. The class decides
-/// the retry policy: transient errors and timeouts are retried with
-/// exponential backoff, panics and dependency failures are terminal (a
-/// panic is a deterministic bug — retrying re-executes the same crash;
-/// a dependency failure can only be fixed upstream).
+/// the retry policy: transient errors are retried with exponential
+/// backoff, panics and dependency failures are terminal (a panic is a
+/// deterministic bug — retrying re-executes the same crash; a dependency
+/// failure can only be fixed upstream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailClass {
     /// The job panicked (caught by the engine's isolation layer).
     Panic,
     /// A transient error (in practice: injected). Retryable.
     Transient,
-    /// The watchdog cancelled the attempt past its deadline. Retryable.
-    Timeout,
     /// An upstream dependency failed; never attempted.
     Dependency,
 }
@@ -1759,7 +1757,6 @@ impl FailClass {
         match self {
             FailClass::Panic => "panic",
             FailClass::Transient => "transient",
-            FailClass::Timeout => "timeout",
             FailClass::Dependency => "dependency",
         }
     }
@@ -1787,8 +1784,6 @@ pub enum JobOutcome {
     Recovered,
     /// All attempts exhausted (or the failure was terminal).
     Failed,
-    /// The final attempt was cancelled by the watchdog.
-    TimedOut,
 }
 
 impl JobOutcome {
@@ -1797,7 +1792,6 @@ impl JobOutcome {
         match self {
             JobOutcome::Recovered => "recovered",
             JobOutcome::Failed => "failed",
-            JobOutcome::TimedOut => "timed out",
         }
     }
 }
@@ -1827,24 +1821,19 @@ pub struct RunReport {
     /// Jobs answered from the cache.
     pub cache_hits: usize,
     /// Failed jobs as `(label, error)`; dependants of a failed job fail
-    /// with a "dependency failed" error. Includes timed-out jobs (see
-    /// [`RunReport::timed_out`] and the per-job [`JobTrouble`] records
-    /// for the distinction).
+    /// with a "dependency failed" error.
     pub failed: Vec<(String, String)>,
     /// Jobs that needed more than one execution attempt.
     pub retried: usize,
     /// Jobs that failed at least once but ultimately succeeded.
     pub recovered: usize,
-    /// Jobs whose *final* disposition was a watchdog timeout (subset of
-    /// `failed`).
-    pub timed_out: usize,
     /// Cache entries found corrupt during this run (quarantined and
     /// re-executed; see [`crate::cache`]).
     pub corrupt: u64,
     /// Corrupt entries successfully moved under `quarantine/`.
     pub quarantined: u64,
-    /// Failure history of every troubled job — recovered, failed and
-    /// timed-out alike — for the structured failures report.
+    /// Failure history of every troubled job — recovered and failed
+    /// alike — for the structured failures report.
     pub trouble: Vec<JobTrouble>,
     /// Wall-clock of the engine run.
     pub wall: Duration,
@@ -1860,10 +1849,10 @@ impl RunReport {
         }
     }
 
-    /// One-line summary for logs. The robustness counters (`timed_out`,
-    /// `retried`, `recovered`) appear only when nonzero, so quiet runs
-    /// keep the familiar shape; `corrupt` is always shown — silence must
-    /// mean "checked and clean", not "unchecked".
+    /// One-line summary for logs. The robustness counters (`retried`,
+    /// `recovered`) appear only when nonzero, so quiet runs keep the
+    /// familiar shape; `corrupt` is always shown — silence must mean
+    /// "checked and clean", not "unchecked".
     pub fn summary_line(&self) -> String {
         let mut s = format!(
             "jobs={} executed={} cache_hits={} failed={}",
@@ -1872,9 +1861,6 @@ impl RunReport {
             self.cache_hits,
             self.failed.len(),
         );
-        if self.timed_out > 0 {
-            s.push_str(&format!(" timed_out={}", self.timed_out));
-        }
         if self.retried > 0 {
             s.push_str(&format!(" retried={}", self.retried));
         }
@@ -1950,52 +1936,6 @@ pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The per-run watchdog: a registry of `(cancellation token, due time)`
-/// pairs patrolled by one background thread for the duration of an
-/// [`Engine::run`]. An attempt that outlives its deadline has its token
-/// cancelled; the simulator checks the token cooperatively at its
-/// controller barriers (see `gpu_sim::cancel`), so the worker unwinds at
-/// the next epoch boundary instead of wedging the wave.
-#[derive(Default)]
-struct Watchdog {
-    entries: Mutex<Vec<(CancelToken, Instant)>>,
-    stop: AtomicBool,
-}
-
-impl Watchdog {
-    fn register(&self, token: CancelToken, deadline: Duration) {
-        self.entries
-            .lock()
-            .expect("watchdog registry")
-            .push((token, Instant::now() + deadline));
-    }
-
-    fn unregister(&self, token: &CancelToken) {
-        self.entries
-            .lock()
-            .expect("watchdog registry")
-            .retain(|(t, _)| !t.same_as(token));
-    }
-
-    fn patrol(&self) {
-        while !self.stop.load(Ordering::Relaxed) {
-            let now = Instant::now();
-            self.entries
-                .lock()
-                .expect("watchdog registry")
-                .retain(|(token, due)| {
-                    if now >= *due {
-                        token.cancel();
-                        false
-                    } else {
-                        true
-                    }
-                });
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-}
-
 /// The deduplicated dependency closure of a requested job set, in
 /// stable execution order.
 struct JobGraph {
@@ -2040,12 +1980,6 @@ fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// suffix is bit-identical to its cold run by the snapshot oracle's
 /// contract.
 ///
-/// `snapshot_every > 0` additionally threads periodic barrier cycles
-/// (multiples of the knob, below each group's longest horizon) into
-/// every chain. No prefix jobs are materialised for these; runs publish
-/// blobs as they pass, so an interrupted or watchdog-killed run resumes
-/// from the last checkpoint instead of cycle 0.
-///
 /// Random-restart runs never factor: their output averages several
 /// seeded reruns of the same span, which has no single shareable
 /// machine state.
@@ -2053,11 +1987,7 @@ fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// Returns the number of runs that will fork from a shared prefix (the
 /// `prefix_shared` figure in `run_all` reports). Horizon-free identities
 /// resolve through `ids`, the plan's identity table.
-pub fn factor_prefixes(
-    jobs: &mut Vec<SimJob>,
-    snapshot_every: u64,
-    ids: &mut IdentityTable,
-) -> usize {
+pub fn factor_prefixes(jobs: &mut Vec<SimJob>, ids: &mut IdentityTable) -> usize {
     // Group factorable runs by their horizon-free spec text, in text
     // order for a deterministic emission order.
     let mut groups: BTreeMap<Arc<str>, Vec<usize>> = BTreeMap::new();
@@ -2084,20 +2014,8 @@ pub fn factor_prefixes(
             .collect();
         ladder.sort_unstable();
         ladder.dedup();
-        let longest = *ladder.last().expect("groups are non-empty");
-        let laddered = ladder.len() >= 2;
-        // The group's barrier set: every horizon but the longest, plus
-        // the periodic checkpoints.
-        let mut bounds: Vec<u64> = ladder[..ladder.len() - 1].to_vec();
-        if snapshot_every > 0 {
-            bounds.extend(
-                (1..)
-                    .map(|m| m * snapshot_every)
-                    .take_while(|&b| b < longest),
-            );
-            bounds.sort_unstable();
-            bounds.dedup();
-        }
+        // The group's barrier set: every horizon but the longest.
+        let bounds = &ladder[..ladder.len() - 1];
         if bounds.is_empty() {
             continue;
         }
@@ -2105,13 +2023,10 @@ pub fn factor_prefixes(
             SimJob::Run(r) => r.clone(),
             _ => unreachable!("groups hold runs only"),
         };
-        if laddered {
-            for &b in &ladder[..ladder.len() - 1] {
-                let below: Vec<u64> = bounds.iter().copied().filter(|&x| x < b).collect();
-                prefixes.push(SimJob::Prefix(proto.prefix_at(b, &below)));
-            }
-            shared += idxs.len();
+        for (k, &b) in bounds.iter().enumerate() {
+            prefixes.push(SimJob::Prefix(proto.prefix_at(b, &bounds[..k])));
         }
+        shared += idxs.len();
         for &i in idxs {
             let SimJob::Run(r) = &mut jobs[i] else {
                 unreachable!("groups hold runs only")
@@ -2160,11 +2075,6 @@ pub struct Engine {
     /// operation). Install via [`Engine::set_faults`] so the cache's
     /// store seam shares the plan.
     faults: Option<Arc<FaultPlan>>,
-    /// Per-job deadline in seconds. When unset, a job that lost a cache
-    /// entry to corruption still gets a budget derived from the entry's
-    /// recorded wall time (`4×`, floored at 1 s); otherwise attempts run
-    /// unbounded.
-    pub deadline: Option<f64>,
     /// Maximum retries after a retryable failure (attempts = retries+1).
     pub max_retries: u32,
     /// First backoff; doubles per retry (`base × 2^attempt`).
@@ -2198,7 +2108,7 @@ struct PrefixIo<'a> {
     boundaries: Vec<u64>,
     points: Vec<PrefixPoint>,
     /// Job start, so published blobs record the wall time actually spent
-    /// reaching their barrier (the deadline heuristics read it back).
+    /// reaching their barrier.
     t0: Instant,
 }
 
@@ -2218,7 +2128,7 @@ impl PrefixStore for PrefixIo<'_> {
                 .then_some(body),
             // `lookup` already quarantined the entry (self-healing): the
             // next prefix job to want this barrier re-runs and re-stores.
-            Lookup::Corrupt { .. } | Lookup::Miss => None,
+            Lookup::Corrupt | Lookup::Miss => None,
         }
     }
 
@@ -2243,7 +2153,6 @@ impl Engine {
             retrain: false,
             quiet: false,
             faults: None,
-            deadline: None,
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
             progress: None,
@@ -2321,14 +2230,6 @@ impl Engine {
             self.cache.stats.quarantined_count(),
         );
 
-        // One watchdog patrol thread for the whole run; registrations
-        // come and go per attempt.
-        let watchdog = Arc::new(Watchdog::default());
-        let patrol = {
-            let w = Arc::clone(&watchdog);
-            std::thread::spawn(move || w.patrol())
-        };
-
         // Distinct waves actually present, ascending: the classic three
         // (leaves → fits → runs) plus one wave per prefix-chain depth
         // when the plan was prefix-factored.
@@ -2345,7 +2246,7 @@ impl Engine {
                 crate::parallel::parallel_map(&wave_jobs, |&i| {
                     let (job, id) = store.ids.entry(i);
                     let jt = Instant::now();
-                    let d = self.run_one(job, id, &store, &watchdog);
+                    let d = self.run_one(job, id, &store);
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
@@ -2383,12 +2284,6 @@ impl Engine {
                     }
                     (Err(e), attempts) => {
                         report.failed.push((label.clone(), e.clone()));
-                        let timed_out = attempts
-                            .last()
-                            .is_some_and(|a| a.class == FailClass::Timeout);
-                        if timed_out {
-                            report.timed_out += 1;
-                        }
                         if attempts.len() > 1 {
                             report.retried += 1;
                         }
@@ -2396,20 +2291,13 @@ impl Engine {
                             label,
                             spec_hash: id.hash.to_string(),
                             attempts: d.attempts,
-                            outcome: if timed_out {
-                                JobOutcome::TimedOut
-                            } else {
-                                JobOutcome::Failed
-                            },
+                            outcome: JobOutcome::Failed,
                         });
                     }
                 }
                 store.insert(i, d.result, d.wall);
             }
         }
-
-        watchdog.stop.store(true, Ordering::Relaxed);
-        let _ = patrol.join();
 
         report.corrupt = self.cache.stats.corrupt_count() - corrupt0;
         report.quarantined = self.cache.stats.quarantined_count() - quarantined0;
@@ -2462,8 +2350,7 @@ impl Engine {
         let mut points = Vec::with_capacity(r.prefix_chain.len());
         for (i, &cycles) in r.prefix_chain.iter().enumerate() {
             let synth = SimJob::Prefix(r.prefix_at(cycles, &r.prefix_chain[..i]));
-            // Ladder barriers are graph jobs (a table hit); periodic
-            // checkpoints render.
+            // Ladder barriers are graph jobs (a table hit).
             let id = store.ids.resolve(&synth);
             let key = self.identify(&synth, &id, store).ok()?.key;
             points.push(PrefixPoint {
@@ -2482,15 +2369,8 @@ impl Engine {
 
     /// Run (or load) one job (identity `id`) whose dependencies are
     /// already in `store`, with bounded retry for transient failures and
-    /// timeouts, a watchdog deadline per attempt, and injected execution
-    /// faults when a plan is installed.
-    fn run_one(
-        &self,
-        job: &SimJob,
-        id: &Identity,
-        store: &ResultStore,
-        watchdog: &Watchdog,
-    ) -> Disposition {
+    /// injected execution faults when a plan is installed.
+    fn run_one(&self, job: &SimJob, id: &Identity, store: &ResultStore) -> Disposition {
         let fail = |attempts: Vec<AttemptRecord>, error: String| Disposition {
             result: Err(error),
             was_hit: false,
@@ -2528,44 +2408,33 @@ impl Engine {
             .map(|d| store.get(d).expect("identify() checked every dep"))
             .collect();
         let skip_cache = self.retrain && matches!(job, SimJob::Train(_) | SimJob::Sample(_));
-        // Wall seconds recorded by a prior execution whose entry was just
-        // quarantined — the best deadline budget for the re-run.
-        let mut prior_wall: Option<f64> = None;
         if !skip_cache {
-            match self.cache.lookup(kind, &key) {
-                Lookup::Hit(body, wall) => {
-                    if let Some(out) = JobOutput::from_text(kind, &body) {
-                        self.emit(
-                            &job.label(),
-                            spec_hash,
-                            JobStatus::Hit,
-                            EventDetail {
-                                wall,
-                                ..EventDetail::default()
-                            },
-                        );
-                        return Disposition {
-                            result: Ok(out),
-                            was_hit: true,
+            // A corrupt entry was quarantined by the lookup and re-executes
+            // exactly like a miss.
+            if let Lookup::Hit(body, wall) = self.cache.lookup(kind, &key) {
+                if let Some(out) = JobOutput::from_text(kind, &body) {
+                    self.emit(
+                        &job.label(),
+                        spec_hash,
+                        JobStatus::Hit,
+                        EventDetail {
                             wall,
-                            attempts: Vec::new(),
-                        };
-                    }
-                    // Checksum-valid but semantically stale (format
-                    // evolution): fall through and re-execute; the store
-                    // below overwrites the entry.
+                            ..EventDetail::default()
+                        },
+                    );
+                    return Disposition {
+                        result: Ok(out),
+                        was_hit: true,
+                        wall,
+                        attempts: Vec::new(),
+                    };
                 }
-                Lookup::Corrupt { prior_wall: w } => prior_wall = w,
-                Lookup::Miss => {}
+                // Checksum-valid but semantically stale (format
+                // evolution): fall through and re-execute; the store
+                // below overwrites the entry.
             }
         }
 
-        // Deadline: the explicit knob wins; else a corrupt entry's
-        // recorded wall gives a generous budget (4×, floored at 1 s);
-        // else attempts run unbounded.
-        let deadline = self
-            .deadline
-            .or_else(|| prior_wall.map(|w| (4.0 * w).max(1.0)));
         let prefixes = self.prefix_io(job, store);
         let label = job.label();
         let mut attempts: Vec<AttemptRecord> = Vec::new();
@@ -2576,19 +2445,6 @@ impl Engine {
                 .faults
                 .as_ref()
                 .and_then(|p| p.exec_fault(spec_hash, attempt));
-            // A stall is only meaningful under a watchdog: without a
-            // deadline nothing would ever cancel it and the wave would
-            // wedge, so it degrades to a transient error.
-            let injected = match injected {
-                Some(FaultKind::Stall) if deadline.is_none() => Some(FaultKind::Transient),
-                other => other,
-            };
-
-            let token = CancelToken::new();
-            let guard = gpu_sim::cancel::install(Some(token.clone()));
-            if let Some(d) = deadline {
-                watchdog.register(token.clone(), Duration::from_secs_f64(d));
-            }
             self.emit(
                 &label,
                 spec_hash,
@@ -2605,28 +2461,16 @@ impl Engine {
                     Some(FaultKind::Transient) => {
                         return Err("injected fault: transient error".to_string())
                     }
-                    Some(FaultKind::Stall) => {
-                        // A wedged worker: burn time until the watchdog
-                        // cancels the attempt.
-                        while !token.is_cancelled() {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        return Err("injected fault: stall".to_string());
-                    }
                     _ => {}
                 }
                 Ok(job.execute(&dep_outputs, prefixes.as_ref()))
             }));
-            watchdog.unregister(&token);
-            drop(guard);
             let wall = t0.elapsed().as_secs_f64();
-            let cancelled = token.is_cancelled();
 
-            // Success: store, canonicalise, return — unless the watchdog
-            // fired mid-run, in which case the output is from a cancelled
-            // (possibly early-returned) simulation and must be discarded.
-            if let Ok(Ok(out)) = &executed {
-                if !cancelled {
+            // Success: store, canonicalise, return. Otherwise classify
+            // the failure.
+            let (class, error) = match executed {
+                Ok(Ok(out)) => {
                     let body = out.to_text();
                     self.cache.store(kind, &key, &id.spec, &body, wall);
                     // Canonicalise through the serialisation so a cold
@@ -2677,18 +2521,6 @@ impl Engine {
                         }
                     };
                 }
-            }
-
-            // Classify the failure: a cancelled token is the watchdog's.
-            let (class, error) = match executed {
-                _ if cancelled => (
-                    FailClass::Timeout,
-                    format!(
-                        "timed out after {:.1}s (deadline {:.1}s)",
-                        wall,
-                        deadline.unwrap_or(0.0)
-                    ),
-                ),
                 Ok(Err(e)) => (FailClass::Transient, e),
                 Err(panic) => {
                     let msg = panic
@@ -2698,10 +2530,9 @@ impl Engine {
                         .unwrap_or_else(|| "job panicked".to_string());
                     (FailClass::Panic, msg)
                 }
-                Ok(Ok(_)) => unreachable!("uncancelled success returned above"),
             };
 
-            let retryable = matches!(class, FailClass::Transient | FailClass::Timeout);
+            let retryable = class == FailClass::Transient;
             let exhausted = attempt >= self.max_retries;
             if !retryable || exhausted {
                 attempts.push(AttemptRecord {
@@ -2710,12 +2541,11 @@ impl Engine {
                     backoff_ms: 0,
                     wall_ms: (wall * 1000.0) as u64,
                 });
-                let prefix = match class {
-                    FailClass::Timeout => String::new(),
-                    _ if attempt > 0 => format!("after {} attempts: ", attempt + 1),
-                    _ => String::new(),
+                let error = if attempt > 0 {
+                    format!("after {} attempts: {error}", attempt + 1)
+                } else {
+                    error
                 };
-                let error = format!("{prefix}{error}");
                 self.emit(
                     &label,
                     spec_hash,
@@ -3038,7 +2868,7 @@ mod tests {
             .iter()
             .map(|&c| run_at(17, Scheme::Gto, c, &setup))
             .collect();
-        factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
+        factor_prefixes(&mut factored, &mut IdentityTable::default());
         // 3 entries on disk: both runs and the 4k blob. fsck validates
         // blob structure and snapshot grammar.
         let (engine, dir) = tmp_engine("prefix-gc");
@@ -3115,10 +2945,7 @@ mod tests {
             "retry must recover: {:?}",
             report.failed
         );
-        assert_eq!(
-            (report.retried, report.recovered, report.timed_out),
-            (1, 1, 0)
-        );
+        assert_eq!((report.retried, report.recovered), (1, 1));
         assert_eq!(report.trouble.len(), 1);
         let t = &report.trouble[0];
         assert_eq!(t.outcome, JobOutcome::Recovered);
@@ -3148,10 +2975,7 @@ mod tests {
         ));
         let (store, report) = engine.run(std::slice::from_ref(&job));
         assert_eq!(report.failed.len(), 1);
-        assert_eq!(
-            (report.retried, report.recovered, report.timed_out),
-            (0, 0, 0)
-        );
+        assert_eq!((report.retried, report.recovered), (0, 0));
         let t = &report.trouble[0];
         assert_eq!(t.outcome, JobOutcome::Failed);
         assert_eq!(t.attempts.len(), 1, "panics must not be retried");
@@ -3182,77 +3006,6 @@ mod tests {
         assert_eq!(t.attempts[0].backoff_ms, 1);
         assert_eq!(t.attempts[1].backoff_ms, 2);
         assert_eq!(t.attempts[2].backoff_ms, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stall_times_out_under_watchdog_and_recovers_on_retry() {
-        use crate::faults::FaultKind;
-        let setup = tiny_setup();
-        let job = SimJob::Run(KernelRunSpec::new(&kernel(24), Scheme::Gto, &setup, None));
-        let spec_hash = sha256_hex(&job.spec_text());
-        let plan = find_seed(0.6, &[FaultKind::Stall], |p| {
-            p.exec_fault(&spec_hash, 0).is_some() && p.exec_fault(&spec_hash, 1).is_none()
-        });
-        let (mut engine, dir) = tmp_engine("stall");
-        engine.backoff_base = Duration::from_millis(1);
-        engine.deadline = Some(0.2);
-        engine.set_faults(Some(plan));
-        let (store, report) = engine.run(std::slice::from_ref(&job));
-        assert!(report.failed.is_empty(), "{:?}", report.failed);
-        assert_eq!((report.retried, report.recovered), (1, 1));
-        assert_eq!(report.timed_out, 0, "final outcome is success");
-        let t = &report.trouble[0];
-        assert_eq!(t.outcome, JobOutcome::Recovered);
-        assert_eq!(t.attempts[0].class, FailClass::Timeout);
-        assert!(store.get(&job).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stall_without_deadline_degrades_to_transient() {
-        use crate::faults::FaultKind;
-        let setup = tiny_setup();
-        let job = SimJob::Run(KernelRunSpec::new(&kernel(25), Scheme::Gto, &setup, None));
-        let spec_hash = sha256_hex(&job.spec_text());
-        let plan = find_seed(0.6, &[FaultKind::Stall], |p| {
-            p.exec_fault(&spec_hash, 0).is_some() && p.exec_fault(&spec_hash, 1).is_none()
-        });
-        let (mut engine, dir) = tmp_engine("stall-nodeadline");
-        engine.backoff_base = Duration::from_millis(1);
-        engine.set_faults(Some(plan)); // no deadline set
-        let (_, report) = engine.run(std::slice::from_ref(&job));
-        assert!(report.failed.is_empty());
-        assert_eq!(report.trouble[0].attempts[0].class, FailClass::Transient);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn watchdog_cancels_an_overlong_simulation() {
-        let setup = {
-            let mut s = tiny_setup();
-            // Far beyond what the deadline allows on any host.
-            s.run_cycles = u64::MAX / 4;
-            s
-        };
-        let slow = SimJob::Run(KernelRunSpec::new(&kernel(26), Scheme::Gto, &setup, None));
-        let quick = {
-            let tiny = tiny_setup();
-            SimJob::Run(KernelRunSpec::new(&kernel(27), Scheme::Gto, &tiny, None))
-        };
-        let (mut engine, dir) = tmp_engine("watchdog");
-        engine.deadline = Some(0.3);
-        engine.max_retries = 0;
-        let (store, report) = engine.run(&[slow.clone(), quick.clone()]);
-        assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.timed_out, 1);
-        assert_eq!(report.trouble[0].outcome, JobOutcome::TimedOut);
-        let err = store.get(&slow).unwrap_err();
-        assert!(err.contains("timed out"), "unexpected error: {err}");
-        assert!(
-            store.get(&quick).is_ok(),
-            "the wave continues past a timed-out job"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -3405,7 +3158,7 @@ mod tests {
             run_at(7, Scheme::RandomRestart, 10_000, &setup),
             run_at(7, Scheme::RandomRestart, 20_000, &setup),
         ];
-        let shared = factor_prefixes(&mut jobs, 0, &mut IdentityTable::default());
+        let shared = factor_prefixes(&mut jobs, &mut IdentityTable::default());
         assert_eq!(shared, 3, "only the GTO ladder forks");
         // Two prefixes appended: GTO@10k (root) and GTO@20k (chained).
         assert_eq!(jobs.len(), 8);
@@ -3429,33 +3182,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_every_threads_checkpoints_without_prefix_jobs() {
-        let setup = tiny_setup();
-        // A single run gains periodic checkpoints but no prefix jobs —
-        // nothing shares them, they only bound lost work on re-entry.
-        let mut solo = vec![run_at(3, Scheme::Gto, 40_000, &setup)];
-        assert_eq!(
-            factor_prefixes(&mut solo, 15_000, &mut IdentityTable::default()),
-            0
-        );
-        assert_eq!(solo.len(), 1);
-        assert_eq!(chain_of(&solo[0]), &[15_000, 30_000]);
-        // In a ladder, checkpoints merge into the chains but prefixes
-        // are still materialised only at ladder horizons.
-        let mut jobs = vec![
-            run_at(3, Scheme::Gto, 20_000, &setup),
-            run_at(3, Scheme::Gto, 40_000, &setup),
-        ];
-        let shared = factor_prefixes(&mut jobs, 15_000, &mut IdentityTable::default());
-        assert_eq!(shared, 2);
-        assert_eq!(jobs.len(), 3);
-        assert!(matches!(&jobs[2], SimJob::Prefix(r) if r.run_cycles == 20_000));
-        assert_eq!(chain_of(&jobs[2]), &[15_000]);
-        assert_eq!(chain_of(&jobs[0]), &[15_000, 20_000]);
-        assert_eq!(chain_of(&jobs[1]), &[15_000, 20_000, 30_000]);
-    }
-
-    #[test]
     fn prefix_factored_ladder_matches_cold_runs_bit_for_bit() {
         let setup = tiny_setup();
         // Two dependency-free schemes, three horizons each — APCM
@@ -3472,7 +3198,7 @@ mod tests {
         assert_eq!(cold_report.executed, 6);
 
         let mut factored = declared.clone();
-        let shared = factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
+        let shared = factor_prefixes(&mut factored, &mut IdentityTable::default());
         assert_eq!(shared, 6);
         let (fork_engine, fork_dir) = tmp_engine("prefix-fork");
         let (fork_store, fork_report) = fork_engine.run(&factored);
@@ -3529,7 +3255,7 @@ mod tests {
             .map(|&c| run_at(13, Scheme::Gto, c, &setup))
             .collect();
         let mut factored = declared.clone();
-        factor_prefixes(&mut factored, 0, &mut IdentityTable::default());
+        factor_prefixes(&mut factored, &mut IdentityTable::default());
         let (engine, dir) = tmp_engine("prefix-heal");
         let (store1, r1) = engine.run(&factored);
         assert_eq!(r1.executed, 5);

@@ -25,7 +25,7 @@
 //! * [`plan`] — declarative experiment plans: typed sweep axes and the
 //!   knob overlay (`--set` / `--sweep`) whose cartesian expansion feeds
 //!   `(Setup, SimJob)` sets through the engine with cross-point sharing;
-//! * [`json`] — the small JSON codec of `results/run_all_failures.jsonl`;
+//! * [`json`] — the small JSON writer of `results/run_all_failures.jsonl`;
 //! * [`hardware_cost`] — the §VII-I storage-overhead accounting
 //!   (≈ 41 bytes per SM).
 //!

@@ -7,9 +7,9 @@
 //! ([`gpu_sim::threadpool::acquire_helpers`], `POISE_THREAD_BUDGET`), the
 //! same pot the simulator's per-SM advance pool draws from, so nested use
 //! (e.g. the job engine of [`crate::jobs`] fanning a wave of jobs whose
-//! runs each step SMs with `sim_threads > 1`) composes instead of
-//! oversubscribing: inner fan-outs see what the outer ones left and
-//! degrade to sequential on their own thread when the pot is dry.
+//! grid profiles fan out again) composes instead of oversubscribing:
+//! inner fan-outs see what the outer ones left and degrade to sequential
+//! on their own thread when the pot is dry.
 //!
 //! Callers that need per-task failure isolation (the job engine) wrap
 //! `f` in `catch_unwind` themselves; `parallel_map` keeps the strict
@@ -35,11 +35,6 @@ where
     if lease.granted() == 0 {
         return items.iter().map(f).collect();
     }
-    // Cancellation tokens travel via a thread-local (see
-    // `gpu_sim::cancel`); re-install the caller's token in every worker
-    // so a watchdog can reach nested fan-outs (a job's grid profile
-    // fanning its points across threads).
-    let inherited = gpu_sim::cancel::current();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -55,11 +50,7 @@ where
             }
         };
         for _ in 0..lease.granted() {
-            let inherited = inherited.clone();
-            s.spawn(move || {
-                let _guard = gpu_sim::cancel::install(inherited);
-                drain();
-            });
+            s.spawn(drain);
         }
         // The caller works too — its thread is the one the budget's
         // `- 1` reservation accounts for.
@@ -102,17 +93,6 @@ mod tests {
         });
         let expect: Vec<usize> = (0..8).map(|i| (0..4).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn cancellation_token_reaches_workers() {
-        let token = gpu_sim::CancelToken::new();
-        let _g = gpu_sim::cancel::install(Some(token.clone()));
-        let items: Vec<u32> = (0..64).collect();
-        let seen = parallel_map(&items, |_| {
-            gpu_sim::cancel::current().is_some_and(|t| t.same_as(&token))
-        });
-        assert!(seen.iter().all(|&b| b), "every worker sees the token");
     }
 
     #[test]

@@ -93,24 +93,6 @@ pub enum Knob {
     Strides,
     /// Eq. 12 scoring weights as `w0:w1:w2`.
     Scoring,
-    /// Per-job watchdog deadline in seconds (fractional allowed). An
-    /// engine robustness knob: an attempt exceeding it is cancelled and
-    /// classified `timed out`. Never part of cache identity — no job
-    /// spec renders it.
-    JobDeadline,
-    /// Threads stepping SMs inside a single simulation run: `1` keeps
-    /// the default single-threaded loop, `n > 1` selects
-    /// [`gpu_sim::StepMode::ParallelSm`] with a pool of `n` (bounded by
-    /// the process thread budget at run time). Engine knob: results are
-    /// bit-identical at every thread count, so it is never part of
-    /// cache identity.
-    SimThreads,
-    /// Periodic snapshot barrier interval in cycles (0 disables):
-    /// factorable runs publish prefix blobs at every multiple, so an
-    /// interrupted run resumes from its last checkpoint. Engine knob:
-    /// results are bit-identical with or without checkpoints, so it is
-    /// never part of cache identity.
-    SnapshotEvery,
 }
 
 /// A typed knob value. Produced by [`Knob::parse_value`] (CLI) or
@@ -149,7 +131,7 @@ impl fmt::Display for KnobValue {
 }
 
 /// All knobs with their CLI names, in documentation order.
-pub const KNOBS: [(Knob, &str); 23] = [
+pub const KNOBS: [(Knob, &str); 20] = [
     (Knob::Sms, "sms"),
     (Knob::L1Scale, "l1_scale"),
     (Knob::L1Sets, "l1_sets"),
@@ -170,9 +152,6 @@ pub const KNOBS: [(Knob, &str); 23] = [
     (Knob::IMax, "i_max"),
     (Knob::Strides, "strides"),
     (Knob::Scoring, "scoring"),
-    (Knob::JobDeadline, "job_deadline"),
-    (Knob::SimThreads, "sim_threads"),
-    (Knob::SnapshotEvery, "snapshot_every"),
 ];
 
 fn knob_list() -> String {
@@ -207,12 +186,7 @@ impl Knob {
             Ok(KnobValue::Count(v))
         };
         match self {
-            Knob::Sms
-            | Knob::L1Scale
-            | Knob::L1Sets
-            | Knob::L1Ways
-            | Knob::L2Banks
-            | Knob::SimThreads => count(1),
+            Knob::Sms | Knob::L1Scale | Knob::L1Sets | Knob::L1Ways | Knob::L2Banks => count(1),
             Knob::KernelsCap | Knob::TrainCap => count(0),
             Knob::RunCycles
             | Knob::ProfileWarmup
@@ -220,20 +194,12 @@ impl Knob {
             | Knob::TPeriod
             | Knob::TWarmup
             | Knob::TFeature
-            | Knob::TSearch
-            | Knob::SnapshotEvery => {
+            | Knob::TSearch => {
                 let v: u64 = s.parse().map_err(|_| bad("expected a cycle count"))?;
                 Ok(KnobValue::Cycles(v))
             }
             Knob::IMax => {
                 let v: f64 = s.parse().map_err(|_| bad("expected a number"))?;
-                Ok(KnobValue::Real(v))
-            }
-            Knob::JobDeadline => {
-                let v: f64 = s.parse().map_err(|_| bad("expected seconds"))?;
-                if !(v > 0.0 && v.is_finite()) {
-                    return Err(bad("must be a positive number of seconds"));
-                }
                 Ok(KnobValue::Real(v))
             }
             Knob::L1Indexing => match s {
@@ -352,23 +318,6 @@ impl Knob {
                 KnobValue::Weights(w) => setup.params.scoring = ScoringWeights(*w),
                 _ => kind_bug(),
             },
-            Knob::JobDeadline => match value {
-                KnobValue::Real(v) => setup.job_deadline = Some(*v),
-                _ => kind_bug(),
-            },
-            Knob::SimThreads => {
-                let n = as_count(value);
-                setup.cfg.sim_threads = n;
-                // `1` restores the build's default loop (PerSm, or
-                // Reference under the `reference-step` feature) so a
-                // sweep axis over thread counts exercises both paths.
-                setup.cfg.step_mode = if n > 1 {
-                    gpu_sim::StepMode::ParallelSm
-                } else {
-                    gpu_sim::StepMode::default()
-                };
-            }
-            Knob::SnapshotEvery => setup.snapshot_every = as_cycles(value),
         }
     }
 }
@@ -876,49 +825,5 @@ mod tests {
         assert!(Axis::parse("nope=1,2").unwrap_err().contains("valid knobs"));
         let axis = Axis::parse("sms=1,2,4").unwrap();
         assert_eq!(axis.values.len(), 3);
-    }
-
-    #[test]
-    fn job_deadline_knob_parses_and_applies() {
-        assert_eq!(Knob::from_name("job_deadline"), Some(Knob::JobDeadline));
-        let v = Knob::JobDeadline.parse_value("2.5").unwrap();
-        let mut s = Setup::for_tests();
-        assert_eq!(s.job_deadline, None, "unbounded by default");
-        Knob::JobDeadline.apply(&mut s, &v);
-        assert_eq!(s.job_deadline, Some(2.5));
-        assert!(Knob::JobDeadline.parse_value("0").is_err());
-        assert!(Knob::JobDeadline.parse_value("-1").is_err());
-        assert!(Knob::JobDeadline.parse_value("inf").is_err());
-    }
-
-    #[test]
-    fn sim_threads_knob_parses_and_applies() {
-        assert_eq!(Knob::from_name("sim_threads"), Some(Knob::SimThreads));
-        let mut s = Setup::for_tests();
-        assert_eq!(s.cfg.sim_threads, 1, "single-threaded by default");
-
-        let v = Knob::SimThreads.parse_value("4").unwrap();
-        Knob::SimThreads.apply(&mut s, &v);
-        assert_eq!(s.cfg.sim_threads, 4);
-        assert_eq!(s.cfg.step_mode, gpu_sim::StepMode::ParallelSm);
-
-        // `1` restores the build's default step loop.
-        let v = Knob::SimThreads.parse_value("1").unwrap();
-        Knob::SimThreads.apply(&mut s, &v);
-        assert_eq!(s.cfg.sim_threads, 1);
-        assert_eq!(s.cfg.step_mode, gpu_sim::StepMode::default());
-
-        assert!(Knob::SimThreads.parse_value("0").is_err());
-        assert!(Knob::SimThreads.parse_value("two").is_err());
-
-        // Engine knob: the rendered job spec must not change with it,
-        // so cached results are shared across thread counts.
-        let base = Setup::for_tests();
-        let mut threaded = Setup::for_tests();
-        Knob::SimThreads.apply(&mut threaded, &KnobValue::Count(8));
-        assert_eq!(
-            crate::jobs::spec_render::gpu_config(&base.cfg),
-            crate::jobs::spec_render::gpu_config(&threaded.cfg),
-        );
     }
 }

@@ -62,14 +62,11 @@ fn jobs(setup: &Setup) -> Vec<SimJob> {
     ]
 }
 
-/// An engine tuned for fast test turnaround: negligible backoff, a
-/// deadline short enough that injected stalls resolve quickly but
-/// generous against real job walls (these jobs run in milliseconds).
+/// An engine tuned for fast test turnaround: negligible backoff.
 fn engine(dir: &PathBuf, faults: Option<FaultPlan>) -> Engine {
     let mut e = Engine::new(dir);
     e.quiet = true;
     e.backoff_base = Duration::from_millis(1);
-    e.deadline = Some(0.5);
     e.set_faults(faults);
     e
 }
@@ -145,7 +142,6 @@ fn restarted_runs_converge_to_the_fault_free_store() {
     // (never retried), so it cannot converge and is excluded here.
     let kinds = [
         FaultKind::Transient,
-        FaultKind::Stall,
         FaultKind::TornWrite,
         FaultKind::BitFlip,
     ];

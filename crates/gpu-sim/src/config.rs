@@ -187,9 +187,9 @@ pub struct GpuConfig {
     /// bit-identical in every mode).
     pub step_mode: StepMode,
     /// Thread count for [`StepMode::ParallelSm`] (1 = effectively
-    /// sequential; ignored by the other modes). An **engine** knob, not an
-    /// architectural one: it never changes simulated results and is
-    /// excluded from the result-cache identity, like `step_mode`. The
+    /// sequential; ignored by the other modes). Like `step_mode`, it
+    /// never changes simulated results and stays out of the result-cache
+    /// identity; tests and benchmarks set it, the figure runs keep 1. The
     /// pool spawns `sim_threads - 1` workers (the calling thread
     /// participates), capped by the process-wide thread budget
     /// ([`crate::threadpool`]).

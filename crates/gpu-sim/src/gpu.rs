@@ -496,15 +496,7 @@ impl Gpu {
         // where third-party controllers get caught before the
         // differential suite has to diagnose a divergence.
         let mut declared_wake: Option<Option<u64>> = None;
-        // Cooperative cancellation: the engine's watchdog installs a
-        // token on the executing thread; poll it where the controller
-        // fires (every stepped cycle). A cancelled run's counters are
-        // partial garbage by contract — the caller discards them.
-        let cancel = crate::cancel::current();
         while self.cycle < end {
-            if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                return false;
-            }
             // Deliver all events due at or before this cycle.
             for sm_idx in 0..self.sms.len() {
                 while let Some(ev) = self.events.pop_due(sm_idx, self.cycle) {
@@ -593,13 +585,7 @@ impl Gpu {
             *c = self.cycle;
         }
         let mut completed = false;
-        // Polled once per controller barrier (epoch), the only points
-        // where this loop is globally synchronised; see `run_stepped`.
-        let cancel = crate::cancel::current();
         while self.cycle < end {
-            if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                return false;
-            }
             let epoch_start = self.cycle;
             let barrier = controller
                 .next_wake(epoch_start)
@@ -613,14 +599,6 @@ impl Gpu {
                 }
             }
             loop {
-                // Also polled per laggard advance: a controller that
-                // declares no wakes (e.g. a static tuple) makes the whole
-                // budget one epoch, and an overdue run must still be
-                // cancellable inside it. Partial counters are discarded
-                // by the caller, so breaking mid-epoch is safe.
-                if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    return false;
-                }
                 // The heap top (stale entries lazily discarded) is both
                 // the request-safety frontier — the minimum `(clock, id)`
                 // over SMs that may still issue — and the laggard to
@@ -650,11 +628,6 @@ impl Gpu {
                     break; // the laggard reached the barrier: all did
                 }
                 self.advance_sm(i, barrier);
-                // A lane advance can break early when the watchdog fires
-                // mid-advance; check before asserting progress.
-                if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    return false;
-                }
                 debug_assert!(
                     self.clocks[i] > c || self.done_at[i].is_some(),
                     "laggard must progress"
@@ -776,11 +749,7 @@ impl Gpu {
             *c = self.cycle;
         }
         let mut completed = false;
-        let cancel = crate::cancel::current();
         while self.cycle < end {
-            if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                return false;
-            }
             let epoch_start = self.cycle;
             let barrier = controller
                 .next_wake(epoch_start)
@@ -788,9 +757,6 @@ impl Gpu {
                 .min(end)
                 .max(epoch_start + 1);
             loop {
-                if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    return false;
-                }
                 // The frontier: minimum `(clock, id)` over SMs that may
                 // still issue. O(SMs) rescan per round (a round advances
                 // many SMs, so there is no laggard heap to maintain).
@@ -955,11 +921,6 @@ struct Lane<'a> {
     min_fill: u64,
 }
 
-/// Lane advance iterations between cancellation polls: cheap enough to
-/// keep watchdogs responsive inside a long parallel round, rare enough to
-/// stay invisible on the hot path.
-const CANCEL_POLL_MASK: u32 = 0xFFF;
-
 impl Lane<'_> {
     /// The lane-local conservative horizon: first cycle that may not run
     /// until the oldest unapplied read has been applied in global order.
@@ -971,18 +932,13 @@ impl Lane<'_> {
             .map_or(u64::MAX, |at| at + self.min_fill)
     }
 
-    /// Advance until the barrier, the lane's drain, its horizon, or a
-    /// cancellation stops it, replaying repetitive spans along the
-    /// way. The body is the former sequential `advance_sm`, verbatim up
-    /// to the borrow seam: memory requests go through a [`PortRequester`]
-    /// over the lane's own port (identical parking semantics; the front
-    /// heap is reindexed by the caller afterwards).
+    /// Advance until the barrier, the lane's drain or its horizon stops
+    /// it, replaying repetitive spans along the way. The body is the
+    /// former sequential `advance_sm`, verbatim up to the borrow seam:
+    /// memory requests go through a [`PortRequester`] over the lane's own
+    /// port (identical parking semantics; the front heap is reindexed by
+    /// the caller afterwards).
     fn advance(&mut self) {
-        // Re-read the token here (not at lane construction): on a pool
-        // worker this picks up the token the pool re-installed from the
-        // submitting thread, so watchdogs fire mid-round inside workers.
-        let cancel = crate::cancel::current();
-        let mut iters = 0u32;
         let mut clock = self.clock;
         // The conservative horizon: re-queried only while unknown — while
         // advancing, the oldest unapplied read can only change from
@@ -990,10 +946,6 @@ impl Lane<'_> {
         // behind it and applies happen outside the advance).
         let mut hz = self.horizon();
         loop {
-            iters = iters.wrapping_add(1);
-            if iters & CANCEL_POLL_MASK == 0 && cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                break;
-            }
             if clock >= self.barrier {
                 break;
             }
@@ -1310,60 +1262,6 @@ mod tests {
                 "sim_threads={threads} diverged from PerSm"
             );
         }
-    }
-
-    /// An unbounded ALU-only kernel: every lane's horizon is `u64::MAX`
-    /// (no loads), so a parallel advance never returns on its own.
-    struct InfiniteAlu {
-        warps: usize,
-    }
-
-    struct InfiniteStream;
-
-    impl crate::instruction::InstructionStream for InfiniteStream {
-        fn next_instr(&mut self) -> Option<crate::instruction::Instr> {
-            Some(crate::instruction::Instr::Alu)
-        }
-    }
-
-    impl KernelSource for InfiniteAlu {
-        fn stream_for(
-            &self,
-            _sm: usize,
-            _sched: usize,
-            _warp: usize,
-        ) -> Box<dyn crate::instruction::InstructionStream> {
-            Box::new(InfiniteStream)
-        }
-        fn warps_per_scheduler(&self) -> usize {
-            self.warps
-        }
-    }
-
-    #[test]
-    fn watchdog_cancels_inside_parallel_workers() {
-        // A controller that never wakes makes the whole budget one epoch,
-        // and an ALU-only kernel has no memory horizon — so the very
-        // first parallel round would honestly run for ~2^62 cycles. The
-        // only way this test can finish is the worker lanes polling the
-        // re-installed token mid-advance: it *hangs* (rather than fails)
-        // if cancellation does not reach inside parallel workers.
-        let token = crate::cancel::CancelToken::new();
-        let _guard = crate::cancel::install(Some(token.clone()));
-        let watchdog = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                token.cancel();
-            })
-        };
-        let mut cfg = GpuConfig::scaled(4);
-        cfg.step_mode = StepMode::ParallelSm;
-        cfg.sim_threads = 3;
-        let mut gpu = Gpu::new(cfg, &InfiniteAlu { warps: 4 });
-        let res = gpu.run(&mut FixedTuple::max(), u64::MAX / 4);
-        assert!(!res.completed, "cancelled run must report incompletion");
-        watchdog.join().unwrap();
     }
 
     #[test]

@@ -44,7 +44,6 @@
 //! ```
 
 pub mod cache;
-pub mod cancel;
 pub mod config;
 pub mod controller;
 pub mod energy;
@@ -60,7 +59,6 @@ pub mod threadpool;
 pub mod warp;
 
 pub use cache::{CacheLineState, SetAssocCache};
-pub use cancel::CancelToken;
 pub use config::{
     CacheGeometry, DramConfig, EnergyConfig, GpuConfig, L2Config, SetIndexing, StepMode,
 };

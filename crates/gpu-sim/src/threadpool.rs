@@ -10,9 +10,7 @@
 //! participants — the calling thread plus the pool's workers — as
 //! contiguous chunks with atomic claim cursors; a participant drains its
 //! own chunk first (cache-friendly, contention-free) and then steals from
-//! whichever chunk has the most work left. The caller's installed
-//! [`CancelToken`] is re-installed inside every worker for the duration
-//! of the round, so watchdogs fire inside parallel advances too.
+//! whichever chunk has the most work left.
 //!
 //! ## The budget
 //!
@@ -28,7 +26,6 @@
 //! (possibly zero) and callers degrade gracefully to running
 //! sequentially on their own thread.
 
-use crate::cancel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -272,11 +269,7 @@ impl ThreadPool {
     /// caller after the round drains.
     pub fn run(&mut self, items: usize, f: impl Fn(usize) + Sync) {
         let chunks = Chunks::new(items, self.workers() + 1);
-        let token = cancel::current();
-        let body = move |who: usize| {
-            let _guard = cancel::install(token.clone());
-            chunks.drive(who, &f);
-        };
+        let body = move |who: usize| chunks.drive(who, &f);
         if self.handles.is_empty() {
             body(0);
             return;
@@ -358,7 +351,6 @@ fn worker_loop(shared: &Shared, who: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::CancelToken;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -389,21 +381,6 @@ mod tests {
         });
         assert_eq!(count.load(Ordering::Relaxed), 10);
         drop(hog);
-    }
-
-    #[test]
-    fn cancel_token_reaches_pool_workers() {
-        let token = CancelToken::new();
-        let _g = cancel::install(Some(token.clone()));
-        let mut pool = ThreadPool::with_forced_workers(2);
-        let seen = AtomicU64::new(0);
-        let outer = token.clone();
-        pool.run(16, |_| {
-            if cancel::current().is_some_and(|t| t.same_as(&outer)) {
-                seen.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 16);
     }
 
     #[test]

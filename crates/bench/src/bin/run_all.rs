@@ -1,6 +1,7 @@
 //! One-command reproduction of the paper's evaluation section, writing
-//! each output under `results/`; see EXPERIMENTS.md for the engine, the
-//! cache layout and the paper-vs-measured record.
+//! each output under `results/` (or `POISE_RESULTS_DIR`); see
+//! EXPERIMENTS.md for the engine, the cache layout and the
+//! paper-vs-measured record.
 //!
 //! Every registered figure declares its simulation jobs up front; the
 //! unified experiment engine executes the deduplicated set once across
@@ -10,13 +11,14 @@
 //!
 //! Flags: `--keep-going` (render every figure even after failures, then
 //! summarise), `--only <a,b,...>` (exact names or underscore prefixes,
-//! e.g. `fig12`; one figure is `--only fig07`), `--list`, `--gc` (prune
-//! cache entries the current job set no longer references), `--set
-//! <knob>=<value>` (apply a knob to the base setup, e.g. `--set
-//! sms=32`), and `--sweep <knob>=<v1,v2,..>` (sweep a knob across every
-//! selected figure's plan — see `poise::plan` and the "Plans & sweeps"
-//! section of EXPERIMENTS.md for the knob grammar). Any other argument
-//! is an error.
+//! e.g. `fig12`; one figure is `--only fig07`; an entry that matches no
+//! figure is an error), `--list`, `--gc` (prune cache entries the
+//! current job set no longer references), `--set <knob>=<value>` (apply
+//! a knob to the base setup, e.g. `--set sms=32`), and `--sweep
+//! <knob>=<v1,v2,..>` (sweep a knob across every selected figure's plan
+//! — see `poise::plan` and the "Plans & sweeps" section of
+//! EXPERIMENTS.md for the knob grammar). Any other argument is an
+//! error.
 //!
 //! Robustness: `--inject seed=S,rate=P[,kinds=a+b]` turns on
 //! deterministic fault injection (panics, transient errors, torn cache
@@ -24,12 +26,10 @@
 //! transient failures with backoff, and corrupt cache entries are
 //! quarantined and re-run. Failed points render as `MISSING` cells and
 //! every troubled job's attempt history lands in
-//! `results/run_all_failures.txt` (prose) and
-//! `results/run_all_failures.jsonl` (machine-readable, one JSON object
-//! per troubled job). `--fsck` re-validates the whole cache offline.
-//! Exit codes: 0 clean, 1 hard failures or a bad command line, 3 pass
-//! after self-healing (see "Failure handling & fault injection" in
-//! EXPERIMENTS.md).
+//! `results/run_all_failures.txt`. `--fsck` re-validates the whole cache
+//! offline. Exit codes: 0 clean, 1 hard failures or a bad command line,
+//! 3 pass after self-healing (see "Failure handling & fault injection"
+//! in EXPERIMENTS.md).
 //!
 //! `POISE_RERUN=1` bypasses the result cache wholesale, `POISE_RETRAIN=1`
 //! re-runs training only. Editing any job input (kernel specs, schemes,

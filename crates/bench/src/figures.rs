@@ -30,10 +30,9 @@ use std::time::Instant;
 use gpu_sim::{KernelSource, SetIndexing, WarpTuple};
 use poise::experiment::{self, arithmetic_mean, harmonic_mean, Scheme, Setup};
 use poise::jobs::{
-    Engine, IdentityTable, JobTrouble, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec,
-    ResultStore, RunReport, SampleSpec, SharedSpec, SimJob, TupleRunSpec,
+    Engine, IdentityTable, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore,
+    RunReport, SampleSpec, SharedSpec, SimJob, TupleRunSpec,
 };
-use poise::json::{obj, Json};
 use poise::plan::{Axis, ExperimentPlan, KnobOverlay, PlanExpansion, SweepPoint};
 use poise::policies::swl_tuple_from_grid;
 use poise::profiler::{GridSpec, ProfileWindow};
@@ -1764,17 +1763,39 @@ fn render_sm_scaling(
 // Entry points.
 // ---------------------------------------------------------------------------
 
-/// The `--only` filter: exact figure name or a prefix up to an
-/// underscore (`fig12` matches `fig12_cache_size`).
-fn name_matches(only: Option<&[String]>, name: &str) -> bool {
-    only.is_none_or(|o| {
-        o.iter().any(|n| {
-            name == n
-                || name
-                    .strip_prefix(n.as_str())
-                    .is_some_and(|rest| rest.starts_with('_'))
-        })
-    })
+/// Whether `--only` entry `entry` selects figure `name`: the exact name
+/// or a prefix up to an underscore (`fig12` matches `fig12_cache_size`).
+fn name_matches(entry: &str, name: &str) -> bool {
+    name == entry
+        || name
+            .strip_prefix(entry)
+            .is_some_and(|rest| rest.starts_with('_'))
+}
+
+/// The registry figures `only` selects, in registry order (all of them
+/// without a filter). Every entry must match at least one figure: the
+/// error names each one that matches none, so a typo fails the run
+/// instead of silently shrinking it.
+fn select_figures(only: Option<&[String]>) -> Result<Vec<Figure>, String> {
+    let figures = registry();
+    let Some(only) = only else {
+        return Ok(figures);
+    };
+    let unmatched: Vec<String> = only
+        .iter()
+        .filter(|entry| !figures.iter().any(|f| name_matches(entry, f.name)))
+        .map(|entry| format!("`{entry}`"))
+        .collect();
+    if !unmatched.is_empty() {
+        return Err(format!(
+            "--only: no figure matches {} (see --list)",
+            unmatched.join(", ")
+        ));
+    }
+    Ok(figures
+        .into_iter()
+        .filter(|f| only.iter().any(|entry| name_matches(entry, f.name)))
+        .collect())
 }
 
 /// The fully planned job set of one `run_all`-shaped invocation: the
@@ -1793,10 +1814,11 @@ pub struct PlannedJobs {
     pub prefix_shared: usize,
 }
 
-/// The planning path of `run_all`: apply the overlay, select figures,
-/// expand every plan, reject sweeps that reach single-point renderers,
-/// and factor shared snapshot prefixes. Deterministic in its arguments,
-/// so a warm pass re-derives the cold pass's job graph and cache keys.
+/// The planning path of `run_all`: select figures (an `only` entry that
+/// matches none is an error), apply the overlay, expand every plan,
+/// reject sweeps that reach single-point renderers, and factor shared
+/// snapshot prefixes. Deterministic in its arguments, so a warm pass
+/// re-derives the cold pass's job graph and cache keys.
 pub fn plan_jobs(
     base: KnobOverlay,
     sets: &[String],
@@ -1804,13 +1826,7 @@ pub fn plan_jobs(
     only: Option<&[String]>,
     verbose: bool,
 ) -> Result<PlannedJobs, String> {
-    let figures: Vec<Figure> = registry()
-        .into_iter()
-        .filter(|f| name_matches(only, f.name))
-        .collect();
-    if figures.is_empty() {
-        return Err("no figures matched the --only filter".to_string());
-    }
+    let figures = select_figures(only)?;
     let overlay = base.merged(KnobOverlay::parse(sets)?);
     let sweep_axes: Vec<Axis> = sweeps
         .iter()
@@ -1941,20 +1957,25 @@ impl RunAllArgs {
 
 /// One-command reproduction of the evaluation section: collect every
 /// figure's jobs up front, execute the deduplicated set once across
-/// cores, then render each figure. Flags:
+/// cores, then render each figure into [`results_dir`], next to the
+/// pass summary (`run_all_summary.txt`) and the failures report
+/// (`run_all_failures.txt`). Flags:
 ///
 /// * `--keep-going` — render every figure even after failures (the
 ///   default stops at the first failing figure, like the old harness,
 ///   but always prints the pass/fail summary instead of bare `exit(1)`);
 /// * `--only <a,b,...>` — restrict to the named figures (exact name or a
 ///   prefix up to an underscore: `fig12` matches `fig12_cache_size`);
+///   an entry that matches no figure is an error, before anything is
+///   planned;
 /// * `--set <knob>=<value>` (repeatable) — apply a knob to the base
 ///   setup;
 /// * `--sweep <knob>=<v1,v2,...>` (repeatable) — sweep a knob: replaces
 ///   a same-knob default axis of each selected figure (e.g.
 ///   `sm_scaling`'s SM ladder) or extends the figure's plan. Figures
 ///   whose renderer cannot present multiple points fail loudly;
-/// * `--list` — print the registry and exit;
+/// * `--list` — print the selected figures (the whole registry without
+///   `--only`) and exit;
 /// * `--gc` — after a fully successful pass, prune `results/cache/`
 ///   entries the current job set no longer references (entries keyed by
 ///   edited-away kernel specs, old knob settings, deleted traces). The
@@ -2001,12 +2022,18 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     };
     let only = args.only.as_deref();
     if args.list {
-        for f in registry() {
-            if name_matches(only, f.name) {
-                println!("{}", f.name);
+        return match select_figures(only) {
+            Ok(figures) => {
+                for f in figures {
+                    println!("{}", f.name);
+                }
+                ExitCode::SUCCESS
             }
-        }
-        return ExitCode::SUCCESS;
+            Err(e) => {
+                eprintln!("[run_all] {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
 
     let t0 = Instant::now();
@@ -2027,7 +2054,8 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         prefix_shared,
         ..
     } = planned;
-    let mut engine = Engine::from_env(&results_dir());
+    let results = results_dir();
+    let mut engine = Engine::from_env(&results);
     if let Some(plan) = faults {
         eprintln!("[run_all] fault injection: {}", plan.summary());
         engine.set_faults(Some(plan));
@@ -2065,21 +2093,9 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     // The structured failures report: every troubled job's attempt
     // history plus cache-corruption events. Written on every pass (a
     // clean one records that, too) so CI can upload it unconditionally.
-    let failures_path = results_dir().join("run_all_failures.txt");
-    if let Err(e) = std::fs::write(&failures_path, failures_report(&engine, &report)) {
+    let failures_path = results.join("run_all_failures.txt");
+    if let Err(e) = std::fs::write(&failures_path, failures_report(engine.faults(), &report)) {
         eprintln!("[run_all] could not write {}: {e}", failures_path.display());
-    }
-    // The machine-readable twin: one JSON object per troubled job with
-    // spec key, failure class and per-attempt timings, so tests and CI
-    // assert on fields instead of scraping prose.
-    let jsonl_path = results_dir().join("run_all_failures.jsonl");
-    let jsonl: String = report
-        .trouble
-        .iter()
-        .map(|t| trouble_json(t).render() + "\n")
-        .collect();
-    if let Err(e) = std::fs::write(&jsonl_path, jsonl) {
-        eprintln!("[run_all] could not write {}: {e}", jsonl_path.display());
     }
     if !report.trouble.is_empty() || report.corrupt > 0 {
         eprintln!("[run_all] failure details in {}", failures_path.display());
@@ -2169,17 +2185,19 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     } else if report.recovered > 0 || report.corrupt > 0 {
         println!(
-            "\n[run_all] all experiments complete in {:.0}s; outputs in results/ \
+            "\n[run_all] all experiments complete in {:.0}s; outputs in {} \
              (self-healed: {} recovered job(s), {} corrupt cache entries quarantined)",
             t0.elapsed().as_secs_f64(),
+            results.display(),
             report.recovered,
             report.corrupt
         );
         ExitCode::from(3)
     } else {
         println!(
-            "\n[run_all] all experiments complete in {:.0}s; outputs in results/",
-            t0.elapsed().as_secs_f64()
+            "\n[run_all] all experiments complete in {:.0}s; outputs in {}",
+            t0.elapsed().as_secs_f64(),
+            results.display()
         );
         ExitCode::SUCCESS
     }
@@ -2213,17 +2231,16 @@ fn fsck_main() -> ExitCode {
 
 /// Render `results/run_all_failures.txt`: the fault plan (if any), the
 /// engine summary, cache-corruption counters, and the full attempt
-/// history of every troubled job — recovered and failed.
-fn failures_report(engine: &Engine, report: &RunReport) -> String {
+/// history of every troubled job — recovered and failed: its spec hash,
+/// outcome, and each attempt's class, wall time, error and backoff.
+fn failures_report(faults: Option<&FaultPlan>, report: &RunReport) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "# run_all failures report");
     let _ = writeln!(
         s,
         "# fault injection: {}",
-        engine
-            .faults()
-            .map_or_else(|| "none".to_string(), |p| p.summary())
+        faults.map_or_else(|| "none".to_string(), |p| p.summary())
     );
     let _ = writeln!(s, "# engine: {}", report.summary_line());
     let _ = writeln!(
@@ -2237,6 +2254,7 @@ fn failures_report(engine: &Engine, report: &RunReport) -> String {
     }
     for t in &report.trouble {
         let _ = writeln!(s, "\njob: {}", t.label);
+        let _ = writeln!(s, "  spec_hash: {}", t.spec_hash);
         let _ = writeln!(s, "  outcome: {}", t.outcome.name());
         for (i, a) in t.attempts.iter().enumerate() {
             let backoff = if a.backoff_ms > 0 {
@@ -2246,8 +2264,9 @@ fn failures_report(engine: &Engine, report: &RunReport) -> String {
             };
             let _ = writeln!(
                 s,
-                "  attempt {i}: {} — {}{backoff}",
+                "  attempt {i}: {} after {}ms — {}{backoff}",
                 a.class.name(),
+                a.wall_ms,
                 a.error
             );
         }
@@ -2255,38 +2274,13 @@ fn failures_report(engine: &Engine, report: &RunReport) -> String {
     s
 }
 
-/// One [`JobTrouble`] as a JSON object: the line format of
-/// `results/run_all_failures.jsonl`. `worker` is always `"local"`; the
-/// field stays so the line format does not change.
-fn trouble_json(t: &JobTrouble) -> Json {
-    let attempts = t
-        .attempts
-        .iter()
-        .map(|a| {
-            obj(vec![
-                ("class", Json::Str(a.class.name().to_string())),
-                ("error", Json::Str(a.error.clone())),
-                ("backoff_ms", Json::Num(a.backoff_ms as f64)),
-                ("wall_ms", Json::Num(a.wall_ms as f64)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("label", Json::Str(t.label.clone())),
-        ("spec_hash", Json::Str(t.spec_hash.clone())),
-        ("worker", Json::Str("local".to_string())),
-        ("outcome", Json::Str(t.outcome.name().to_string())),
-        ("attempts", Json::Arr(attempts)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poise::jobs::{AttemptRecord, FailClass, JobOutcome};
+    use poise::jobs::{AttemptRecord, FailClass, JobOutcome, JobTrouble};
 
     #[test]
-    fn failures_jsonl_lines_keep_their_format() {
+    fn failures_report_lists_every_attempt_field() {
         let t = JobTrouble {
             label: "run[k]".to_string(),
             spec_hash: "ab12".to_string(),
@@ -2298,9 +2292,27 @@ mod tests {
             }],
             outcome: JobOutcome::Recovered,
         };
+        let report = RunReport {
+            total: 1,
+            executed: 1,
+            retried: 1,
+            recovered: 1,
+            trouble: vec![t],
+            ..RunReport::default()
+        };
+        let plan = FaultPlan::parse("seed=45,rate=0.15,kinds=transient").unwrap();
         assert_eq!(
-            trouble_json(&t).render(),
-            r#"{"label":"run[k]","spec_hash":"ab12","worker":"local","outcome":"recovered","attempts":[{"class":"transient","error":"injected fault: transient error","backoff_ms":50,"wall_ms":3}]}"#
+            failures_report(Some(&plan), &report),
+            "# run_all failures report
+# fault injection: seed=45,rate=0.15,kinds=transient
+# engine: jobs=1 executed=1 cache_hits=0 failed=0 retried=1 recovered=1 hit_rate=0.0% corrupt=0 wall=0.0s
+# cache: 0 corrupt entries found, 0 quarantined under cache/quarantine/
+
+job: run[k]
+  spec_hash: ab12
+  outcome: recovered
+  attempt 0: transient after 3ms — injected fault: transient error (retried after 50ms backoff)
+"
         );
     }
 }

@@ -25,10 +25,9 @@ use poise::plan::KnobOverlay;
 use poise_ml::TrainedModel;
 use workloads::evaluation_suite;
 
-/// Directory where figure outputs and caches are written: always the
-/// workspace-root `results/`, regardless of the invoking working
-/// directory (`cargo bench` runs with the package directory as CWD,
-/// `cargo run` with the caller's). `POISE_RESULTS_DIR` overrides.
+/// Directory where figure outputs and caches are written: the
+/// workspace-root `results/`, whatever the invoking working directory.
+/// `POISE_RESULTS_DIR` overrides.
 pub fn results_dir() -> PathBuf {
     let p = match std::env::var("POISE_RESULTS_DIR") {
         Ok(dir) => PathBuf::from(dir),

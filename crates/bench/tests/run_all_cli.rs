@@ -2,14 +2,20 @@
 //! nor a known flag's value fails the invocation before anything runs,
 //! naming the argument, so a typo or a retired flag (`--workers`) never
 //! turns into a silent default run. Retired knobs and fault kinds fail
-//! the same way.
+//! the same way, and so does an `--only` entry that matches no figure.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn run_all(args: &[&str]) -> Output {
-    // A results directory of its own, should a regression start a pass.
+/// The results directory of one invocation: its own, should a
+/// regression start a pass.
+fn results_dir(args: &[&str]) -> PathBuf {
     let tag = args.join("_");
-    let dir = std::env::temp_dir().join(format!("poise-cli-{}{tag}", std::process::id()));
+    std::env::temp_dir().join(format!("poise-cli-{}{tag}", std::process::id()))
+}
+
+fn run_all(args: &[&str]) -> Output {
+    let dir = results_dir(args);
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args(args)
         .env("POISE_RESULTS_DIR", &dir)
@@ -72,4 +78,30 @@ fn known_flags_still_list() {
     let out = run_all(&["--keep-going", "--only", "fig07", "--list"]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8_lossy(&out.stdout), "fig07_performance\n");
+}
+
+#[test]
+fn only_entries_that_match_no_figure_are_rejected() {
+    // One typo among valid names must not shrink the run silently.
+    assert_rejects(
+        &["--only", "fig07,fig7_performance", "--list"],
+        "`fig7_performance`",
+    );
+    assert_rejects(&["--only", "bogus", "--list"], "`bogus`");
+    // Every unmatched entry is named, and a run fails before planning.
+    let stderr = assert_rejects(&["--only", "bogus,table4_params,nope"], "`bogus`");
+    assert!(stderr.contains("`nope`"), "{stderr}");
+}
+
+#[test]
+fn closing_line_names_the_results_directory() {
+    let args = ["--only", "table4_params"];
+    let out = run_all(&args);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let dir = results_dir(&args);
+    assert!(
+        stdout.contains(&format!("outputs in {}", dir.display())),
+        "{stdout}"
+    );
 }

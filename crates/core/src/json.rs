@@ -1,7 +1,8 @@
 //! A tiny JSON writer — objects, arrays, strings, finite numbers,
-//! bools, null — for `results/run_all_failures.jsonl` and the
-//! benchmark's records. Hand-rolled because the repo takes no external
-//! dependencies. Nothing here reads JSON back.
+//! bools, null — for the benchmark's records (`perfbench/`, which
+//! imports it as `poise::fabric::json`); nothing in the library writes
+//! JSON. Hand-rolled because the repo takes no external dependencies.
+//! Nothing here reads JSON back.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

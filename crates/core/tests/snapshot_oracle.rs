@@ -127,16 +127,9 @@ fn kernels() -> Vec<(&'static str, KernelSpec)> {
     ]
 }
 
-/// Step modes under test. The cycle-stepped reference loop joins the
-/// matrix when the `reference-step` CI feature is on (it is ~10× slower,
-/// and the step-mode differential suite already proves it identical to
-/// the fast modes).
+/// Step modes under test, the cycle-stepped reference loop included.
 fn modes() -> Vec<StepMode> {
-    let mut m = vec![StepMode::PerSm, StepMode::ParallelSm];
-    if cfg!(feature = "reference-step") {
-        m.push(StepMode::Reference);
-    }
-    m
+    vec![StepMode::PerSm, StepMode::ParallelSm, StepMode::Reference]
 }
 
 const BUDGET: u64 = 40_000;

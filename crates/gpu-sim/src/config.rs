@@ -20,7 +20,7 @@ pub enum StepMode {
     /// and skips its own stalled spans, so one busy SM no longer pins the
     /// whole machine to cycle-stepping. The default; see the module docs
     /// of [`crate::gpu`] for the synchronisation invariant.
-    #[cfg_attr(not(feature = "reference-step"), default)]
+    #[default]
     PerSm,
     /// [`StepMode::PerSm`] with the per-SM advances run on a work-stealing
     /// thread pool of [`GpuConfig::sim_threads`] threads: within each
@@ -38,9 +38,7 @@ pub enum StepMode {
     /// differential suites).
     EventDriven,
     /// Step every cycle. The reference loop the other modes are validated
-    /// against; also the default when the `reference-step` feature of
-    /// `gpu-sim` is enabled.
-    #[cfg_attr(feature = "reference-step", default)]
+    /// against.
     Reference,
 }
 

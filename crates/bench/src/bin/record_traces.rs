@@ -1,36 +1,28 @@
 //! Record the committed trace workloads under `traces/` — one per
 //! synthetic kernel class (streaming, hot-set, shared-heavy,
-//! compute-bound) — and verify the record→replay differential.
+//! compute-bound).
 //!
 //! ```sh
-//! # (Re)generate the shipped traces:
 //! cargo run --release -p poise-bench --bin record_traces
-//!
-//! # Verify the replay differential without touching the filesystem:
-//! # record each class in memory and require bit-identical counters and
-//! # epoch logs vs the live generator for all 7 schemes under both the
-//! # per-SM and the cycle-stepped reference loop.
-//! cargo run --release -p poise-bench --bin record_traces -- --check
 //! ```
 //!
 //! Flags: `--out <dir>` (default the workspace `traces/`),
 //! `--ops <n>` per-warp recording horizon (default 2600), `--sms <n>`
 //! recorded SM count (default 1; replay folds larger machines onto the
-//! recorded geometry modulo), `--check` as above.
+//! recorded geometry modulo). Any other argument, a flag without its
+//! value or a value that is not a positive integer is an error (exit
+//! 1, naming it) before anything is written.
 //!
 //! The shipped traces are recorded at 1 SM × 2 schedulers × 8 warps so
-//! the files stay reviewably small; CI runs `--check` at every commit,
-//! and `crates/core/tests/trace_replay.rs` pins the same differential
-//! per-controller in the tier-1 suite.
+//! the files stay reviewably small. `crates/core/tests/trace_replay.rs`
+//! pins the record→replay differential (counters, steering and Poise's
+//! epoch log, every policy, every step mode) in the tier-1 suite.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gpu_sim::{GpuConfig, StepMode, WarpTuple};
-use poise::experiment::{run_kernel_configured, ProfileTuples, Scheme};
-use poise::params::PoiseParams;
-use poise_ml::{TrainedModel, N_FEATURES};
-use workloads::{record_kernel, AccessMix, KernelSpec, TraceRef, Workload};
+use gpu_sim::GpuConfig;
+use workloads::{record_kernel, AccessMix, KernelSpec, TraceRef};
 
 /// The four shipped kernel classes.
 fn trace_kernels() -> Vec<(&'static str, KernelSpec)> {
@@ -63,120 +55,57 @@ fn trace_kernels() -> Vec<(&'static str, KernelSpec)> {
     ]
 }
 
-fn const_model(n: f64, p: f64) -> TrainedModel {
-    let mut alpha = [0.0; N_FEATURES];
-    let mut beta = [0.0; N_FEATURES];
-    alpha[N_FEATURES - 1] = n.ln();
-    beta[N_FEATURES - 1] = p.ln();
-    TrainedModel {
-        alpha,
-        beta,
-        dispersion_n: 0.1,
-        dispersion_p: 0.1,
-        samples_used: 0,
-        dropped_features: Vec::new(),
-    }
+/// The command line (see the module docs).
+struct Args {
+    out: PathBuf,
+    ops: usize,
+    sms: usize,
 }
 
-/// Run one workload under every scheme, in both step modes, and return
-/// the outcomes in a comparable form.
-fn run_all_schemes(workload: &Workload, base_cfg: &GpuConfig, budget: u64) -> Vec<String> {
-    let model = const_model(6.0, 2.0);
-    let tuples = ProfileTuples {
-        swl: WarpTuple::new(4, 4, 24),
-        best: WarpTuple::new(6, 2, 24),
-    };
-    let params = PoiseParams::scaled_down(20);
-    let mut out = Vec::new();
-    for mode in [StepMode::PerSm, StepMode::Reference] {
-        let mut cfg = base_cfg.clone();
-        cfg.step_mode = mode;
-        cfg.track_pc_stats = true; // uniform config so APCM is comparable
-        for scheme in [
-            Scheme::Gto,
-            Scheme::Swl,
-            Scheme::PcalSwl,
-            Scheme::Poise,
-            Scheme::StaticBest,
-            Scheme::RandomRestart,
-            Scheme::Apcm,
-        ] {
-            let run = run_kernel_configured(
-                workload,
-                scheme,
-                Some(&model),
-                Some(tuples),
-                &cfg,
-                &params,
-                &[11, 23],
-                budget,
-            );
-            out.push(format!(
-                "{mode:?}/{} counters={:?} epochs={:?}",
-                scheme.name(),
-                run.counters,
-                run.epoch_logs
-            ));
+impl Args {
+    fn parse(args: &[String]) -> Result<Args, String> {
+        let mut a = Args {
+            out: poise_bench::traces_dir(),
+            ops: 2_600,
+            sms: 1,
+        };
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || {
+                it.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs an argument"))
+            };
+            let count = |v: &String| {
+                v.parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or_else(|| format!("{flag} must be a positive integer, got `{v}`"))
+            };
+            match flag.as_str() {
+                "--out" => a.out = PathBuf::from(value()?),
+                "--ops" => a.ops = count(value()?)?,
+                "--sms" => a.sms = count(value()?)?,
+                other => {
+                    return Err(format!(
+                        "unknown argument `{other}` (flags: --out, --ops, --sms)"
+                    ))
+                }
+            }
         }
-    }
-    out
-}
-
-fn check() -> ExitCode {
-    let cfg = GpuConfig::scaled(1);
-    let budget = 15_000;
-    let mut failures = 0;
-    for (class, spec) in trace_kernels() {
-        let data = record_kernel(
-            &spec,
-            &spec.name,
-            1,
-            cfg.schedulers_per_sm,
-            (2 * budget + 8) as usize,
-        );
-        let replay = Workload::from(TraceRef::from_data(data));
-        let live = run_all_schemes(&Workload::from(spec), &cfg, budget);
-        let replayed = run_all_schemes(&replay, &cfg, budget);
-        let diverged = live
-            .iter()
-            .zip(&replayed)
-            .filter(|(a, b)| a != b)
-            .map(|(a, _)| a.split(' ').next().unwrap_or("?").to_string())
-            .collect::<Vec<_>>();
-        if diverged.is_empty() {
-            println!("[record_traces] {class}: replay identical across 7 schemes x 2 step modes");
-        } else {
-            eprintln!("[record_traces] {class}: replay DIVERGED at {diverged:?}");
-            failures += 1;
-        }
-    }
-    if failures > 0 {
-        eprintln!("[record_traces] --check FAILED for {failures} class(es)");
-        ExitCode::FAILURE
-    } else {
-        println!("[record_traces] --check passed");
-        ExitCode::SUCCESS
+        Ok(a)
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_val = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let Args { out, ops, sms } = match Args::parse(&args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("[record_traces] {e}");
+            return ExitCode::FAILURE;
+        }
     };
-    if args.iter().any(|a| a == "--check") {
-        return check();
-    }
-    let out: PathBuf = flag_val("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(poise_bench::traces_dir);
-    let ops: usize = flag_val("--ops")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_600);
-    let sms: usize = flag_val("--sms").and_then(|v| v.parse().ok()).unwrap_or(1);
     let cfg = GpuConfig::scaled(1);
 
     for (class, spec) in trace_kernels() {

@@ -12,7 +12,8 @@
 //! Flags: `--keep-going` (render every figure even after failures, then
 //! summarise), `--only <a,b,...>` (exact names or underscore prefixes,
 //! e.g. `fig12`; one figure is `--only fig07`; an entry that matches no
-//! figure is an error), `--list`, `--gc` (prune cache entries the
+//! figure is an error), `--list` (plan as a run would, print the
+//! selected figures), `--gc` (prune cache entries the
 //! current job set no longer references), `--set <knob>=<value>` (apply
 //! a knob to the base setup, e.g. `--set sms=32`), and `--sweep
 //! <knob>=<v1,v2,..>` (sweep a knob across every selected figure's plan
@@ -21,15 +22,15 @@
 //! error.
 //!
 //! Robustness: `--inject seed=S,rate=P[,kinds=a+b]` turns on
-//! deterministic fault injection (panics, transient errors, torn cache
-//! writes, bit flips — see `poise::faults`); the engine retries
-//! transient failures with backoff, and corrupt cache entries are
-//! quarantined and re-run. Failed points render as `MISSING` cells and
-//! every troubled job's attempt history lands in
-//! `results/run_all_failures.txt`. `--fsck` re-validates the whole cache
-//! offline. Exit codes: 0 clean, 1 hard failures or a bad command line,
-//! 3 pass after self-healing (see "Failure handling & fault injection"
-//! in EXPERIMENTS.md).
+//! deterministic fault injection (panics, torn cache writes, bit flips
+//! — see `poise::faults`). A job executes once: a panicked job fails
+//! with its dependants, and corrupt cache entries are quarantined and
+//! re-run. Failed points render as `MISSING` cells and every failed job
+//! gets one line in `results/run_all_failures.txt`. `--fsck`
+//! re-validates the whole cache offline and takes no other flag. Exit
+//! codes: 0 clean, 1 hard failures or a bad command line, 3 pass after
+//! quarantining corrupt cache entries (see "Failure handling & fault
+//! injection" in EXPERIMENTS.md).
 //!
 //! `POISE_RERUN=1` bypasses the result cache wholesale, `POISE_RETRAIN=1`
 //! re-runs training only. Editing any job input (kernel specs, schemes,

@@ -1920,11 +1920,17 @@ struct RunAllArgs {
 impl RunAllArgs {
     /// Parse `args`. Every argument must be a known flag or a known
     /// flag's value; anything else is an error naming it, so a typo or
-    /// a retired flag never degrades into a silent default run.
+    /// a retired flag never degrades into a silent default run. `--fsck`
+    /// checks the whole store, so any other flag beside it is an error
+    /// too.
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut a = RunAllArgs::default();
+        let mut others: Vec<&str> = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if arg != "--fsck" {
+                others.push(arg);
+            }
             let mut value = |flag: &str| -> Result<String, String> {
                 it.next()
                     .filter(|v| !v.starts_with("--"))
@@ -1951,6 +1957,12 @@ impl RunAllArgs {
                 }
             }
         }
+        if a.fsck && !others.is_empty() {
+            return Err(format!(
+                "--fsck checks the whole store and takes no other flag (got {})",
+                others.join(" ")
+            ));
+        }
         Ok(a)
     }
 }
@@ -1974,33 +1986,34 @@ impl RunAllArgs {
 ///   a same-knob default axis of each selected figure (e.g.
 ///   `sm_scaling`'s SM ladder) or extends the figure's plan. Figures
 ///   whose renderer cannot present multiple points fail loudly;
-/// * `--list` — print the selected figures (the whole registry without
-///   `--only`) and exit;
+/// * `--list` — plan the selected figures (the whole registry without
+///   `--only`) exactly as a run would, print their names and exit: an
+///   invocation a run would refuse fails here too;
 /// * `--gc` — after a fully successful pass, prune `results/cache/`
 ///   entries the current job set no longer references (entries keyed by
 ///   edited-away kernel specs, old knob settings, deleted traces). The
 ///   content-addressed store never looks those up again, so without an
 ///   occasional `--gc` it grows without bound across spec edits;
 /// * `--inject seed=S,rate=P[,kinds=a+b+...]` — deterministic fault
-///   injection (see [`poise::faults`]): job panics, transient errors,
-///   torn cache writes and bit flips, all derived from the seed so a
-///   run is exactly reproducible. The robustness machinery (retry with
-///   backoff, cache quarantine) absorbs the faults; surviving outputs
-///   are bit-identical to a fault-free pass;
-/// * `--fsck` — offline cache re-validation: parse and checksum every
-///   entry, quarantine invalid ones and remove stale temp files, then
-///   exit (failure exit if anything was corrupt — a second `--fsck`
-///   passes).
+///   injection (see [`poise::faults`]): job panics, torn cache writes
+///   and bit flips, all derived from the seed so a run is exactly
+///   reproducible. A panicked job fails with its dependants; corrupt
+///   cache entries are quarantined and re-run. Surviving outputs are
+///   bit-identical to a fault-free pass;
+/// * `--fsck` — offline cache re-validation of the whole store: parse
+///   and checksum every entry, quarantine invalid ones and remove stale
+///   temp files, then exit (failure exit if anything was corrupt — a
+///   second `--fsck` passes). It takes no other flag.
 ///
 /// Any other argument is an error (exit 1), reported before anything
 /// runs.
 ///
 /// Exit codes (CI and scripts key off these):
 /// * `0` — clean pass;
-/// * `1` — figure or job failures (hard errors: panics, exhausted
-///   retries, dependency failures, render errors) or a bad command line;
-/// * `3` — every figure passed but the run needed self-healing
-///   (retried-then-recovered jobs or quarantined cache corruption).
+/// * `1` — figure or job failures (panics, dependency failures, render
+///   errors) or a bad command line;
+/// * `3` — every figure passed after quarantining corrupt cache
+///   entries.
 pub fn run_all_main(args: &[String]) -> ExitCode {
     let args = match RunAllArgs::parse(args) {
         Ok(a) => a,
@@ -2021,29 +2034,26 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         }
     };
     let only = args.only.as_deref();
-    if args.list {
-        return match select_figures(only) {
-            Ok(figures) => {
-                for f in figures {
-                    println!("{}", f.name);
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("[run_all] {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     let t0 = Instant::now();
-    let planned = match plan_jobs(KnobOverlay::default(), &args.sets, &args.sweeps, only, true) {
+    let planned = match plan_jobs(
+        KnobOverlay::default(),
+        &args.sets,
+        &args.sweeps,
+        only,
+        !args.list,
+    ) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("[run_all] {e}");
             return ExitCode::FAILURE;
         }
     };
+    if args.list {
+        for f in &planned.figures {
+            println!("{}", f.name);
+        }
+        return ExitCode::SUCCESS;
+    }
     let PlannedJobs {
         figures,
         expansions,
@@ -2090,9 +2100,9 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         }
     }
 
-    // The structured failures report: every troubled job's attempt
-    // history plus cache-corruption events. Written on every pass (a
-    // clean one records that, too) so CI can upload it unconditionally.
+    // The structured failures report: every failed job plus
+    // cache-corruption events. Written on every pass (a clean one
+    // records that, too) so CI can upload it unconditionally.
     let failures_path = results.join("run_all_failures.txt");
     if let Err(e) = std::fs::write(&failures_path, failures_report(engine.faults(), &report)) {
         eprintln!("[run_all] could not write {}: {e}", failures_path.display());
@@ -2170,7 +2180,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     }
 
     // Exit-code mapping (documented on `run_all_main`): clean 0; hard
-    // failures 1; pass-after-self-healing 3.
+    // failures 1; pass after quarantining corrupt entries 3.
     let job_failures = report.failed.len();
     if failed > 0 || job_failures > 0 {
         if failed > 0 {
@@ -2183,13 +2193,12 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
             );
         }
         ExitCode::FAILURE
-    } else if report.recovered > 0 || report.corrupt > 0 {
+    } else if report.corrupt > 0 {
         println!(
             "\n[run_all] all experiments complete in {:.0}s; outputs in {} \
-             (self-healed: {} recovered job(s), {} corrupt cache entries quarantined)",
+             (self-healed: {} corrupt cache entries quarantined)",
             t0.elapsed().as_secs_f64(),
             results.display(),
-            report.recovered,
             report.corrupt
         );
         ExitCode::from(3)
@@ -2230,9 +2239,8 @@ fn fsck_main() -> ExitCode {
 }
 
 /// Render `results/run_all_failures.txt`: the fault plan (if any), the
-/// engine summary, cache-corruption counters, and the full attempt
-/// history of every troubled job — recovered and failed: its spec hash,
-/// outcome, and each attempt's class, wall time, error and backoff.
+/// engine summary, cache-corruption counters, and one line per failed
+/// job: its label, spec hash, failure class, wall time and error.
 fn failures_report(faults: Option<&FaultPlan>, report: &RunReport) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -2249,27 +2257,18 @@ fn failures_report(faults: Option<&FaultPlan>, report: &RunReport) -> String {
         report.corrupt, report.quarantined
     );
     if report.trouble.is_empty() {
-        let _ = writeln!(s, "# no troubled jobs");
-        return s;
+        let _ = writeln!(s, "# no failed jobs");
     }
     for t in &report.trouble {
-        let _ = writeln!(s, "\njob: {}", t.label);
-        let _ = writeln!(s, "  spec_hash: {}", t.spec_hash);
-        let _ = writeln!(s, "  outcome: {}", t.outcome.name());
-        for (i, a) in t.attempts.iter().enumerate() {
-            let backoff = if a.backoff_ms > 0 {
-                format!(" (retried after {}ms backoff)", a.backoff_ms)
-            } else {
-                String::new()
-            };
-            let _ = writeln!(
-                s,
-                "  attempt {i}: {} after {}ms — {}{backoff}",
-                a.class.name(),
-                a.wall_ms,
-                a.error
-            );
-        }
+        let _ = writeln!(
+            s,
+            "job {} spec_hash={}: {} after {}ms — {}",
+            t.label,
+            t.spec_hash,
+            t.class.name(),
+            t.wall_ms,
+            t.error
+        );
     }
     s
 }
@@ -2277,41 +2276,31 @@ fn failures_report(faults: Option<&FaultPlan>, report: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poise::jobs::{AttemptRecord, FailClass, JobOutcome, JobTrouble};
+    use poise::jobs::{FailClass, JobTrouble};
 
     #[test]
     fn failures_report_lists_every_attempt_field() {
         let t = JobTrouble {
             label: "run[k]".to_string(),
             spec_hash: "ab12".to_string(),
-            attempts: vec![AttemptRecord {
-                class: FailClass::Transient,
-                error: "injected fault: transient error".to_string(),
-                backoff_ms: 50,
-                wall_ms: 3,
-            }],
-            outcome: JobOutcome::Recovered,
+            class: FailClass::Panic,
+            error: "injected fault: panic".to_string(),
+            wall_ms: 3,
         };
         let report = RunReport {
             total: 1,
-            executed: 1,
-            retried: 1,
-            recovered: 1,
+            failed: vec![(t.label.clone(), t.error.clone())],
             trouble: vec![t],
             ..RunReport::default()
         };
-        let plan = FaultPlan::parse("seed=45,rate=0.15,kinds=transient").unwrap();
+        let plan = FaultPlan::parse("seed=45,rate=0.15,kinds=panic").unwrap();
         assert_eq!(
             failures_report(Some(&plan), &report),
             "# run_all failures report
-# fault injection: seed=45,rate=0.15,kinds=transient
-# engine: jobs=1 executed=1 cache_hits=0 failed=0 retried=1 recovered=1 hit_rate=0.0% corrupt=0 wall=0.0s
+# fault injection: seed=45,rate=0.15,kinds=panic
+# engine: jobs=1 executed=0 cache_hits=0 failed=1 hit_rate=0.0% corrupt=0 wall=0.0s
 # cache: 0 corrupt entries found, 0 quarantined under cache/quarantine/
-
-job: run[k]
-  spec_hash: ab12
-  outcome: recovered
-  attempt 0: transient after 3ms — injected fault: transient error (retried after 50ms backoff)
+job run[k] spec_hash=ab12: panic after 3ms — injected fault: panic
 "
         );
     }

@@ -3,6 +3,8 @@
 //! naming the argument, so a typo or a retired flag (`--workers`) never
 //! turns into a silent default run. Retired knobs and fault kinds fail
 //! the same way, and so does an `--only` entry that matches no figure.
+//! `--list` plans like a run, so it refuses what a run would refuse, and
+//! `--fsck` takes no other flag.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -55,11 +57,20 @@ fn retired_flags_are_rejected() {
         &["--sweep", "sim_threads=1,2", "--only", "sm_scaling"],
         "sim_threads",
     );
-    let stderr = assert_rejects(
-        &["--inject", "seed=1,rate=0.1,kinds=stall", "--list"],
-        "stall",
-    );
-    assert_eq!(stderr.matches("--inject:").count(), 1, "{stderr}");
+    for kind in ["stall", "transient"] {
+        let spec = format!("seed=1,rate=0.1,kinds={kind}");
+        let stderr = assert_rejects(&["--inject", &spec, "--list"], kind);
+        assert_eq!(stderr.matches("--inject:").count(), 1, "{stderr}");
+    }
+}
+
+#[test]
+fn list_and_fsck_refuse_what_a_run_would() {
+    assert_rejects(&["--set", "bogus=1", "--list"], "`bogus`");
+    assert_rejects(&["--sweep", "sms=x", "--list"], "`x`");
+    assert_rejects(&["--sweep", "sms=1,2", "--list"], "single point");
+    assert_rejects(&["--fsck", "--only", "nope"], "--only");
+    assert_rejects(&["--fsck", "--set", "bogus=1"], "--set");
 }
 
 #[test]

@@ -225,6 +225,7 @@ pub fn run_kernel(
         &setup.params,
         &setup.rr_seeds,
         setup.run_cycles,
+        &NoPrefixes,
     )
 }
 
@@ -232,7 +233,10 @@ pub fn run_kernel(
 /// execution core shared by [`run_kernel`] and the job engine
 /// ([`crate::jobs`]). The explicit argument list is deliberately the
 /// dependency surface of a run: everything a scheme's result can depend
-/// on is a parameter here and a cache-key field there.
+/// on is a parameter here and a cache-key field there. `prefixes` is the
+/// snapshot transport of a prefix-factored run (see `run_segments`);
+/// [`NoPrefixes`] runs cold. Random-restart averages several seeded
+/// reruns of the whole span and never forks.
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_configured(
     spec: &Workload,
@@ -243,65 +247,31 @@ pub fn run_kernel_configured(
     params: &PoiseParams,
     rr_seeds: &[u64],
     run_cycles: u64,
+    prefixes: &dyn PrefixStore,
 ) -> KernelRun {
-    let mut cfg = base_cfg.clone();
-    if scheme == Scheme::Apcm {
-        cfg.track_pc_stats = true;
-    }
-    let mut gpu = Gpu::new(cfg, spec);
-    let mut epoch_logs = Vec::new();
-
-    let result = match scheme {
-        Scheme::Gto => gpu.run(&mut FixedTuple::max(), run_cycles),
-        Scheme::Swl => {
-            let t = tuples.expect("SWL needs an offline profile").swl;
-            gpu.run(&mut FixedTuple::new(t), run_cycles)
+    let (result, epoch_logs) = if scheme == Scheme::RandomRestart {
+        // Average over seeds: run each seed for the full budget and
+        // merge counters (equal-cycle weighting).
+        let mut merged: Option<gpu_sim::SimResult> = None;
+        for &seed in rr_seeds {
+            let mut ctrl = RandomRestartController::new(seed, params.t_period);
+            let r = Gpu::new(base_cfg.clone(), spec).run(&mut ctrl, run_cycles);
+            merged = Some(match merged {
+                None => r,
+                Some(mut acc) => {
+                    acc.counters = merge_counters(&acc.counters, &r.counters);
+                    acc.cycles += r.cycles;
+                    acc
+                }
+            });
         }
-        Scheme::StaticBest => {
-            let t = tuples.expect("Static-Best needs an offline profile").best;
-            gpu.run(&mut FixedTuple::new(t), run_cycles)
-        }
-        Scheme::PcalSwl => {
-            let start = tuples.expect("PCAL-SWL needs an offline profile").swl;
-            let mut ctrl = PcalSwlController::new(start);
-            gpu.run(&mut ctrl, run_cycles)
-        }
-        Scheme::Poise => {
-            let model = model.expect("Poise needs a trained model");
-            let mut ctrl = PoiseController::new(model.clone(), *params);
-            let r = gpu.run(&mut ctrl, run_cycles);
-            epoch_logs = ctrl.log.clone();
-            r
-        }
-        Scheme::RandomRestart => {
-            // Average over seeds: run each seed for the full budget and
-            // merge counters (equal-cycle weighting).
-            let mut merged: Option<gpu_sim::SimResult> = None;
-            for (i, &seed) in rr_seeds.iter().enumerate() {
-                let mut g = if i == 0 {
-                    std::mem::replace(&mut gpu, Gpu::new(base_cfg.clone(), spec))
-                } else {
-                    Gpu::new(base_cfg.clone(), spec)
-                };
-                let mut ctrl = RandomRestartController::new(seed, params.t_period);
-                let r = g.run(&mut ctrl, run_cycles);
-                merged = Some(match merged {
-                    None => r,
-                    Some(mut acc) => {
-                        acc.counters = merge_counters(&acc.counters, &r.counters);
-                        acc.cycles += r.cycles;
-                        acc
-                    }
-                });
-            }
-            merged.expect("at least one seed")
-        }
-        Scheme::Apcm => {
-            let mut ctrl = ApcmController::new(params.t_period);
-            gpu.run(&mut ctrl, run_cycles)
-        }
+        (merged.expect("at least one seed"), Vec::new())
+    } else {
+        let (result, ctl, _gpu) = run_segments(
+            spec, scheme, model, tuples, base_cfg, params, run_cycles, prefixes,
+        );
+        (result, ctl.into_epoch_logs())
     };
-
     KernelRun {
         kernel: spec.name().to_string(),
         counters: result.counters,
@@ -377,14 +347,26 @@ pub trait PrefixStore {
     fn store(&self, cycles: u64, blob: &str);
 }
 
-/// The concrete controller of a segmented run. `run_kernel_configured`
-/// can keep its controllers anonymous on the stack; the segmented runner
-/// must rebuild *the same* controller type twice (once to try loading
-/// serialized state into, once as the cold fallback), so the scheme →
-/// controller mapping is reified here. Random-restart is deliberately
-/// absent: its result is an average over per-seed reruns of the same
-/// span, which has no shareable prefix (the factoring step never emits
-/// one).
+/// The cold transport: no boundaries to fork from or publish to.
+pub struct NoPrefixes;
+
+impl PrefixStore for NoPrefixes {
+    fn boundaries(&self) -> &[u64] {
+        &[]
+    }
+    fn load(&self, _cycles: u64) -> Option<String> {
+        None
+    }
+    fn store(&self, _cycles: u64, _blob: &str) {}
+}
+
+/// The concrete controller of a run. [`run_segments`] must rebuild *the
+/// same* controller type twice (once to try loading serialized state
+/// into, once as the cold fallback), so the scheme → controller mapping
+/// is reified here, once. Random-restart is deliberately absent: its
+/// result is an average over per-seed reruns of the same span, which has
+/// no shareable prefix, so [`run_kernel_configured`] runs it itself (and
+/// the factoring step never emits a prefix for it).
 #[derive(Debug)]
 enum Ctl {
     Fixed(FixedTuple),
@@ -415,7 +397,7 @@ impl Ctl {
             ))),
             Scheme::Apcm => Ctl::Apcm(ApcmController::new(params.t_period)),
             Scheme::RandomRestart => {
-                unreachable!("random-restart runs are never prefix-factored")
+                unreachable!("random-restart runs never reach run_segments")
             }
         }
     }
@@ -455,9 +437,10 @@ impl Ctl {
     }
 }
 
-/// Core of prefix-shared execution: fork from the deepest usable
+/// Core of every run but random-restart: fork from the deepest usable
 /// snapshot at or below `run_cycles`, then march through the remaining
-/// boundaries publishing a blob at each, and finish the suffix.
+/// boundaries publishing a blob at each, and finish the suffix. Under
+/// [`NoPrefixes`] that is one cold `run(run_cycles)`.
 ///
 /// Bit-identity with a cold `run(run_cycles)` is the contract proven by
 /// the `snapshot_oracle` differential suite: `run(j)` + snapshot +
@@ -536,32 +519,6 @@ fn run_segments(
             gpu: gpu.snapshot(),
         };
         io.store(at, &blob.to_text());
-    }
-}
-
-/// [`run_kernel_configured`] for a prefix-factored run: same result, but
-/// forked from the deepest usable snapshot in `io` and publishing blobs
-/// at the boundaries it passes. Only called for schemes with a single
-/// deterministic machine (never random-restart).
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_segmented(
-    spec: &Workload,
-    scheme: Scheme,
-    model: Option<&TrainedModel>,
-    tuples: Option<ProfileTuples>,
-    base_cfg: &GpuConfig,
-    params: &PoiseParams,
-    run_cycles: u64,
-    io: &dyn PrefixStore,
-) -> KernelRun {
-    let (result, ctl, _gpu) = run_segments(
-        spec, scheme, model, tuples, base_cfg, params, run_cycles, io,
-    );
-    KernelRun {
-        kernel: spec.name().to_string(),
-        counters: result.counters,
-        energy: result.energy,
-        epoch_logs: ctl.into_epoch_logs(),
     }
 }
 

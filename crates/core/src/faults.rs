@@ -1,23 +1,21 @@
 //! Deterministic fault injection for the experiment engine.
 //!
 //! A [`FaultPlan`] turns the failure modes the engine and its cache must
-//! survive — crashing jobs, flaky transient errors, writers dying
-//! mid-store, silent media corruption — into *injectable,
-//! reproducible* events. Every decision is a pure function of the plan
-//! seed, the injection site, a stable identity (the job's spec hash or
-//! the cache entry's key) and an occurrence index; no wall clock, no
-//! process entropy. Two invocations of `run_all --inject seed=S,rate=P`
-//! over the same job graph therefore inject the *same* faults, which is
-//! what makes the differential robustness oracle (surviving outputs
-//! bit-identical to a fault-free run) a meaningful test rather than a
-//! flaky one.
+//! survive — crashing jobs, writers dying mid-store, silent media
+//! corruption — into *injectable, reproducible* events. Every decision
+//! is a pure function of the plan seed, the injection site, a stable
+//! identity (the job's spec hash or the cache entry's key) and an
+//! occurrence index; no wall clock, no process entropy. Two invocations
+//! of `run_all --inject seed=S,rate=P` over the same job graph therefore
+//! inject the *same* faults, which is what makes the differential
+//! robustness oracle (surviving outputs bit-identical to a fault-free
+//! run) a meaningful test rather than a flaky one.
 //!
 //! ## Sites and kinds
 //!
-//! Execution faults fire in `Engine::run` around a job attempt
-//! ([`FaultKind::Panic`], [`FaultKind::Transient`]), keyed by the job's
-//! spec hash and the attempt number — so a retried attempt re-rolls
-//! independently and bounded retry genuinely converges.
+//! Execution faults ([`FaultKind::Panic`]) fire in `Engine::run` around
+//! a job's one execution, keyed by the job's spec hash at occurrence 0.
+//! An injected panic is terminal, like a real one.
 //! Store faults fire in `Cache::store` ([`FaultKind::TornWrite`],
 //! [`FaultKind::BitFlip`]), keyed by the entry key and an occurrence
 //! index that counts both prior in-process stores *and* quarantined
@@ -37,12 +35,9 @@ use crate::cache::Sha256;
 /// One injectable failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
-    /// The job panics mid-execution (a crashed worker). Terminal: real
-    /// panics are deterministic bugs, so injected ones are not retried.
+    /// The job panics mid-execution (a crashed worker). Terminal, like
+    /// every job failure.
     Panic,
-    /// The job fails with a transient error (a flaky I/O layer, a lost
-    /// RPC). Retryable with exponential backoff.
-    Transient,
     /// The cache entry is truncated mid-write (a writer killed between
     /// `write` and `rename` on a filesystem without atomic semantics).
     TornWrite,
@@ -52,19 +47,13 @@ pub enum FaultKind {
 }
 
 /// All kinds, in documentation order.
-pub const ALL_KINDS: [FaultKind; 4] = [
-    FaultKind::Panic,
-    FaultKind::Transient,
-    FaultKind::TornWrite,
-    FaultKind::BitFlip,
-];
+pub const ALL_KINDS: [FaultKind; 3] = [FaultKind::Panic, FaultKind::TornWrite, FaultKind::BitFlip];
 
 impl FaultKind {
     /// Stable CLI name (the `kinds=` grammar).
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
-            FaultKind::Transient => "transient",
             FaultKind::TornWrite => "torn",
             FaultKind::BitFlip => "bitflip",
         }
@@ -77,7 +66,7 @@ impl FaultKind {
 
     /// Does this kind fire at the execution site (`Engine::run`)?
     pub fn is_exec(self) -> bool {
-        matches!(self, FaultKind::Panic | FaultKind::Transient)
+        matches!(self, FaultKind::Panic)
     }
 
     /// Does this kind fire at the store site (`Cache::store`)?
@@ -117,7 +106,7 @@ impl FaultPlan {
 
     /// Parse the `--inject` grammar: comma-separated `seed=S`, `rate=P`
     /// and optional `kinds=a+b+c` (kind names joined by `+`). `seed` and
-    /// `rate` are required; `kinds` defaults to all four.
+    /// `rate` are required; `kinds` defaults to all three.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut seed: Option<u64> = None;
         let mut rate: Option<f64> = None;
@@ -235,11 +224,11 @@ impl FaultPlan {
         (u < self.rate).then(|| pool[(pick % pool.len() as u64) as usize])
     }
 
-    /// The fault (if any) injected into execution attempt `attempt` of
-    /// the job with spec hash `spec_hash`.
-    pub fn exec_fault(&self, spec_hash: &str, attempt: u32) -> Option<FaultKind> {
+    /// The fault (if any) injected into the execution of the job with
+    /// spec hash `spec_hash`.
+    pub fn exec_fault(&self, spec_hash: &str) -> Option<FaultKind> {
         let pool: Vec<FaultKind> = self.kinds.iter().copied().filter(|k| k.is_exec()).collect();
-        self.roll("exec", spec_hash, u64::from(attempt), &pool)
+        self.roll("exec", spec_hash, 0, &pool)
     }
 
     /// The fault (if any) injected into the `occurrence`-th store of the
@@ -278,9 +267,9 @@ mod tests {
         assert_eq!(p.kinds, ALL_KINDS.to_vec());
         assert_eq!(p.summary(), "seed=42,rate=0.15");
 
-        let p = FaultPlan::parse("seed=7, rate=0.5, kinds=transient+torn").unwrap();
-        assert_eq!(p.kinds, vec![FaultKind::Transient, FaultKind::TornWrite]);
-        assert_eq!(p.summary(), "seed=7,rate=0.5,kinds=transient+torn");
+        let p = FaultPlan::parse("seed=7, rate=0.5, kinds=panic+torn").unwrap();
+        assert_eq!(p.kinds, vec![FaultKind::Panic, FaultKind::TornWrite]);
+        assert_eq!(p.summary(), "seed=7,rate=0.5,kinds=panic+torn");
 
         assert!(FaultPlan::parse("rate=0.5").is_err(), "seed required");
         assert!(FaultPlan::parse("seed=1").is_err(), "rate required");
@@ -296,7 +285,7 @@ mod tests {
         let c = FaultPlan::new(2, 0.5);
         let specs: Vec<String> = (0..64).map(|i| format!("spec-{i}")).collect();
         let roll = |p: &FaultPlan| -> Vec<Option<FaultKind>> {
-            specs.iter().map(|s| p.exec_fault(s, 0)).collect()
+            specs.iter().map(|s| p.exec_fault(s)).collect()
         };
         assert_eq!(roll(&a), roll(&b), "same seed, same decisions");
         assert_ne!(roll(&a), roll(&c), "different seed, different decisions");
@@ -308,17 +297,17 @@ mod tests {
         let always = FaultPlan::new(9, 1.0);
         for i in 0..32 {
             let s = format!("s{i}");
-            assert_eq!(never.exec_fault(&s, 0), None);
+            assert_eq!(never.exec_fault(&s), None);
             assert_eq!(never.store_fault(&s, 0), None);
-            assert!(always.exec_fault(&s, 0).is_some_and(|k| k.is_exec()));
+            assert!(always.exec_fault(&s).is_some_and(|k| k.is_exec()));
             assert!(always.store_fault(&s, 0).is_some_and(|k| k.is_store()));
         }
         // A store-only plan never injects execution faults and vice versa.
         let store_only = FaultPlan::new(9, 1.0).with_kinds(&[FaultKind::TornWrite]);
-        let exec_only = FaultPlan::new(9, 1.0).with_kinds(&[FaultKind::Transient]);
-        assert_eq!(store_only.exec_fault("x", 0), None);
+        let exec_only = FaultPlan::new(9, 1.0).with_kinds(&[FaultKind::Panic]);
+        assert_eq!(store_only.exec_fault("x"), None);
         assert_eq!(store_only.store_fault("x", 0), Some(FaultKind::TornWrite));
-        assert_eq!(exec_only.exec_fault("x", 0), Some(FaultKind::Transient));
+        assert_eq!(exec_only.exec_fault("x"), Some(FaultKind::Panic));
         assert_eq!(exec_only.store_fault("x", 0), None);
     }
 
@@ -327,7 +316,7 @@ mod tests {
         let p = FaultPlan::new(3, 0.2);
         let n = 4000;
         let fired = (0..n)
-            .filter(|i| p.exec_fault(&format!("job-{i}"), 0).is_some())
+            .filter(|i| p.exec_fault(&format!("job-{i}")).is_some())
             .count();
         let observed = fired as f64 / n as f64;
         assert!(
@@ -338,15 +327,10 @@ mod tests {
 
     #[test]
     fn occurrence_and_attempt_reroll_independently() {
-        // With rate 0.5 some (identity, 0) decisions fire and their
-        // (identity, 1) re-roll does not — the property retry/self-heal
-        // convergence rests on.
+        // With rate 0.5 some (key, 0) store decisions fire and their
+        // (key, 1) re-roll does not — the property self-heal convergence
+        // rests on.
         let p = FaultPlan::new(5, 0.5);
-        let recovers = (0..64).any(|i| {
-            let s = format!("spec-{i}");
-            p.exec_fault(&s, 0).is_some() && p.exec_fault(&s, 1).is_none()
-        });
-        assert!(recovers, "no attempt-1 recovery in 64 specs at rate 0.5");
         let heals = (0..64).any(|i| {
             let k = format!("key-{i}");
             p.store_fault(&k, 0).is_some() && p.store_fault(&k, 1).is_none()

@@ -41,10 +41,11 @@
 //! [`Engine::run`] expands the requested jobs to their transitive
 //! dependency closure, deduplicates by canonical spec, and executes in
 //! three waves (leaf jobs → model fits → scheme runs), fanning each wave
-//! across the host's cores. Each job runs under `catch_unwind`, so one
-//! panicking simulation marks its dependants failed without tearing down
-//! the run. Progress is reported per job completion; cache hit/miss/store
-//! counts are aggregated in the [`RunReport`].
+//! across the host's cores. Each job executes once, under
+//! `catch_unwind`, so one panicking simulation marks its dependants
+//! failed without tearing down the run; every failure is terminal (see
+//! [`FailClass`]). Progress is reported per job completion; cache
+//! hit/miss/store counts are aggregated in the [`RunReport`].
 //!
 //! Executed results are canonicalised through their own serialisation
 //! before being returned, so a cold run and a warm (all-hits) run hand
@@ -100,8 +101,8 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup};
 use crate::experiment::{
-    run_kernel_configured, run_kernel_segmented, run_prefix_blob, KernelRun, PrefixBlob,
-    PrefixStore, ProfileTuples, Scheme, Setup,
+    run_kernel_configured, run_prefix_blob, KernelRun, NoPrefixes, PrefixBlob, PrefixStore,
+    ProfileTuples, Scheme, Setup,
 };
 use crate::faults::{FaultKind, FaultPlan};
 use crate::params::PoiseParams;
@@ -867,14 +868,16 @@ impl SimJob {
                     .collect();
                 JobOutput::Model(fit_samples(&samples, m.window, &m.drop_features))
             }
-            SimJob::Run(r) => {
+            SimJob::Run(r) | SimJob::Prefix(r) => {
                 let (model, tuples, params) = r.resolve_inputs(dep_outputs);
-                // Fork from the deepest cached prefix when a chain was
-                // declared and the engine could resolve it; the cold path
-                // is the unchanged legacy runner, so unfactored plans are
-                // byte-for-byte unaffected.
-                match prefixes.filter(|_| !r.prefix_chain.is_empty()) {
-                    Some(io) => JobOutput::Run(run_kernel_segmented(
+                // Fork from the deepest cached prefix when the engine
+                // resolved a chain; otherwise run cold.
+                let io: &dyn PrefixStore = match prefixes {
+                    Some(p) => p,
+                    None => &NoPrefixes,
+                };
+                if matches!(self, SimJob::Prefix(_)) {
+                    return JobOutput::Snapshot(run_prefix_blob(
                         &r.workload,
                         r.scheme,
                         model,
@@ -883,43 +886,16 @@ impl SimJob {
                         &params,
                         r.run_cycles,
                         io,
-                    )),
-                    None => JobOutput::Run(run_kernel_configured(
-                        &r.workload,
-                        r.scheme,
-                        model,
-                        tuples,
-                        &r.cfg,
-                        &params,
-                        &r.rr_seeds,
-                        r.run_cycles,
-                    )),
+                    ));
                 }
-            }
-            SimJob::Prefix(r) => {
-                let (model, tuples, params) = r.resolve_inputs(dep_outputs);
-                /// Cold transport for a chainless (or unresolvable)
-                /// prefix: no boundaries to fork from or publish to.
-                struct NoPrefixes;
-                impl PrefixStore for NoPrefixes {
-                    fn boundaries(&self) -> &[u64] {
-                        &[]
-                    }
-                    fn load(&self, _cycles: u64) -> Option<String> {
-                        None
-                    }
-                    fn store(&self, _cycles: u64, _blob: &str) {}
-                }
-                let io = prefixes
-                    .map(|p| p as &dyn PrefixStore)
-                    .unwrap_or(&NoPrefixes);
-                JobOutput::Snapshot(run_prefix_blob(
+                JobOutput::Run(run_kernel_configured(
                     &r.workload,
                     r.scheme,
                     model,
                     tuples,
                     &r.cfg,
                     &params,
+                    &r.rr_seeds,
                     r.run_cycles,
                     io,
                 ))
@@ -1736,18 +1712,16 @@ impl ResultStore {
     }
 }
 
-/// How one execution attempt (or a whole job) failed. The class decides
-/// the retry policy: transient errors are retried with exponential
-/// backoff, panics and dependency failures are terminal (a panic is a
-/// deterministic bug — retrying re-executes the same crash; a dependency
-/// failure can only be fixed upstream).
+/// How a job failed. Both classes are terminal: a job executes once.
+/// A panic is a deterministic bug (executing again repeats the crash),
+/// and a dependency failure can only be fixed upstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailClass {
-    /// The job panicked (caught by the engine's isolation layer).
+    /// The job panicked (caught by the engine's isolation layer), or its
+    /// output did not round-trip through its serialisation — an engine
+    /// bug, as deterministic as a panic.
     Panic,
-    /// A transient error (in practice: injected). Retryable.
-    Transient,
-    /// An upstream dependency failed; never attempted.
+    /// An upstream dependency failed; never executed.
     Dependency,
 }
 
@@ -1756,48 +1730,13 @@ impl FailClass {
     pub fn name(self) -> &'static str {
         match self {
             FailClass::Panic => "panic",
-            FailClass::Transient => "transient",
             FailClass::Dependency => "dependency",
         }
     }
 }
 
-/// One failed execution attempt of a job.
-#[derive(Debug, Clone)]
-pub struct AttemptRecord {
-    /// Failure classification.
-    pub class: FailClass,
-    /// The error / panic payload.
-    pub error: String,
-    /// Backoff slept after this attempt before the next one (0 when the
-    /// attempt was terminal).
-    pub backoff_ms: u64,
-    /// Wall milliseconds the attempt itself ran before failing (0 for
-    /// an attempt that never ran, e.g. a dependency failure).
-    pub wall_ms: u64,
-}
-
-/// Final disposition of a job that had at least one failed attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobOutcome {
-    /// A retry succeeded; the job's output is valid.
-    Recovered,
-    /// All attempts exhausted (or the failure was terminal).
-    Failed,
-}
-
-impl JobOutcome {
-    /// Stable display name (used in summaries and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            JobOutcome::Recovered => "recovered",
-            JobOutcome::Failed => "failed",
-        }
-    }
-}
-
-/// The full failure history of one troubled job, for the structured
-/// failures report (`results/run_all_failures.txt`).
+/// One failed job, for the failures report
+/// (`results/run_all_failures.txt`).
 #[derive(Debug, Clone)]
 pub struct JobTrouble {
     /// The job's progress label.
@@ -1805,10 +1744,13 @@ pub struct JobTrouble {
     /// SHA-256 of the job's spec text — the stable job identity (the
     /// full cache key needs dependency outputs).
     pub spec_hash: String,
-    /// Every failed attempt, in order.
-    pub attempts: Vec<AttemptRecord>,
-    /// Where the job ended up.
-    pub outcome: JobOutcome,
+    /// Failure classification.
+    pub class: FailClass,
+    /// The error / panic payload.
+    pub error: String,
+    /// Wall milliseconds the job ran before failing (0 for a dependency
+    /// failure, which never runs).
+    pub wall_ms: u64,
 }
 
 /// Outcome summary of one [`Engine::run`].
@@ -1823,17 +1765,15 @@ pub struct RunReport {
     /// Failed jobs as `(label, error)`; dependants of a failed job fail
     /// with a "dependency failed" error.
     pub failed: Vec<(String, String)>,
-    /// Jobs that needed more than one execution attempt.
+    /// Always 0: a job executes once. Kept only because the benchmark
+    /// (`perfbench/`) reports it as `jobs.retried`.
     pub retried: usize,
-    /// Jobs that failed at least once but ultimately succeeded.
-    pub recovered: usize,
     /// Cache entries found corrupt during this run (quarantined and
     /// re-executed; see [`crate::cache`]).
     pub corrupt: u64,
     /// Corrupt entries successfully moved under `quarantine/`.
     pub quarantined: u64,
-    /// Failure history of every troubled job — recovered and failed
-    /// alike — for the structured failures report.
+    /// Every failed job, for the structured failures report.
     pub trouble: Vec<JobTrouble>,
     /// Wall-clock of the engine run.
     pub wall: Duration,
@@ -1849,48 +1789,35 @@ impl RunReport {
         }
     }
 
-    /// One-line summary for logs. The robustness counters (`retried`,
-    /// `recovered`) appear only when nonzero, so quiet runs keep the
-    /// familiar shape; `corrupt` is always shown — silence must mean
-    /// "checked and clean", not "unchecked".
+    /// One-line summary for logs. `corrupt` is always shown — silence
+    /// must mean "checked and clean", not "unchecked".
     pub fn summary_line(&self) -> String {
-        let mut s = format!(
-            "jobs={} executed={} cache_hits={} failed={}",
+        format!(
+            "jobs={} executed={} cache_hits={} failed={} hit_rate={:.1}% corrupt={} wall={:.1}s",
             self.total,
             self.executed,
             self.cache_hits,
             self.failed.len(),
-        );
-        if self.retried > 0 {
-            s.push_str(&format!(" retried={}", self.retried));
-        }
-        if self.recovered > 0 {
-            s.push_str(&format!(" recovered={}", self.recovered));
-        }
-        s.push_str(&format!(
-            " hit_rate={:.1}% corrupt={} wall={:.1}s",
             100.0 * self.hit_rate(),
             self.corrupt,
             self.wall.as_secs_f64()
-        ));
-        s
+        )
     }
 }
 
 /// Lifecycle status of one job, as streamed to a [`ProgressSink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Execution of an attempt began (a cache miss — hits never start).
+    /// Execution began (a cache miss — hits never start).
     Started,
-    /// A failed attempt will be retried after backoff.
-    Retried,
     /// Answered from the cache without executing.
     Hit,
-    /// Executed and committed on the first attempt.
+    /// Executed and committed.
     Done,
-    /// Executed and committed after at least one failed attempt.
+    /// Never emitted: a job executes once. Kept only because the
+    /// benchmark's pass clock (`perfbench/`) matches on it.
     Recovered,
-    /// All attempts exhausted (or the failure was terminal).
+    /// The job failed (see [`FailClass`]).
     Failed,
 }
 
@@ -1904,11 +1831,9 @@ pub struct JobEvent {
     pub spec_hash: String,
     /// What happened.
     pub status: JobStatus,
-    /// Failed attempts so far.
-    pub attempts: u32,
     /// Wall seconds of the resolving execution (0 while not terminal).
     pub wall: f64,
-    /// The failure message, for `Failed`/`Retried`.
+    /// The failure message, for `Failed`.
     pub error: Option<String>,
 }
 
@@ -1916,9 +1841,9 @@ pub struct JobEvent {
 /// be cheap and non-blocking — events fire inside the engine's parallel
 /// execution loops.
 pub trait ProgressSink: Send + Sync {
-    /// One lifecycle event. Exactly one of `Hit`, `Done`, `Recovered`
-    /// or `Failed` per resolved job; `Started`/`Retried` may repeat
-    /// across attempts.
+    /// One lifecycle event. Exactly one of `Hit`, `Done` or `Failed`
+    /// per resolved job; `Done` and a `Failed` execution follow one
+    /// `Started`.
     fn job_event(&self, event: &JobEvent);
 }
 
@@ -2054,12 +1979,11 @@ struct CacheKey {
 
 /// What [`Engine::run_one`] hands back to the wave loop.
 struct Disposition {
-    result: Result<JobOutput, String>,
+    result: Result<JobOutput, (FailClass, String)>,
     was_hit: bool,
+    /// Wall seconds of the execution (recalled for a hit, 0 for a
+    /// dependency failure).
     wall: f64,
-    /// Failed attempts, in order (empty for a clean first-attempt
-    /// success or a cache hit).
-    attempts: Vec<AttemptRecord>,
 }
 
 /// The experiment engine: expands, deduplicates, caches and executes
@@ -2075,20 +1999,8 @@ pub struct Engine {
     /// operation). Install via [`Engine::set_faults`] so the cache's
     /// store seam shares the plan.
     faults: Option<Arc<FaultPlan>>,
-    /// Maximum retries after a retryable failure (attempts = retries+1).
-    pub max_retries: u32,
-    /// First backoff; doubles per retry (`base × 2^attempt`).
-    pub backoff_base: Duration,
     /// External observer of job lifecycle events (`None` = silent).
     pub progress: Option<Arc<dyn ProgressSink>>,
-}
-
-/// Detail payload for [`Engine::emit`] (attempt count, wall, error).
-#[derive(Default)]
-struct EventDetail {
-    attempts: u32,
-    wall: f64,
-    error: Option<String>,
 }
 
 /// One resolved prefix barrier: the cycle and the cache coordinates of
@@ -2153,8 +2065,6 @@ impl Engine {
             retrain: false,
             quiet: false,
             faults: None,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(50),
             progress: None,
         }
     }
@@ -2187,15 +2097,21 @@ impl Engine {
     }
 
     /// Emit one lifecycle event through the progress sink, if any.
-    fn emit(&self, label: &str, spec_hash: &str, status: JobStatus, d: EventDetail) {
+    fn emit(
+        &self,
+        label: &str,
+        spec_hash: &str,
+        status: JobStatus,
+        wall: f64,
+        error: Option<&str>,
+    ) {
         if let Some(sink) = &self.progress {
             sink.job_event(&JobEvent {
                 label: label.to_string(),
                 spec_hash: spec_hash.to_string(),
                 status,
-                attempts: d.attempts,
-                wall: d.wall,
-                error: d.error,
+                wall,
+                error: error.map(str::to_string),
             });
         }
     }
@@ -2251,15 +2167,8 @@ impl Engine {
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
                             (Ok(_), true) => "hit".to_string(),
-                            (Ok(_), false) if d.attempts.is_empty() => {
-                                format!("ran {:.2}s", jt.elapsed().as_secs_f64())
-                            }
-                            (Ok(_), false) => format!(
-                                "ran {:.2}s (recovered after {} failed attempt(s))",
-                                jt.elapsed().as_secs_f64(),
-                                d.attempts.len()
-                            ),
-                            (Err(e), _) => format!("FAILED: {e}"),
+                            (Ok(_), false) => format!("ran {:.2}s", jt.elapsed().as_secs_f64()),
+                            (Err((_, e)), _) => format!("FAILED: {e}"),
                         };
                         eprintln!("[engine] {n}/{total} {} {status}", job.label());
                     }
@@ -2267,35 +2176,28 @@ impl Engine {
                 });
             for (i, d) in results {
                 let (job, id) = store.ids.entry(i);
-                let label = job.label();
-                match (&d.result, d.attempts.as_slice()) {
-                    (Ok(_), []) if d.was_hit => report.cache_hits += 1,
-                    (Ok(_), []) => report.executed += 1,
-                    (Ok(_), _) => {
-                        report.executed += 1;
-                        report.retried += 1;
-                        report.recovered += 1;
-                        report.trouble.push(JobTrouble {
-                            label,
-                            spec_hash: id.hash.to_string(),
-                            attempts: d.attempts,
-                            outcome: JobOutcome::Recovered,
-                        });
-                    }
-                    (Err(e), attempts) => {
-                        report.failed.push((label.clone(), e.clone()));
-                        if attempts.len() > 1 {
-                            report.retried += 1;
+                let result = match d.result {
+                    Ok(out) => {
+                        if d.was_hit {
+                            report.cache_hits += 1;
+                        } else {
+                            report.executed += 1;
                         }
-                        report.trouble.push(JobTrouble {
-                            label,
-                            spec_hash: id.hash.to_string(),
-                            attempts: d.attempts,
-                            outcome: JobOutcome::Failed,
-                        });
+                        Ok(out)
                     }
-                }
-                store.insert(i, d.result, d.wall);
+                    Err((class, error)) => {
+                        report.failed.push((job.label(), error.clone()));
+                        report.trouble.push(JobTrouble {
+                            label: job.label(),
+                            spec_hash: id.hash.to_string(),
+                            class,
+                            error: error.clone(),
+                            wall_ms: (d.wall * 1000.0) as u64,
+                        });
+                        Err(error)
+                    }
+                };
+                store.insert(i, result, d.wall);
             }
         }
 
@@ -2368,38 +2270,20 @@ impl Engine {
     }
 
     /// Run (or load) one job (identity `id`) whose dependencies are
-    /// already in `store`, with bounded retry for transient failures and
-    /// injected execution faults when a plan is installed.
+    /// already in `store`, injecting an execution fault when a plan is
+    /// installed. A job executes at most once: every failure is terminal.
     fn run_one(&self, job: &SimJob, id: &Identity, store: &ResultStore) -> Disposition {
-        let fail = |attempts: Vec<AttemptRecord>, error: String| Disposition {
-            result: Err(error),
-            was_hit: false,
-            wall: 0.0,
-            attempts,
-        };
-
         let spec_hash: &str = &id.hash;
+        let label = job.label();
         let CacheKey { kind, key } = match self.identify(job, id, store) {
             Ok(k) => k,
             Err(error) => {
-                self.emit(
-                    &job.label(),
-                    spec_hash,
-                    JobStatus::Failed,
-                    EventDetail {
-                        error: Some(error.clone()),
-                        ..EventDetail::default()
-                    },
-                );
-                return fail(
-                    vec![AttemptRecord {
-                        class: FailClass::Dependency,
-                        error: error.clone(),
-                        backoff_ms: 0,
-                        wall_ms: 0,
-                    }],
-                    error,
-                );
+                self.emit(&label, spec_hash, JobStatus::Failed, 0.0, Some(&error));
+                return Disposition {
+                    result: Err((FailClass::Dependency, error)),
+                    was_hit: false,
+                    wall: 0.0,
+                };
             }
         };
         let deps = job.deps();
@@ -2413,20 +2297,11 @@ impl Engine {
             // exactly like a miss.
             if let Lookup::Hit(body, wall) = self.cache.lookup(kind, &key) {
                 if let Some(out) = JobOutput::from_text(kind, &body) {
-                    self.emit(
-                        &job.label(),
-                        spec_hash,
-                        JobStatus::Hit,
-                        EventDetail {
-                            wall,
-                            ..EventDetail::default()
-                        },
-                    );
+                    self.emit(&label, spec_hash, JobStatus::Hit, wall, None);
                     return Disposition {
                         result: Ok(out),
                         was_hit: true,
                         wall,
-                        attempts: Vec::new(),
                     };
                 }
                 // Checksum-valid but semantically stale (format
@@ -2436,146 +2311,46 @@ impl Engine {
         }
 
         let prefixes = self.prefix_io(job, store);
-        let label = job.label();
-        let mut attempts: Vec<AttemptRecord> = Vec::new();
-
-        loop {
-            let attempt = attempts.len() as u32;
-            let injected = self
-                .faults
-                .as_ref()
-                .and_then(|p| p.exec_fault(spec_hash, attempt));
-            self.emit(
-                &label,
-                spec_hash,
-                JobStatus::Started,
-                EventDetail {
-                    attempts: attempt,
-                    ..EventDetail::default()
-                },
-            );
-            let t0 = Instant::now();
-            let executed = catch_unwind(AssertUnwindSafe(|| -> Result<JobOutput, String> {
-                match injected {
-                    Some(FaultKind::Panic) => panic!("injected fault: panic"),
-                    Some(FaultKind::Transient) => {
-                        return Err("injected fault: transient error".to_string())
-                    }
-                    _ => {}
-                }
-                Ok(job.execute(&dep_outputs, prefixes.as_ref()))
-            }));
-            let wall = t0.elapsed().as_secs_f64();
-
-            // Success: store, canonicalise, return. Otherwise classify
-            // the failure.
-            let (class, error) = match executed {
-                Ok(Ok(out)) => {
-                    let body = out.to_text();
-                    self.cache.store(kind, &key, &id.spec, &body, wall);
-                    // Canonicalise through the serialisation so a cold
-                    // run returns bit-identical values to a later warm
-                    // run. A non-round-tripping output is a bug in the
-                    // job's serialiser, but it must fail *this job*, not
-                    // panic past the engine's isolation.
-                    return match JobOutput::from_text(kind, &body) {
-                        Some(canonical) => {
-                            self.emit(
-                                &label,
-                                spec_hash,
-                                if attempts.is_empty() {
-                                    JobStatus::Done
-                                } else {
-                                    JobStatus::Recovered
-                                },
-                                EventDetail {
-                                    attempts: attempts.len() as u32,
-                                    wall,
-                                    error: None,
-                                },
-                            );
-                            Disposition {
-                                result: Ok(canonical),
-                                was_hit: false,
-                                wall,
-                                attempts,
-                            }
-                        }
-                        None => {
-                            let error = format!(
-                                "{} produced output that does not round-trip through its \
-                                 serialisation (engine bug)",
-                                job.label()
-                            );
-                            self.emit(
-                                &label,
-                                spec_hash,
-                                JobStatus::Failed,
-                                EventDetail {
-                                    attempts: attempts.len() as u32,
-                                    wall,
-                                    error: Some(error.clone()),
-                                },
-                            );
-                            fail(attempts, error)
-                        }
-                    };
-                }
-                Ok(Err(e)) => (FailClass::Transient, e),
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "job panicked".to_string());
-                    (FailClass::Panic, msg)
-                }
-            };
-
-            let retryable = class == FailClass::Transient;
-            let exhausted = attempt >= self.max_retries;
-            if !retryable || exhausted {
-                attempts.push(AttemptRecord {
-                    class,
-                    error: error.clone(),
-                    backoff_ms: 0,
-                    wall_ms: (wall * 1000.0) as u64,
-                });
-                let error = if attempt > 0 {
-                    format!("after {} attempts: {error}", attempt + 1)
-                } else {
-                    error
-                };
-                self.emit(
-                    &label,
-                    spec_hash,
-                    JobStatus::Failed,
-                    EventDetail {
-                        attempts: attempts.len() as u32,
-                        wall,
-                        error: Some(error.clone()),
-                    },
-                );
-                return fail(attempts, error);
+        let injected = self.faults.as_ref().and_then(|p| p.exec_fault(spec_hash));
+        self.emit(&label, spec_hash, JobStatus::Started, 0.0, None);
+        let t0 = Instant::now();
+        let executed = catch_unwind(AssertUnwindSafe(|| {
+            if injected == Some(FaultKind::Panic) {
+                panic!("injected fault: panic");
             }
-            let backoff = self.backoff_base * 2u32.saturating_pow(attempt);
-            self.emit(
-                &label,
-                spec_hash,
-                JobStatus::Retried,
-                EventDetail {
-                    attempts: attempt + 1,
-                    wall,
-                    error: Some(error.clone()),
-                },
-            );
-            attempts.push(AttemptRecord {
-                class,
-                error,
-                backoff_ms: backoff.as_millis() as u64,
-                wall_ms: (wall * 1000.0) as u64,
-            });
-            std::thread::sleep(backoff);
+            job.execute(&dep_outputs, prefixes.as_ref())
+        }));
+        let wall = t0.elapsed().as_secs_f64();
+        let result = match executed {
+            Ok(out) => {
+                let body = out.to_text();
+                self.cache.store(kind, &key, &id.spec, &body, wall);
+                // Canonicalise through the serialisation so a cold run
+                // returns bit-identical values to a later warm run. A
+                // non-round-tripping output is a bug in the job's
+                // serialiser, but it must fail *this job*, not panic past
+                // the engine's isolation.
+                JobOutput::from_text(kind, &body).ok_or_else(|| {
+                    format!(
+                        "{label} produced output that does not round-trip through its \
+                         serialisation (engine bug)"
+                    )
+                })
+            }
+            Err(panic) => Err(panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "job panicked".to_string())),
+        };
+        match &result {
+            Ok(_) => self.emit(&label, spec_hash, JobStatus::Done, wall, None),
+            Err(e) => self.emit(&label, spec_hash, JobStatus::Failed, wall, Some(e)),
+        }
+        Disposition {
+            result: result.map_err(|e| (FailClass::Panic, e)),
+            was_hit: false,
+            wall,
         }
     }
 }
@@ -2908,104 +2683,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The lowest plan seed for which the given predicate holds — used
-    /// to pin deterministic fault patterns against a concrete job's spec
-    /// hash (no run-time entropy anywhere).
-    fn find_seed(
-        rate: f64,
-        kinds: &[crate::faults::FaultKind],
-        pred: impl Fn(&crate::faults::FaultPlan) -> bool,
-    ) -> crate::faults::FaultPlan {
-        (0..10_000u64)
-            .map(|s| crate::faults::FaultPlan::new(s, rate).with_kinds(kinds))
-            .find(pred)
-            .expect("a seed with the wanted fault pattern exists")
-    }
-
-    #[test]
-    fn transient_failures_retry_with_backoff_and_recover() {
-        use crate::faults::FaultKind;
-        let setup = tiny_setup();
-        let job = SimJob::Run(KernelRunSpec::new(&kernel(21), Scheme::Gto, &setup, None));
-        // Fault-free baseline in a separate store.
-        let (baseline_engine, base_dir) = tmp_engine("transient-base");
-        let (store0, _) = baseline_engine.run(std::slice::from_ref(&job));
-        let want = store0.get(&job).unwrap().as_run().unwrap().counters;
-
-        let spec_hash = sha256_hex(&job.spec_text());
-        let plan = find_seed(0.6, &[FaultKind::Transient], |p| {
-            p.exec_fault(&spec_hash, 0).is_some() && p.exec_fault(&spec_hash, 1).is_none()
-        });
-        let (mut engine, dir) = tmp_engine("transient");
-        engine.backoff_base = Duration::from_millis(1);
-        engine.set_faults(Some(plan));
-        let (store, report) = engine.run(std::slice::from_ref(&job));
-        assert!(
-            report.failed.is_empty(),
-            "retry must recover: {:?}",
-            report.failed
-        );
-        assert_eq!((report.retried, report.recovered), (1, 1));
-        assert_eq!(report.trouble.len(), 1);
-        let t = &report.trouble[0];
-        assert_eq!(t.outcome, JobOutcome::Recovered);
-        assert_eq!(t.attempts.len(), 1);
-        assert_eq!(t.attempts[0].class, FailClass::Transient);
-        assert!(t.attempts[0].backoff_ms >= 1, "backoff recorded");
-        assert_eq!(
-            store.get(&job).unwrap().as_run().unwrap().counters,
-            want,
-            "recovered output must be bit-identical to the fault-free run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&base_dir);
-    }
-
     #[test]
     fn injected_panic_is_terminal_no_retry() {
         use crate::faults::FaultKind;
         let setup = tiny_setup();
         let job = SimJob::Run(KernelRunSpec::new(&kernel(22), Scheme::Gto, &setup, None));
         let (mut engine, dir) = tmp_engine("panic-terminal");
-        engine.backoff_base = Duration::from_millis(1);
-        // rate 1.0: every attempt would fire — the proof of no-retry is
-        // that exactly one attempt happened.
+        // rate 1.0: every execution fires.
         engine.set_faults(Some(
             crate::faults::FaultPlan::new(0, 1.0).with_kinds(&[FaultKind::Panic]),
         ));
         let (store, report) = engine.run(std::slice::from_ref(&job));
         assert_eq!(report.failed.len(), 1);
-        assert_eq!((report.retried, report.recovered), (0, 0));
+        assert_eq!(report.retried, 0);
         let t = &report.trouble[0];
-        assert_eq!(t.outcome, JobOutcome::Failed);
-        assert_eq!(t.attempts.len(), 1, "panics must not be retried");
-        assert_eq!(t.attempts[0].class, FailClass::Panic);
-        assert!(t.attempts[0].error.contains("injected fault: panic"));
+        assert_eq!(t.class, FailClass::Panic);
+        assert!(t.error.contains("injected fault: panic"));
         assert!(store.get(&job).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn transient_exhaustion_is_a_terminal_failure() {
-        use crate::faults::FaultKind;
-        let setup = tiny_setup();
-        let job = SimJob::Run(KernelRunSpec::new(&kernel(23), Scheme::Gto, &setup, None));
-        let (mut engine, dir) = tmp_engine("exhaust");
-        engine.backoff_base = Duration::from_millis(1);
-        engine.max_retries = 2;
-        engine.set_faults(Some(
-            crate::faults::FaultPlan::new(0, 1.0).with_kinds(&[FaultKind::Transient]),
-        ));
-        let (_, report) = engine.run(std::slice::from_ref(&job));
-        assert_eq!(report.failed.len(), 1);
-        assert!(report.failed[0].1.contains("after 3 attempts"));
-        let t = &report.trouble[0];
-        assert_eq!(t.outcome, JobOutcome::Failed);
-        assert_eq!(t.attempts.len(), 3, "retries+1 attempts then give up");
-        // Backoff doubles: 1ms, 2ms, then terminal.
-        assert_eq!(t.attempts[0].backoff_ms, 1);
-        assert_eq!(t.attempts[1].backoff_ms, 2);
-        assert_eq!(t.attempts[2].backoff_ms, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

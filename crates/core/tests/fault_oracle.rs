@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use poise::experiment::{Scheme, Setup};
 use poise::jobs::{Engine, KernelRunSpec, ModelSpec, SimJob};
@@ -62,11 +61,10 @@ fn jobs(setup: &Setup) -> Vec<SimJob> {
     ]
 }
 
-/// An engine tuned for fast test turnaround: negligible backoff.
+/// A quiet engine over `dir` with `faults` installed.
 fn engine(dir: &PathBuf, faults: Option<FaultPlan>) -> Engine {
     let mut e = Engine::new(dir);
     e.quiet = true;
-    e.backoff_base = Duration::from_millis(1);
     e.set_faults(faults);
     e
 }
@@ -129,22 +127,17 @@ fn surviving_outputs_are_bit_identical_under_any_plan() {
 /// Oracle (c): a run killed and restarted with the *same* fault plan
 /// converges. Each restart is a fresh engine over the same store — the
 /// cache heals corrupt entries (quarantine indices advance the fault
-/// occurrence, so a torn write is not deterministically re-torn) and
-/// retries absorb transient losses, so within a few rounds a pass is
-/// fully warm and clean, and the final store matches the fault-free one
-/// with nothing corrupt left behind.
+/// occurrence, so a torn write is not deterministically re-torn), so
+/// within a few rounds a pass is fully warm and clean, and the final
+/// store matches the fault-free one with nothing corrupt left behind.
 #[test]
 fn restarted_runs_converge_to_the_fault_free_store() {
     let reference = baseline("conv");
     let setup = tiny_setup();
     let js = jobs(&setup);
-    // Recoverable kinds only: an injected panic is terminal by design
-    // (never retried), so it cannot converge and is excluded here.
-    let kinds = [
-        FaultKind::Transient,
-        FaultKind::TornWrite,
-        FaultKind::BitFlip,
-    ];
+    // Recoverable kinds only: an injected panic is terminal by design,
+    // so it cannot converge and is excluded here.
+    let kinds = [FaultKind::TornWrite, FaultKind::BitFlip];
     for seed in [3u64, 11] {
         let dir = tmp_dir(&format!("conv-{seed}"));
         let plan = FaultPlan::new(seed, 0.2).with_kinds(&kinds);
@@ -177,7 +170,7 @@ fn restarted_runs_converge_to_the_fault_free_store() {
     }
 }
 
-/// Injected panics are terminal: the job fails on its first attempt and
+/// Injected panics are terminal: the job fails on its one execution and
 /// unaffected jobs in the same wave still complete and match.
 #[test]
 fn panics_kill_only_their_own_job() {
@@ -194,14 +187,6 @@ fn panics_kill_only_their_own_job() {
     );
     for (label, text) in surviving(&store, &js) {
         assert_eq!(text, reference[&label], "survivor {label} diverged");
-    }
-    for t in &report.trouble {
-        assert_eq!(
-            t.attempts.len(),
-            1,
-            "{}: panics must not be retried",
-            t.label
-        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,11 +5,12 @@
 //! format; the replayer feeds them back through the same
 //! `InstructionStream` seam. For any recording that covers the cycle
 //! budget, the simulator cannot tell the two backends apart — same
-//! counters, same final cycle, same completion status, and the same
-//! controller steering trajectory — for every shipped control policy,
-//! under both the per-SM decoupled loop and the cycle-stepped reference
-//! loop. This is what makes a committed trace a trustworthy regression
-//! artefact: replaying it *is* re-running the kernel.
+//! counters, same final cycle, same completion status, the same
+//! controller steering trajectory and, for Poise, the same HIE epoch
+//! log — for every shipped control policy, under both the per-SM
+//! decoupled loop and the cycle-stepped reference loop. This is what
+//! makes a committed trace a trustworthy regression artefact: replaying
+//! it *is* re-running the kernel.
 //!
 //! One kernel per synthetic class is exercised: streaming, hot-set
 //! (intra-warp locality), shared-heavy (inter-warp locality) and
@@ -121,11 +122,13 @@ struct RunOutcome {
     steering: Vec<(u64, WarpTuple)>,
 }
 
+/// Runs `workload` under the controller `make` builds; returns the
+/// outcome and the controller after the run.
 fn run_with<C: Controller>(
     mode: StepMode,
     workload: &Workload,
     make: impl Fn() -> C,
-) -> RunOutcome {
+) -> (RunOutcome, C) {
     let mut cfg = GpuConfig::scaled(1);
     cfg.track_pc_stats = true; // uniform config so APCM is comparable
     cfg.step_mode = mode;
@@ -135,22 +138,33 @@ fn run_with<C: Controller>(
         events: Vec::new(),
     };
     let res = gpu.run(&mut ctrl, BUDGET);
-    RunOutcome {
+    let outcome = RunOutcome {
         counters: res.counters,
         cycle: gpu.cycle(),
         completed: res.completed,
         steering: ctrl.events,
-    }
+    };
+    (outcome, ctrl.inner)
 }
 
 fn assert_replay_identical<C: Controller>(policy: &str, make: impl Fn() -> C) {
+    assert_replay_identical_with(policy, make, |_| ());
+}
+
+/// [`assert_replay_identical`], also comparing the controller `state`
+/// each run leaves behind.
+fn assert_replay_identical_with<C: Controller, S: PartialEq + std::fmt::Debug>(
+    policy: &str,
+    make: impl Fn() -> C,
+    state: impl Fn(&C) -> S,
+) {
     let cfg = GpuConfig::scaled(1);
     for (class, spec) in kernel_classes() {
         let live = Workload::from(spec.clone());
         let replay = record(&spec, &cfg);
         for mode in [StepMode::Reference, StepMode::PerSm, StepMode::EventDriven] {
-            let a = run_with(mode, &live, &make);
-            let b = run_with(mode, &replay, &make);
+            let (a, ctrl_a) = run_with(mode, &live, &make);
+            let (b, ctrl_b) = run_with(mode, &replay, &make);
             assert_eq!(
                 a.counters, b.counters,
                 "{policy}/{class}/{mode:?}: replay counters diverged from the live generator"
@@ -163,6 +177,11 @@ fn assert_replay_identical<C: Controller>(policy: &str, make: impl Fn() -> C) {
             assert_eq!(
                 a.steering, b.steering,
                 "{policy}/{class}/{mode:?}: steering trajectory"
+            );
+            assert_eq!(
+                state(&ctrl_a),
+                state(&ctrl_b),
+                "{policy}/{class}/{mode:?}: controller state"
             );
         }
     }
@@ -185,9 +204,11 @@ fn static_best_replay_is_identical() {
 
 #[test]
 fn poise_replay_is_identical() {
-    assert_replay_identical("Poise", || {
-        PoiseController::new(const_model(8.0, 2.0), PoiseParams::scaled_down(20))
-    });
+    assert_replay_identical_with(
+        "Poise",
+        || PoiseController::new(const_model(8.0, 2.0), PoiseParams::scaled_down(20)),
+        |c| c.log.clone(),
+    );
 }
 
 #[test]
@@ -226,8 +247,8 @@ fn replay_through_a_file_round_trip_is_identical() {
         2 * BUDGET as usize,
     );
     let loaded = TraceRef::write(&data, dir.join("s.trace")).unwrap();
-    let a = run_with(StepMode::PerSm, &Workload::from(spec), FixedTuple::max);
-    let b = run_with(StepMode::PerSm, &Workload::from(loaded), FixedTuple::max);
+    let (a, _) = run_with(StepMode::PerSm, &Workload::from(spec), FixedTuple::max);
+    let (b, _) = run_with(StepMode::PerSm, &Workload::from(loaded), FixedTuple::max);
     assert_eq!(a.counters, b.counters);
     assert_eq!(a.steering, b.steering);
     let _ = std::fs::remove_dir_all(&dir);
@@ -247,8 +268,8 @@ fn truncated_recordings_diverge_detectably() {
         cfg.schedulers_per_sm,
         64,
     )));
-    let live = run_with(StepMode::PerSm, &Workload::from(spec), FixedTuple::max);
-    let replay = run_with(StepMode::PerSm, &short, FixedTuple::max);
+    let (live, _) = run_with(StepMode::PerSm, &Workload::from(spec), FixedTuple::max);
+    let (replay, _) = run_with(StepMode::PerSm, &short, FixedTuple::max);
     assert_ne!(
         live.counters, replay.counters,
         "a 64-op recording cannot cover a {BUDGET}-cycle run"

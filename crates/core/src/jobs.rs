@@ -868,26 +868,10 @@ impl SimJob {
                     .collect();
                 JobOutput::Model(fit_samples(&samples, m.window, &m.drop_features))
             }
-            SimJob::Run(r) | SimJob::Prefix(r) => {
+            // Both fork from the deepest cached prefix when the engine
+            // resolved a chain; otherwise they run cold.
+            SimJob::Run(r) => {
                 let (model, tuples, params) = r.resolve_inputs(dep_outputs);
-                // Fork from the deepest cached prefix when the engine
-                // resolved a chain; otherwise run cold.
-                let io: &dyn PrefixStore = match prefixes {
-                    Some(p) => p,
-                    None => &NoPrefixes,
-                };
-                if matches!(self, SimJob::Prefix(_)) {
-                    return JobOutput::Snapshot(run_prefix_blob(
-                        &r.workload,
-                        r.scheme,
-                        model,
-                        tuples,
-                        &r.cfg,
-                        &params,
-                        r.run_cycles,
-                        io,
-                    ));
-                }
                 JobOutput::Run(run_kernel_configured(
                     &r.workload,
                     r.scheme,
@@ -897,7 +881,20 @@ impl SimJob {
                     &params,
                     &r.rr_seeds,
                     r.run_cycles,
-                    io,
+                    prefixes.map_or(&NoPrefixes as &dyn PrefixStore, |p| p),
+                ))
+            }
+            SimJob::Prefix(r) => {
+                let (model, tuples, params) = r.resolve_inputs(dep_outputs);
+                JobOutput::Snapshot(run_prefix_blob(
+                    &r.workload,
+                    r.scheme,
+                    model,
+                    tuples,
+                    &r.cfg,
+                    &params,
+                    r.run_cycles,
+                    prefixes.map_or(&NoPrefixes as &dyn PrefixStore, |p| p),
                 ))
             }
         }
@@ -2695,7 +2692,6 @@ mod tests {
         ));
         let (store, report) = engine.run(std::slice::from_ref(&job));
         assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.retried, 0);
         let t = &report.trouble[0];
         assert_eq!(t.class, FailClass::Panic);
         assert!(t.error.contains("injected fault: panic"));

@@ -2250,6 +2250,9 @@ fn failures_report(faults: Option<&FaultPlan>, report: &RunReport) -> String {
         "# fault injection: {}",
         faults.map_or_else(|| "none".to_string(), |p| p.summary())
     );
+    if faults.is_some() {
+        let _ = writeln!(s, "# store faults injected: {}", report.store_faults);
+    }
     let _ = writeln!(s, "# engine: {}", report.summary_line());
     let _ = writeln!(
         s,
@@ -2279,7 +2282,7 @@ mod tests {
     use poise::jobs::{FailClass, JobTrouble};
 
     #[test]
-    fn failures_report_lists_every_attempt_field() {
+    fn failures_report_lists_injected_faults_and_failed_jobs() {
         let t = JobTrouble {
             label: "run[k]".to_string(),
             spec_hash: "ab12".to_string(),
@@ -2291,16 +2294,28 @@ mod tests {
             total: 1,
             failed: vec![(t.label.clone(), t.error.clone())],
             trouble: vec![t],
+            store_faults: 2,
             ..RunReport::default()
         };
-        let plan = FaultPlan::parse("seed=45,rate=0.15,kinds=panic").unwrap();
+        let plan = FaultPlan::parse("seed=45,rate=0.15,kinds=panic+torn").unwrap();
         assert_eq!(
             failures_report(Some(&plan), &report),
             "# run_all failures report
-# fault injection: seed=45,rate=0.15,kinds=panic
+# fault injection: seed=45,rate=0.15,kinds=panic+torn
+# store faults injected: 2
 # engine: jobs=1 executed=0 cache_hits=0 failed=1 hit_rate=0.0% corrupt=0 wall=0.0s
 # cache: 0 corrupt entries found, 0 quarantined under cache/quarantine/
 job run[k] spec_hash=ab12: panic after 3ms — injected fault: panic
+"
+        );
+        // Without a plan there is no store-fault line.
+        assert_eq!(
+            failures_report(None, &RunReport::default()),
+            "# run_all failures report
+# fault injection: none
+# engine: jobs=0 executed=0 cache_hits=0 failed=0 hit_rate=100.0% corrupt=0 wall=0.0s
+# cache: 0 corrupt entries found, 0 quarantined under cache/quarantine/
+# no failed jobs
 "
         );
     }

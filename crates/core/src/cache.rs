@@ -51,8 +51,9 @@
 //! A [`FaultPlan`](crate::faults::FaultPlan) installed via
 //! [`Cache::set_faults`] injects torn (truncated) writes and single-bit
 //! body flips at the store seam, deterministically per entry key and
-//! store occurrence — see [`crate::faults`] for how occurrences count
-//! quarantined casualties so that self-healing converges.
+//! store occurrence, and counts each in [`CacheStats::store_faults`] —
+//! see [`crate::faults`] for how occurrences count quarantined
+//! casualties so that self-healing converges.
 //!
 //! ## Float canonicalisation
 //!
@@ -102,6 +103,10 @@ pub struct CacheStats {
     pub corrupt: AtomicU64,
     /// Corrupt entries successfully moved under `quarantine/`.
     pub quarantined: AtomicU64,
+    /// Torn writes and bit flips the installed fault plan injected at
+    /// the store seam. Each leaves a corrupt entry on disk that only a
+    /// later load finds, so this is the one count of them a pass has.
+    pub store_faults: AtomicU64,
 }
 
 impl CacheStats {
@@ -122,6 +127,11 @@ impl CacheStats {
     /// Quarantined-entry count.
     pub fn quarantined_count(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
+    }
+
+    /// Injected store-fault count (see the field docs).
+    pub fn store_faults_count(&self) -> u64 {
+        self.store_faults.load(Ordering::Relaxed)
     }
 }
 
@@ -422,8 +432,9 @@ impl Cache {
                 bytes[off] ^= 0x01;
                 *text = String::from_utf8_lossy(&bytes).into_owned();
             }
-            _ => {}
+            _ => return,
         }
+        self.stats.store_faults.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Re-validate every entry offline: header, key-vs-filename, end
@@ -690,6 +701,26 @@ mod tests {
         cache.set_faults(None);
         cache.store("run", &key, "spec", "body\n", 0.0);
         assert!(cache.load("run", &key).is_some(), "clean store heals");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_injected_store_fault_is_counted() {
+        let dir = tmp_dir("faultcount");
+        let mut cache = Cache::new(&dir);
+        cache.set_faults(Some(Arc::new(
+            FaultPlan::parse("seed=3,rate=1,kinds=torn").unwrap(),
+        )));
+        for k in ["a", "b", "c"] {
+            cache.store("run", &sha256_hex(k), "spec", "body\n", 0.0);
+        }
+        // A second store of one key rolls a fresh occurrence: also torn.
+        cache.store("run", &sha256_hex("a"), "spec", "body\n", 0.0);
+        assert_eq!(cache.stats.store_faults_count(), 4, "every store tore");
+        // Without a plan nothing is injected, so nothing is counted.
+        cache.set_faults(None);
+        cache.store("run", &sha256_hex("d"), "spec", "body\n", 0.0);
+        assert_eq!(cache.stats.store_faults_count(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -326,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_and_attempt_reroll_independently() {
+    fn store_occurrences_reroll_independently() {
         // With rate 0.5 some (key, 0) store decisions fire and their
         // (key, 1) re-roll does not — the property self-heal convergence
         // rests on.

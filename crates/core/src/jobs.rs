@@ -1770,6 +1770,9 @@ pub struct RunReport {
     pub corrupt: u64,
     /// Corrupt entries successfully moved under `quarantine/`.
     pub quarantined: u64,
+    /// Torn writes and bit flips an installed fault plan injected into
+    /// this run's stores (see [`crate::cache::CacheStats::store_faults`]).
+    pub store_faults: u64,
     /// Every failed job, for the structured failures report.
     pub trouble: Vec<JobTrouble>,
     /// Wall-clock of the engine run.
@@ -2138,9 +2141,10 @@ impl Engine {
             ..RunReport::default()
         };
         let done = AtomicUsize::new(0);
-        let (corrupt0, quarantined0) = (
+        let (corrupt0, quarantined0, store_faults0) = (
             self.cache.stats.corrupt_count(),
             self.cache.stats.quarantined_count(),
+            self.cache.stats.store_faults_count(),
         );
 
         // Distinct waves actually present, ascending: the classic three
@@ -2200,6 +2204,7 @@ impl Engine {
 
         report.corrupt = self.cache.stats.corrupt_count() - corrupt0;
         report.quarantined = self.cache.stats.quarantined_count() - quarantined0;
+        report.store_faults = self.cache.stats.store_faults_count() - store_faults0;
         report.wall = t0.elapsed();
         if !self.quiet {
             eprintln!("[engine] {}", report.summary_line());

@@ -32,10 +32,10 @@
 //! quarantining corrupt cache entries (see "Failure handling & fault
 //! injection" in EXPERIMENTS.md).
 //!
-//! `POISE_RERUN=1` bypasses the result cache wholesale, `POISE_RETRAIN=1`
-//! re-runs training only. Editing any job input (kernel specs, schemes,
-//! parameters, machine configuration) invalidates exactly the affected
-//! cache entries, so these escape hatches are rarely needed.
+//! Editing any job input (kernel specs, schemes, parameters, machine
+//! configuration) invalidates exactly the affected cache entries, and
+//! every key carries a digest of the sources that compute the results,
+//! so the first pass after an edit to that code is cold.
 
 use std::process::ExitCode;
 

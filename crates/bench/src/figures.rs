@@ -2065,7 +2065,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         ..
     } = planned;
     let results = results_dir();
-    let mut engine = Engine::from_env(&results);
+    let mut engine = Engine::new(results.join("cache"));
     if let Some(plan) = faults {
         eprintln!("[run_all] fault injection: {}", plan.summary());
         engine.set_faults(Some(plan));
@@ -2217,7 +2217,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
 /// writers. Corrupt entries are quarantined, so a failing fsck leaves
 /// the store clean and a second pass succeeds.
 fn fsck_main() -> ExitCode {
-    let engine = Engine::from_env(&results_dir());
+    let engine = Engine::new(results_dir().join("cache"));
     match engine.fsck() {
         Ok(r) => {
             println!(

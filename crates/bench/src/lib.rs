@@ -8,8 +8,7 @@
 //! figure's jobs in one in-process pass and renders them (`run_all
 //! --only <figure>` for one figure). See `EXPERIMENTS.md` at the
 //! workspace root for the engine, the cache layout/keys, and the
-//! `--set`/`--sweep` knob grammar (`POISE_RERUN`/`POISE_RETRAIN` control
-//! the cache, not the setup).
+//! `--set`/`--sweep` knob grammar.
 //!
 //! Shared plumbing in this module: [`base_setup`] builds the experiment
 //! [`Setup`] by applying a knob overlay to the pure default, plus small

@@ -6,8 +6,10 @@
 //! model weights — into a canonical text form, and the SHA-256 of that
 //! text addresses the job's result under `results/cache/`. Editing any
 //! input therefore invalidates exactly the runs that depend on it; nothing
-//! else is re-simulated, and a blanket `POISE_RERUN=1` is only needed to
-//! bypass the cache wholesale (e.g. after a simulator code change).
+//! else is re-simulated. The key also mixes in a digest of the sources
+//! that compute every result (see [`crate::jobs`]), so a build whose
+//! simulator, workload, model or engine code differs looks up none of an
+//! older build's entries and re-executes.
 //!
 //! ## File format
 //!
@@ -29,13 +31,13 @@
 //! warm cache and from the cold run that filled it. The `sha256` line is
 //! an end-to-end body checksum: the header/end-marker checks catch
 //! truncation, but only the checksum catches silent in-place corruption
-//! (a flipped bit in a stored counter still parses). Both lines are
-//! optional on load, so entries written by earlier versions stay valid.
+//! (a flipped bit in a stored counter still parses). An entry without
+//! both lines is invalid.
 //!
 //! ## Self-healing
 //!
-//! Loads verify the header version, key, end marker and (when present)
-//! the body checksum. An invalid entry is **quarantined** — moved under
+//! Loads verify the header version, key, metadata lines, end marker and
+//! body checksum. An invalid entry is **quarantined** — moved under
 //! `quarantine/` beside the store, counted in [`CacheStats::corrupt`] /
 //! [`CacheStats::quarantined`] — and reported distinctly from a plain
 //! miss ([`Lookup::Corrupt`]), so the engine can re-run the job *and*
@@ -142,7 +144,7 @@ impl CacheStats {
 pub enum Lookup {
     /// A valid entry: body plus recorded execution wall seconds.
     Hit(String, f64),
-    /// No entry (or bypass mode).
+    /// No entry.
     Miss,
     /// An entry existed but failed validation; it has been quarantined.
     Corrupt,
@@ -172,9 +174,6 @@ enum Parsed {
 #[derive(Debug)]
 pub struct Cache {
     root: PathBuf,
-    /// When set, `load` always misses (the `POISE_RERUN=1` escape hatch);
-    /// results are still stored, refreshing the cache.
-    pub bypass: bool,
     /// Run statistics.
     pub stats: CacheStats,
     /// File names this cache instance has read or written — the live set
@@ -196,7 +195,6 @@ impl Cache {
         std::fs::create_dir_all(&root).expect("create cache dir");
         Cache {
             root,
-            bypass: false,
             stats: CacheStats::default(),
             touched: Mutex::new(HashSet::new()),
             seq: AtomicU64::new(0),
@@ -249,10 +247,6 @@ impl Cache {
     /// Look up `key`, distinguishing a plain miss from a corrupt entry.
     /// A corrupt entry is counted, quarantined and reported as such.
     pub fn lookup(&self, kind: &str, key: &str) -> Lookup {
-        if self.bypass {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
-        }
         let path = self.path_of(kind, key);
         let Ok(text) = std::fs::read_to_string(&path) else {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -319,24 +313,19 @@ impl Cache {
         if lines.next() != Some("# poise job cache v1") {
             return Parsed::Invalid;
         }
-        match lines.next().and_then(|l| l.strip_prefix("# key: ")) {
-            Some(k) if k == key => {}
-            _ => return Parsed::Invalid,
+        if lines.next().and_then(|l| l.strip_prefix("# key: ")) != Some(key) {
+            return Parsed::Invalid;
         }
-        // Metadata lines: optional (absent in entries written before
-        // they existed — still valid, the recorded time is just unknown
-        // and corruption detection falls back to the end marker).
-        let mut wall: Option<f64> = None;
-        let mut sha: Option<&str> = None;
-        for l in lines {
-            if let Some(w) = l.strip_prefix("# wall: ") {
-                wall = parse_f64(w);
-            } else if let Some(s) = l.strip_prefix("# sha256: ") {
-                sha = Some(s);
-            } else {
-                break; // `# spec:` (or anything else) ends the metadata.
-            }
-        }
+        let Some(wall) = lines
+            .next()
+            .and_then(|l| l.strip_prefix("# wall: "))
+            .and_then(parse_f64)
+        else {
+            return Parsed::Invalid;
+        };
+        let Some(sha) = lines.next().and_then(|l| l.strip_prefix("# sha256: ")) else {
+            return Parsed::Invalid;
+        };
         // Skip the embedded spec (all `#` comment lines); the body is
         // everything after, terminated by an explicit end marker so a
         // truncated write can be told apart from a short body.
@@ -347,14 +336,12 @@ impl Cache {
         let Some(body) = body.strip_suffix("# end\n") else {
             return Parsed::Invalid;
         };
-        if let Some(sha) = sha {
-            if sha256_hex(body) != sha {
-                return Parsed::Invalid;
-            }
+        if sha256_hex(body) != sha {
+            return Parsed::Invalid;
         }
         Parsed::Valid {
             body: body.to_string(),
-            wall: wall.unwrap_or(0.0),
+            wall,
         }
     }
 
@@ -597,22 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn entries_without_metadata_lines_stay_valid() {
-        // Back-compat: entries written before the wall/sha256 lines.
-        let dir = tmp_dir("compat");
-        let cache = Cache::new(&dir);
-        let key = sha256_hex("old");
-        let text = format!(
-            "# poise job cache v1\n# key: {key}\n# spec:\n#   s\n# end-spec\nbody\n# end\n"
-        );
-        std::fs::write(dir.join(format!("run-{key}.txt")), text).unwrap();
-        let (body, wall) = cache.load("run", &key).expect("valid without metadata");
-        assert_eq!(body, "body\n");
-        assert_eq!(wall, 0.0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_entries_are_counted_and_quarantined() {
         let dir = tmp_dir("corrupt");
         let cache = Cache::new(&dir);
@@ -665,22 +636,11 @@ mod tests {
         cache.store("run", &other, "spec", "body\n", 0.0);
         std::fs::rename(dir.join(format!("run-{other}.txt")), &path).unwrap();
         assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bypass_forces_misses_but_still_stores() {
-        let dir = tmp_dir("bypass");
-        let mut cache = Cache::new(&dir);
-        let key = sha256_hex("z");
-        cache.store("run", &key, "spec", "body\n", 0.0);
-        cache.bypass = true;
-        assert!(cache.load("run", &key).is_none());
-        cache.bypass = false;
-        assert_eq!(
-            cache.load("run", &key).map(|(b, _)| b).as_deref(),
-            Some("body\n")
-        );
+        // Intact apart from the missing `# wall:` and `# sha256:` lines.
+        let bare =
+            format!("# poise job cache v1\n# key: {key}\n# spec:\n# end-spec\nbody\n# end\n");
+        std::fs::write(&path, bare).unwrap();
+        assert!(matches!(cache.lookup("run", &key), Lookup::Corrupt));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -281,8 +281,8 @@ pub fn run_kernel_configured(
 }
 
 /// Version header of the serialized prefix blob (see [`PrefixBlob`]).
-/// Bump on any encoding change — blobs are durable cache entries, like
-/// `SimJob::spec_text`.
+/// Blobs are cache entries, whose keys carry the code digest, so no
+/// build reads a blob that another build encoded.
 pub const PREFIX_HEADER: &str = "poise-prefix v1";
 
 /// A serialized simulation prefix: the full machine image plus the
@@ -629,9 +629,13 @@ pub fn aggregate(bench: String, scheme: Scheme, kernels: Vec<KernelRun>) -> Benc
 }
 
 /// Harmonic mean of speedups (the paper's cross-benchmark aggregate).
+/// NaN if any value is NaN (a failed point), which the clamp would hide.
 pub fn harmonic_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
+    }
+    if values.iter().any(|v| v.is_nan()) {
+        return f64::NAN;
     }
     let denom: f64 = values.iter().map(|v| 1.0 / v.max(1e-12)).sum();
     values.len() as f64 / denom
@@ -704,6 +708,7 @@ mod tests {
         assert!((harmonic_mean(&[1.0, 2.0]) - 4.0 / 3.0).abs() < 1e-12);
         assert!((arithmetic_mean(&[1.0, 2.0]) - 1.5).abs() < 1e-12);
         assert_eq!(harmonic_mean(&[]), 0.0);
+        assert!(harmonic_mean(&[1.0, f64::NAN, 2.0]).is_nan());
     }
 
     #[test]

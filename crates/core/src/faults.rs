@@ -6,7 +6,8 @@
 //! is a pure function of the plan seed, the injection site, a stable
 //! identity (the job's spec hash or the cache entry's key) and an
 //! occurrence index; no wall clock, no process entropy. Two invocations
-//! of `run_all --inject seed=S,rate=P` over the same job graph therefore
+//! of `run_all --inject seed=S,rate=P` over the same job graph and the
+//! same sources (a store fault's key carries the code digest) therefore
 //! inject the *same* faults, which is what makes the differential
 //! robustness oracle (surviving outputs bit-identical to a fault-free
 //! run) a meaningful test rather than a flaky one.

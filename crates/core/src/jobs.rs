@@ -36,6 +36,11 @@
 //! a profile change that leaves the chosen tuples intact) invalidates
 //! nothing.
 //!
+//! Every key also mixes in the code digest, which this crate's build
+//! script takes over the sources that compute a job's output: after any
+//! edit there the next pass is cold, and `run_all --gc` after a full
+//! pass prunes the entries the older build left.
+//!
 //! ## Execution model
 //!
 //! [`Engine::run`] expands the requested jobs to their transitive
@@ -117,15 +122,8 @@ use gpu_sim::{
 use poise_ml::{ScoringWeights, SpeedupGrid, TrainedModel, TrainingSample, N_FEATURES};
 use workloads::{training_suite, AccessMix, KernelSpec, Phase, Workload};
 
-/// Salt mixed into every cache key. The cache hashes job *inputs*, not
-/// simulator code — bump this when a simulator/serialisation change
-/// alters what existing specs would produce, to deterministically
-/// invalidate every prior entry (a blanket alternative to
-/// `POISE_RERUN=1`, which only refreshes the specs of that one run).
-///
-/// v2: spec texts moved from `derive(Debug)` formatting to the explicit
-/// versioned renderings in [`spec_render`].
-pub const CACHE_VERSION: u32 = 2;
+/// The code digest mixed into every cache key (see the module docs).
+const CODE_DIGEST: &str = env!("POISE_CODE_DIGEST");
 
 /// Explicit, versioned spec renderings of the configuration structs that
 /// enter cache keys.
@@ -1663,13 +1661,9 @@ impl ResultStore {
     }
 
     /// The execution wall seconds of a job's simulation (see `walls`).
-    /// `None` for failed/never-run jobs or entries predating the
-    /// metadata.
+    /// `None` for failed/never-run jobs.
     pub fn wall(&self, job: &SimJob) -> Option<f64> {
-        self.walls
-            .get(&self.ids.resolve(job).hash)
-            .copied()
-            .filter(|w| *w > 0.0)
+        self.walls.get(&self.ids.resolve(job).hash).copied()
     }
 
     /// The profile grid for `spec`.
@@ -1990,9 +1984,6 @@ struct Disposition {
 /// [`SimJob`] graphs. See the module docs.
 pub struct Engine {
     cache: Cache,
-    /// Re-fit (and re-sample) models even when cached
-    /// (`POISE_RETRAIN=1`).
-    pub retrain: bool,
     /// Suppress per-job progress lines.
     pub quiet: bool,
     /// Fault-injection plan for the execution seam (`None` in normal
@@ -2062,20 +2053,10 @@ impl Engine {
     pub fn new(cache_root: impl Into<PathBuf>) -> Self {
         Engine {
             cache: Cache::new(cache_root),
-            retrain: false,
             quiet: false,
             faults: None,
             progress: None,
         }
-    }
-
-    /// An engine honouring the `POISE_RERUN` / `POISE_RETRAIN`
-    /// environment knobs, with its cache under `<results_dir>/cache`.
-    pub fn from_env(results_dir: &std::path::Path) -> Self {
-        let mut e = Engine::new(results_dir.join("cache"));
-        e.cache.bypass = std::env::var("POISE_RERUN").is_ok();
-        e.retrain = std::env::var("POISE_RETRAIN").is_ok();
-        e
     }
 
     /// The underlying cache.
@@ -2232,7 +2213,7 @@ impl Engine {
         let spec = &id.spec;
         Ok(CacheKey {
             kind: job.kind(),
-            key: sha256_hex(&format!("{CACHE_VERSION}\n{spec}--deps--\n{dep_digests}")),
+            key: sha256_hex(&format!("{CODE_DIGEST}\n{spec}--deps--\n{dep_digests}")),
         })
     }
 
@@ -2293,23 +2274,19 @@ impl Engine {
             .iter()
             .map(|d| store.get(d).expect("identify() checked every dep"))
             .collect();
-        let skip_cache = self.retrain && matches!(job, SimJob::Train(_) | SimJob::Sample(_));
-        if !skip_cache {
-            // A corrupt entry was quarantined by the lookup and re-executes
-            // exactly like a miss.
-            if let Lookup::Hit(body, wall) = self.cache.lookup(kind, &key) {
-                if let Some(out) = JobOutput::from_text(kind, &body) {
-                    self.emit(&label, spec_hash, JobStatus::Hit, wall, None);
-                    return Disposition {
-                        result: Ok(out),
-                        was_hit: true,
-                        wall,
-                    };
-                }
-                // Checksum-valid but semantically stale (format
-                // evolution): fall through and re-execute; the store
-                // below overwrites the entry.
+        // A corrupt entry was quarantined by the lookup and re-executes
+        // exactly like a miss.
+        if let Lookup::Hit(body, wall) = self.cache.lookup(kind, &key) {
+            if let Some(out) = JobOutput::from_text(kind, &body) {
+                self.emit(&label, spec_hash, JobStatus::Hit, wall, None);
+                return Disposition {
+                    result: Ok(out),
+                    was_hit: true,
+                    wall,
+                };
             }
+            // Checksum-valid but unparseable (a serialiser bug or a hand
+            // edit): re-execute; the store below overwrites the entry.
         }
 
         let prefixes = self.prefix_io(job, store);

@@ -1,14 +1,15 @@
 //! Golden pins of [`SimJob::spec_text`] for every job kind.
 //!
 //! The spec text *is* cache identity: its SHA-256 (plus dependency
-//! digests and `CACHE_VERSION`) addresses each result under
-//! `results/cache/`. These tests freeze the exact rendering for one
-//! representative job per kind, so a struct refactor that accidentally
-//! changes the rendering — a field rename leaking through a `Debug`
-//! derive, a reordered field list, a float formatting change — fails
-//! loudly here instead of silently invalidating (or aliasing) every
-//! cached result in the fleet. An *intentional* identity change must
-//! update these goldens and bump [`poise::jobs::CACHE_VERSION`].
+//! digests and the digest of the sources that compute the result)
+//! addresses each result under `results/cache/`. These tests freeze the
+//! exact rendering for one representative job per kind, so a struct
+//! refactor that accidentally changes the rendering — a field rename
+//! leaking through a `Debug` derive, a reordered field list, a float
+//! formatting change — fails loudly here instead of silently aliasing
+//! distinct jobs or moving every spec hash (the identity that fault
+//! plans and failure reports name). An *intentional* identity change
+//! must update these goldens.
 
 use gpu_sim::{GpuConfig, StepMode, WarpTuple};
 use poise::cache::sha256_hex;
@@ -147,8 +148,7 @@ fn spec_texts_match_goldens() {
         assert_eq!(
             job.spec_text(),
             expected,
-            "{name}: cache identity changed — if intentional, update this \
-             golden AND bump poise::jobs::CACHE_VERSION"
+            "{name}: cache identity changed — if intentional, update this golden"
         );
     }
 }

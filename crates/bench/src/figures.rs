@@ -1735,9 +1735,9 @@ fn render_sm_scaling(
                 cell(ipc / gto_ipc, 3),
                 thr,
                 // Threads that stepped the SMs of these runs: always 1,
-                // as no knob selects `ParallelSm`. The column stays
-                // because perfbench's figure digest expects six-field
-                // rows here.
+                // as the simulator runs on the calling thread. The
+                // column stays because perfbench's figure digest expects
+                // six-field rows here.
                 setup.cfg.sim_threads.to_string(),
             ]);
         }

@@ -89,19 +89,13 @@ pub fn parse_f64(s: &str) -> Option<f64> {
 // The on-disk store.
 // ---------------------------------------------------------------------------
 
-/// Hit/miss/store counters for one engine run (cheap, lock-free).
+/// Corruption and fault counters for one engine run (cheap, lock-free).
 #[derive(Debug, Default)]
 pub struct CacheStats {
-    /// Jobs answered from disk.
-    pub hits: AtomicU64,
-    /// Jobs that had no (valid) entry.
-    pub misses: AtomicU64,
-    /// Results written.
-    pub stores: AtomicU64,
     /// Entries that existed on disk but failed validation (truncated,
-    /// stale format, checksum mismatch, wrong key). Every corrupt entry
-    /// also counts as a miss — the job re-runs — but never silently:
-    /// this counter surfaces in the run summary.
+    /// stale format, checksum mismatch, wrong key). A corrupt entry's job
+    /// re-runs as on a miss, but never silently: this counter surfaces
+    /// in the run summary.
     pub corrupt: AtomicU64,
     /// Corrupt entries successfully moved under `quarantine/`.
     pub quarantined: AtomicU64,
@@ -112,15 +106,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Snapshot `(hits, misses, stores)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.stores.load(Ordering::Relaxed),
-        )
-    }
-
     /// Corrupt-entry count (see the field docs).
     pub fn corrupt_count(&self) -> u64 {
         self.corrupt.load(Ordering::Relaxed)
@@ -233,33 +218,19 @@ impl Cache {
             .insert(self.file_of(kind, key));
     }
 
-    /// Look up `key`; returns the stored body (without the header) plus
-    /// the recorded execution wall seconds when a valid entry exists.
-    /// Corrupt entries are reported as misses (they are quarantined and
-    /// counted — see [`Cache::lookup`] for the distinction).
-    pub fn load(&self, kind: &str, key: &str) -> Option<(String, f64)> {
-        match self.lookup(kind, key) {
-            Lookup::Hit(body, wall) => Some((body, wall)),
-            _ => None,
-        }
-    }
-
     /// Look up `key`, distinguishing a plain miss from a corrupt entry.
     /// A corrupt entry is counted, quarantined and reported as such.
     pub fn lookup(&self, kind: &str, key: &str) -> Lookup {
         let path = self.path_of(kind, key);
         let Ok(text) = std::fs::read_to_string(&path) else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return Lookup::Miss;
         };
         match Self::parse_entry(&text, key) {
             Parsed::Valid { body, wall } => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 self.touch(kind, key);
                 Lookup::Hit(body, wall)
             }
             Parsed::Invalid => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
                 if self.quarantine(&path) {
                     self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -376,7 +347,6 @@ impl Cache {
         if std::fs::write(&tmp, &text).is_ok()
             && std::fs::rename(&tmp, self.path_of(kind, key)).is_ok()
         {
-            self.stats.stores.fetch_add(1, Ordering::Relaxed);
             self.touch(kind, key);
         }
     }
@@ -536,16 +506,15 @@ mod tests {
         }
         // A stale temporary from a crashed writer.
         std::fs::write(dir.join(".tmp-999-0"), "torn").unwrap();
-        // The current run touches one existing entry (load) and writes a
-        // new one (store).
+        // The current run touches one existing entry (lookup) and writes
+        // a new one (store).
         let cache = Cache::new(&dir);
-        assert!(cache.load("run", &sha256_hex("a")).is_some());
+        let hit = |k: &str| matches!(cache.lookup("run", &sha256_hex(k)), Lookup::Hit(..));
+        assert!(hit("a"));
         cache.store("run", &sha256_hex("d"), "spec", "body\n", 0.0);
         let (removed, kept) = cache.prune_untouched().unwrap();
         assert_eq!((removed, kept), (3, 2), "b, c and the tmp file go");
-        assert!(cache.load("run", &sha256_hex("a")).is_some());
-        assert!(cache.load("run", &sha256_hex("d")).is_some());
-        assert!(cache.load("run", &sha256_hex("b")).is_none());
+        assert!(hit("a") && hit("d") && !hit("b"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -572,13 +541,13 @@ mod tests {
         let dir = tmp_dir("test");
         let cache = Cache::new(&dir);
         let key = sha256_hex("spec");
-        assert!(cache.load("run", &key).is_none());
+        assert!(matches!(cache.lookup("run", &key), Lookup::Miss));
         cache.store("run", &key, "kernel t\nscheme GTO", "a 1\nb 2\n", 0.25);
-        let (body, wall) = cache.load("run", &key).expect("hit");
+        let Lookup::Hit(body, wall) = cache.lookup("run", &key) else {
+            panic!("expected a hit");
+        };
         assert_eq!(body, "a 1\nb 2\n");
         assert_eq!(wall, 0.25, "wall metadata round-trips");
-        let (h, m, s) = cache.stats.snapshot();
-        assert_eq!((h, m, s), (1, 1, 1));
         assert_eq!(cache.stats.corrupt_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -660,7 +629,10 @@ mod tests {
         // occurrence index advanced past the quarantined casualty.
         cache.set_faults(None);
         cache.store("run", &key, "spec", "body\n", 0.0);
-        assert!(cache.load("run", &key).is_some(), "clean store heals");
+        assert!(
+            matches!(cache.lookup("run", &key), Lookup::Hit(..)),
+            "clean store heals"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -249,33 +249,29 @@ pub fn run_kernel_configured(
     run_cycles: u64,
     prefixes: &dyn PrefixStore,
 ) -> KernelRun {
-    let (result, epoch_logs) = if scheme == Scheme::RandomRestart {
-        // Average over seeds: run each seed for the full budget and
-        // merge counters (equal-cycle weighting).
-        let mut merged: Option<gpu_sim::SimResult> = None;
+    let (counters, energy, epoch_logs) = if scheme == Scheme::RandomRestart {
+        // Average over seeds: run each seed for the full budget and sum
+        // the counters (equal-cycle weighting); the energy covers every
+        // seed's run.
+        assert!(!rr_seeds.is_empty(), "at least one seed");
+        let mut counters = Counters::default();
         for &seed in rr_seeds {
             let mut ctrl = RandomRestartController::new(seed, params.t_period);
             let r = Gpu::new(base_cfg.clone(), spec).run(&mut ctrl, run_cycles);
-            merged = Some(match merged {
-                None => r,
-                Some(mut acc) => {
-                    acc.counters = merge_counters(&acc.counters, &r.counters);
-                    acc.cycles += r.cycles;
-                    acc
-                }
-            });
+            counters.accumulate(&r.counters);
         }
-        (merged.expect("at least one seed"), Vec::new())
+        let energy = EnergyBreakdown::from_counters(&counters, &base_cfg.energy, base_cfg.sms);
+        (counters, energy, Vec::new())
     } else {
         let (result, ctl, _gpu) = run_segments(
             spec, scheme, model, tuples, base_cfg, params, run_cycles, prefixes,
         );
-        (result, ctl.into_epoch_logs())
+        (result.counters, result.energy, ctl.into_epoch_logs())
     };
     KernelRun {
         kernel: spec.name().to_string(),
-        counters: result.counters,
-        energy: result.energy,
+        counters,
+        energy,
         epoch_logs,
     }
 }
@@ -546,44 +542,6 @@ pub fn run_prefix_blob(
     .to_text()
 }
 
-fn merge_counters(a: &Counters, b: &Counters) -> Counters {
-    // Sum the raw events of two runs (used for seed averaging: rates and
-    // IPC derived from summed counters are cycle-weighted means).
-    let mut out = *a;
-    macro_rules! add {
-        ($($f:ident),*) => { $(out.$f += b.$f;)* };
-    }
-    add!(
-        cycles,
-        instructions,
-        loads,
-        stores,
-        l1_accesses,
-        l1_hits,
-        l1_intra_hits,
-        l1_inter_hits,
-        l1_hits_polluting,
-        l1_accesses_polluting,
-        l1_hits_non_polluting,
-        l1_accesses_non_polluting,
-        l1_misses_completed,
-        miss_latency_sum,
-        l1_rejects,
-        mshr_allocations,
-        mshr_merges,
-        l2_accesses,
-        l2_hits,
-        dram_accesses,
-        busy_scheduler_cycles,
-        stall_scheduler_cycles,
-        in_gap_sum,
-        in_gap_count,
-        reuse_distance_sum,
-        reuse_distance_count
-    );
-    out
-}
-
 /// Whether a scheme consumes an [`OfflineProfile`].
 fn needs_profile(scheme: Scheme) -> bool {
     matches!(scheme, Scheme::Swl | Scheme::PcalSwl | Scheme::StaticBest)
@@ -694,6 +652,30 @@ mod tests {
             assert!(r.ipc > 0.0, "{} produced no work", scheme.name());
             assert!(r.energy > 0.0);
         }
+    }
+
+    #[test]
+    fn random_restart_energy_covers_every_seed() {
+        // The summed counters span all three seeds' runs, and the energy
+        // must be derived from them, not kept from the first seed.
+        let cfg = GpuConfig::scaled(1);
+        let spec: Workload = KernelSpec::steady("rr", AccessMix::memory_sensitive(), 21).into();
+        let run = run_kernel_configured(
+            &spec,
+            Scheme::RandomRestart,
+            None,
+            None,
+            &cfg,
+            &PoiseParams::default(),
+            &[11, 23, 47],
+            20_000,
+            &NoPrefixes,
+        );
+        assert_eq!(run.counters.cycles, 60_000);
+        assert_eq!(
+            run.energy,
+            EnergyBreakdown::from_counters(&run.counters, &cfg.energy, cfg.sms)
+        );
     }
 
     #[test]

@@ -165,11 +165,10 @@ pub mod spec_render {
 
     /// One-line rendering of a [`GpuConfig`].
     ///
-    /// `step_mode` and `sim_threads` are deliberately **excluded**: all
-    /// step modes (at any thread count) are proven bit-identical (the
-    /// differential suites pin it per policy), so results are
-    /// interchangeable across modes and switching the default must keep
-    /// hitting the same entries.
+    /// `step_mode` and `sim_threads` are deliberately **excluded**: both
+    /// run loops are proven bit-identical (the differential suites pin it
+    /// per policy), so results are interchangeable across modes and
+    /// switching the default must keep hitting the same entries.
     pub fn gpu_config(c: &GpuConfig) -> String {
         let GpuConfig {
             sms,
@@ -186,7 +185,7 @@ pub mod spec_render {
             track_reuse_distance,
             track_pc_stats,
             step_mode: _,   // bit-identical by contract; see above.
-            sim_threads: _, // read by `ParallelSm` only; see above.
+            sim_threads: _, // read by no run loop; see above.
         } = c;
         let L2Config {
             geometry: l2_geo,
@@ -1271,71 +1270,6 @@ pub enum JobOutput {
     Snapshot(String),
 }
 
-macro_rules! counter_fields {
-    ($m:ident) => {
-        $m!(
-            cycles,
-            instructions,
-            loads,
-            stores,
-            l1_accesses,
-            l1_hits,
-            l1_intra_hits,
-            l1_inter_hits,
-            l1_hits_polluting,
-            l1_accesses_polluting,
-            l1_hits_non_polluting,
-            l1_accesses_non_polluting,
-            l1_misses_completed,
-            miss_latency_sum,
-            l1_rejects,
-            mshr_allocations,
-            mshr_merges,
-            l2_accesses,
-            l2_hits,
-            dram_accesses,
-            busy_scheduler_cycles,
-            stall_scheduler_cycles,
-            in_gap_sum,
-            in_gap_count,
-            reuse_distance_sum,
-            reuse_distance_count
-        )
-    };
-}
-
-fn counters_to_line(c: &Counters) -> String {
-    macro_rules! list {
-        ($($f:ident),*) => {{
-            // Exhaustive destructuring (no `..`): adding a field to
-            // `Counters` without extending `counter_fields!` fails to
-            // compile here, instead of silently serialising — and, via
-            // the engine's canonicalise-through-serialisation step,
-            // zeroing — the new counter.
-            let Counters { $($f),* } = *c;
-            vec![$($f.to_string()),*]
-        }};
-    }
-    counter_fields!(list).join(" ")
-}
-
-fn counters_from_line(line: &str) -> Option<Counters> {
-    let vals: Vec<u64> = line
-        .split_whitespace()
-        .map(|v| v.parse().ok())
-        .collect::<Option<Vec<_>>>()?;
-    let mut c = Counters::default();
-    macro_rules! assign {
-        ($($f:ident),*) => {{
-            let mut it = vals.iter();
-            $(c.$f = *it.next()?;)*
-            if it.next().is_some() { return None; }
-        }};
-    }
-    counter_fields!(assign);
-    Some(c)
-}
-
 fn floats_to_line(vs: &[f64]) -> String {
     vs.iter().map(|v| fmt_f64(*v)).collect::<Vec<_>>().join(" ")
 }
@@ -1365,7 +1299,7 @@ impl JobOutput {
             }
             JobOutput::Steady(st) => {
                 let _ = writeln!(s, "tuple {} {}", st.tuple.n, st.tuple.p);
-                let _ = writeln!(s, "window {}", counters_to_line(&st.window));
+                let _ = writeln!(s, "window {}", st.window.to_line());
             }
             JobOutput::Sample(t) => {
                 let _ = writeln!(s, "kernel {}", t.kernel);
@@ -1389,7 +1323,7 @@ impl JobOutput {
             }
             JobOutput::Run(r) => {
                 let _ = writeln!(s, "kernel {}", r.kernel);
-                let _ = writeln!(s, "counters {}", counters_to_line(&r.counters));
+                let _ = writeln!(s, "counters {}", r.counters.to_line());
                 let _ = writeln!(
                     s,
                     "energy {}",
@@ -1457,7 +1391,9 @@ impl JobOutput {
                 let mut t = lines.next()?.strip_prefix("tuple ")?.split_whitespace();
                 let n: usize = t.next()?.parse().ok()?;
                 let p: usize = t.next()?.parse().ok()?;
-                let window = counters_from_line(lines.next()?.strip_prefix("window ")?)?;
+                let window = Counters::from_words(
+                    lines.next()?.strip_prefix("window ")?.split_whitespace(),
+                )?;
                 Some(JobOutput::Steady(SteadyState {
                     tuple: WarpTuple { n, p },
                     window,
@@ -1514,7 +1450,9 @@ impl JobOutput {
             }
             "run" => {
                 let kernel = lines.next()?.strip_prefix("kernel ")?.to_string();
-                let counters = counters_from_line(lines.next()?.strip_prefix("counters ")?)?;
+                let counters = Counters::from_words(
+                    lines.next()?.strip_prefix("counters ")?.split_whitespace(),
+                )?;
                 let e = floats_from_line(lines.next()?.strip_prefix("energy ")?, 5)?;
                 let mut epoch_logs = Vec::new();
                 for line in lines {

@@ -4,12 +4,12 @@
 //! work queue over [`std::thread::scope`] is all that is needed: no
 //! external dependency, panics propagate on join, and results keep the
 //! input order. Helper threads are leased from the process-wide budget
-//! ([`gpu_sim::threadpool::acquire_helpers`], `POISE_THREAD_BUDGET`), the
-//! same pot the simulator's per-SM advance pool draws from, so nested use
-//! (e.g. the job engine of [`crate::jobs`] fanning a wave of jobs whose
-//! grid profiles fan out again) composes instead of oversubscribing:
-//! inner fan-outs see what the outer ones left and degrade to sequential
-//! on their own thread when the pot is dry.
+//! ([`gpu_sim::threadpool::acquire_helpers`], `POISE_THREAD_BUDGET`), one
+//! pot for every fan-out, so nested use (the job engine of
+//! [`crate::jobs`] fanning a wave of jobs whose grid profiles fan out
+//! again) composes instead of oversubscribing: inner fan-outs see what
+//! the outer ones left and degrade to sequential on their own thread
+//! when the pot is dry.
 //!
 //! Callers that need per-task failure isolation (the job engine) wrap
 //! `f` in `catch_unwind` themselves; `parallel_map` keeps the strict

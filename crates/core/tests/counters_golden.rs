@@ -7,7 +7,7 @@
 //! to it. These values were
 //! generated once, before the ALU-run bursts and the MSHR-reject memo
 //! existed, and pin the issue path itself: any change to a simulated
-//! counter — under `PerSm`, `ParallelSm` or `Reference` — fails here.
+//! counter — under `PerSm` or `Reference` — fails here.
 //!
 //! The kernels cover the two regimes those mechanisms target: the
 //! memory-sensitive mix beyond the 32 MSHRs (a reject storm at N = 24,
@@ -26,16 +26,13 @@ fn run(spec: &KernelSpec, tuple: WarpTuple, mode: StepMode) -> Counters {
     cfg.track_reuse_distance = true;
     cfg.track_pc_stats = true;
     cfg.step_mode = mode;
-    if mode == StepMode::ParallelSm {
-        cfg.sim_threads = 2;
-    }
     let mut gpu = Gpu::new(cfg, spec);
     gpu.run(&mut FixedTuple::new(tuple), CYCLES).counters
 }
 
 fn check(spec: KernelSpec, n: usize, p: usize, golden: Counters) {
     let tuple = WarpTuple::new(n, p, 24);
-    for mode in [StepMode::PerSm, StepMode::ParallelSm, StepMode::Reference] {
+    for mode in [StepMode::PerSm, StepMode::Reference] {
         assert_eq!(
             run(&spec, tuple, mode),
             golden,

@@ -1,8 +1,7 @@
-//! Differential tests: the per-SM decoupled run loop (single-threaded
-//! and on the work-stealing pool), and the global event-driven
-//! fast-forward loop, must all be **bit-identical** to the cycle-stepped
-//! reference loop for every shipped control policy, across streaming /
-//! cache-resident / finite / phased kernels.
+//! Differential tests: the per-SM decoupled run loop must be
+//! **bit-identical** to the cycle-stepped reference loop for every shipped
+//! control policy, across streaming / cache-resident / finite / phased
+//! kernels.
 //!
 //! This is the contract that makes the fast-forward optimisations safe to
 //! lean on everywhere: same `Counters` (so IPC, AML, hit rates and gap
@@ -128,7 +127,7 @@ struct RunOutcome {
     cycle: u64,
     completed: bool,
     steering: Vec<(u64, WarpTuple)>,
-    ff_cycles: u64,
+    skipped_cycles: u64,
 }
 
 fn run_with<C: Controller>(
@@ -140,9 +139,6 @@ fn run_with<C: Controller>(
     let mut cfg = GpuConfig::scaled(1);
     cfg.track_pc_stats = true; // uniform config so APCM is comparable
     cfg.step_mode = mode;
-    if mode == StepMode::ParallelSm {
-        cfg.sim_threads = 2;
-    }
     let mut gpu = Gpu::new(cfg, spec);
     let mut ctrl = Recording::new(make());
     let res = gpu.run(&mut ctrl, budget);
@@ -151,33 +147,28 @@ fn run_with<C: Controller>(
         cycle: gpu.cycle(),
         completed: res.completed,
         steering: ctrl.events,
-        ff_cycles: gpu.fast_forward_stats().1,
+        skipped_cycles: gpu.fast_forward_stats().1,
     }
 }
 
 fn assert_identical<C: Controller>(policy: &str, make: impl Fn() -> C, budget: u64) {
     for (kname, spec) in kernels() {
         let rf = run_with(StepMode::Reference, &spec, &make, budget);
-        assert_eq!(rf.ff_cycles, 0, "reference mode must never skip");
-        for mode in [StepMode::PerSm, StepMode::ParallelSm, StepMode::EventDriven] {
-            let fast = run_with(mode, &spec, &make, budget);
-            assert_eq!(
-                fast.counters, rf.counters,
-                "{policy}/{kname}/{mode:?}: counters diverged"
-            );
-            assert_eq!(
-                fast.cycle, rf.cycle,
-                "{policy}/{kname}/{mode:?}: final cycle"
-            );
-            assert_eq!(
-                fast.completed, rf.completed,
-                "{policy}/{kname}/{mode:?}: completion status"
-            );
-            assert_eq!(
-                fast.steering, rf.steering,
-                "{policy}/{kname}/{mode:?}: steering trajectory (a skip crossed a wake)"
-            );
-        }
+        assert_eq!(rf.skipped_cycles, 0, "reference mode must never skip");
+        let fast = run_with(StepMode::PerSm, &spec, &make, budget);
+        assert_eq!(
+            fast.counters, rf.counters,
+            "{policy}/{kname}: counters diverged"
+        );
+        assert_eq!(fast.cycle, rf.cycle, "{policy}/{kname}: final cycle");
+        assert_eq!(
+            fast.completed, rf.completed,
+            "{policy}/{kname}: completion status"
+        );
+        assert_eq!(
+            fast.steering, rf.steering,
+            "{policy}/{kname}: steering trajectory (a skip crossed a wake)"
+        );
     }
 }
 
@@ -243,47 +234,14 @@ fn apcm_is_identical() {
 #[test]
 fn fast_forward_engages_on_memory_bound_runs() {
     // The equality tests above would pass vacuously if fast-forward never
-    // triggered; pin that both fast modes actually skip a large share of a
-    // memory-bound run.
+    // triggered; pin that the per-SM loop actually skips a large share of
+    // a memory-bound run.
     let (_, spec) = kernels().remove(0);
-    for mode in [StepMode::PerSm, StepMode::ParallelSm, StepMode::EventDriven] {
-        let fast = run_with(mode, &spec, FixedTuple::max, BUDGET);
-        assert!(
-            fast.ff_cycles > BUDGET / 4,
-            "{mode:?}: expected a large skipped share, got {} of {BUDGET}",
-            fast.ff_cycles
-        );
-    }
-}
-
-#[test]
-fn per_sm_decoupling_beats_the_global_skip_on_multi_sm_machines() {
-    // The regime this mode exists for: multiple desynchronised SMs at high
-    // occupancy. The global skip needs *every* scheduler stalled at once;
-    // the per-SM loop skips each SM's own stalls regardless.
-    let spec = KernelSpec::steady("diff-multi", AccessMix::memory_sensitive(), 11).with_warps(16);
-    let run = |mode: StepMode| {
-        let mut cfg = GpuConfig::scaled(4);
-        cfg.step_mode = mode;
-        if mode == StepMode::ParallelSm {
-            cfg.sim_threads = 2;
-        }
-        let mut gpu = Gpu::new(cfg, &spec);
-        let mut ctrl = FixedTuple::max();
-        let res = gpu.run(&mut ctrl, BUDGET);
-        (res.counters, gpu.fast_forward_stats().1)
-    };
-    let (pc, per_sm_skipped) = run(StepMode::PerSm);
-    let (tc, _) = run(StepMode::ParallelSm);
-    let (ec, global_skipped) = run(StepMode::EventDriven);
-    let (rc, _) = run(StepMode::Reference);
-    assert_eq!(pc, rc);
-    assert_eq!(tc, rc);
-    assert_eq!(ec, rc);
+    let fast = run_with(StepMode::PerSm, &spec, FixedTuple::max, BUDGET);
     assert!(
-        per_sm_skipped > global_skipped,
-        "per-SM skipping ({per_sm_skipped} SM-cycles) must beat the global \
-         skip ({global_skipped} cycles) at high occupancy"
+        fast.skipped_cycles > BUDGET / 4,
+        "expected a large skipped share, got {} of {BUDGET}",
+        fast.skipped_cycles
     );
 }
 
@@ -293,7 +251,7 @@ fn reject_storms_are_identical_under_steering_controllers() {
     // against 32 MSHRs) drives the L1 into a structural reject storm —
     // the regime the per-SM known-reject replay exists for. Dynamic
     // controllers steer tuples mid-storm, repeatedly moving the machine
-    // in and out of it; every mode must agree bit-for-bit. The budget is
+    // in and out of it; both loops must agree bit-for-bit. The budget is
     // modest because the reference loop really steps every storm cycle.
     let spec = KernelSpec::steady("diff-storm", AccessMix::memory_sensitive(), 3).with_warps(24);
     let budget = 25_000;
@@ -305,12 +263,10 @@ fn reject_storms_are_identical_under_steering_controllers() {
                 "{name}: expected a reject storm at full occupancy"
             );
         }
-        for mode in [StepMode::PerSm, StepMode::ParallelSm, StepMode::EventDriven] {
-            let fast = run_with(mode, &spec, make, budget);
-            assert_eq!(fast.counters, rf.counters, "{name}/{mode:?}: counters");
-            assert_eq!(fast.steering, rf.steering, "{name}/{mode:?}: steering");
-            assert_eq!(fast.cycle, rf.cycle, "{name}/{mode:?}: final cycle");
-        }
+        let fast = run_with(StepMode::PerSm, &spec, make, budget);
+        assert_eq!(fast.counters, rf.counters, "{name}: counters");
+        assert_eq!(fast.steering, rf.steering, "{name}: steering");
+        assert_eq!(fast.cycle, rf.cycle, "{name}: final cycle");
     };
     check("GTO", &|| Box::new(FixedTuple::max()), true);
     check(
@@ -338,16 +294,10 @@ fn poise_epoch_logs_match_across_modes() {
     let run = |mode: StepMode| {
         let mut cfg = GpuConfig::scaled(1);
         cfg.step_mode = mode;
-        if mode == StepMode::ParallelSm {
-            cfg.sim_threads = 2;
-        }
         let mut gpu = Gpu::new(cfg, &spec);
         let mut ctrl = PoiseController::new(const_model(8.0, 2.0), PoiseParams::scaled_down(20));
         gpu.run(&mut ctrl, 40_000);
         ctrl.log
     };
-    let reference = run(StepMode::Reference);
-    assert_eq!(run(StepMode::PerSm), reference);
-    assert_eq!(run(StepMode::ParallelSm), reference);
-    assert_eq!(run(StepMode::EventDriven), reference);
+    assert_eq!(run(StepMode::PerSm), run(StepMode::Reference));
 }

@@ -129,7 +129,7 @@ fn kernels() -> Vec<(&'static str, KernelSpec)> {
 
 /// Step modes under test, the cycle-stepped reference loop included.
 fn modes() -> Vec<StepMode> {
-    vec![StepMode::PerSm, StepMode::ParallelSm, StepMode::Reference]
+    vec![StepMode::PerSm, StepMode::Reference]
 }
 
 const BUDGET: u64 = 40_000;
@@ -138,9 +138,6 @@ fn cfg_for(mode: StepMode) -> GpuConfig {
     let mut cfg = GpuConfig::scaled(1);
     cfg.track_pc_stats = true; // uniform config so APCM is comparable
     cfg.step_mode = mode;
-    if mode == StepMode::ParallelSm {
-        cfg.sim_threads = 2;
-    }
     cfg
 }
 

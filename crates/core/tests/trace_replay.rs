@@ -162,7 +162,7 @@ fn assert_replay_identical_with<C: Controller, S: PartialEq + std::fmt::Debug>(
     for (class, spec) in kernel_classes() {
         let live = Workload::from(spec.clone());
         let replay = record(&spec, &cfg);
-        for mode in [StepMode::Reference, StepMode::PerSm, StepMode::EventDriven] {
+        for mode in [StepMode::Reference, StepMode::PerSm] {
             let (a, ctrl_a) = run_with(mode, &live, &make);
             let (b, ctrl_b) = run_with(mode, &replay, &make);
             assert_eq!(

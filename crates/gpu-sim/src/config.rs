@@ -9,9 +9,10 @@
 
 /// Which run loop [`crate::Gpu::run`] uses.
 ///
-/// All modes produce **bit-identical** counters (the differential suite
-/// in the `poise` crate enforces this for every shipped policy); they
-/// differ only in wall-clock cost.
+/// There are two loops, `PerSm` and `Reference`, and they produce
+/// **bit-identical** counters (the differential suite in the `poise`
+/// crate enforces this for every shipped policy); they differ only in
+/// wall-clock cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
     /// Decoupled per-SM local clocks: each SM runs ahead independently up
@@ -22,23 +23,17 @@ pub enum StepMode {
     /// of [`crate::gpu`] for the synchronisation invariant.
     #[default]
     PerSm,
-    /// [`StepMode::PerSm`] with the per-SM advances run on a work-stealing
-    /// thread pool of [`GpuConfig::sim_threads`] threads: within each
-    /// controller epoch, workers claim laggard SMs and advance each to its
-    /// private conservative horizon, buffering the SM's memory requests in
-    /// its own port; a sequential reduction then applies them through the
-    /// shared memory system in global `(cycle, SM)` order. Bit-identical
-    /// to `PerSm` by construction (see [`crate::gpu`] module docs).
+    /// Runs the [`StepMode::PerSm`] loop, at any
+    /// [`GpuConfig::sim_threads`]. The name remains because the
+    /// benchmark (`perfbench/`) compiles against it: its `ParallelSm@2`
+    /// check and its noise control select it.
     ParallelSm,
-    /// Globally event-driven: fast-forward only across spans in which no
-    /// warp on *any* SM can issue, jumping straight to the next scheduled
-    /// event / controller wake / budget end and bulk-accounting the
-    /// skipped cycles. Kept as the intermediate point between the
-    /// reference and per-SM loops (and as a cross-check in the
-    /// differential suites).
+    /// Runs the [`StepMode::PerSm`] loop. The name remains because the
+    /// benchmark (`perfbench/`) matches on every variant.
     EventDriven,
-    /// Step every cycle. The reference loop the other modes are validated
-    /// against.
+    /// Step every cycle. The reference loop `PerSm` is validated against;
+    /// it also probes the L1 for every retried load, so it is the oracle
+    /// of the per-SM loop's reject memo.
     Reference,
 }
 
@@ -180,17 +175,12 @@ pub struct GpuConfig {
     pub track_reuse_distance: bool,
     /// Track per-PC load locality (needed by APCM-style bypass policies).
     pub track_pc_stats: bool,
-    /// Which run loop to use (decoupled per-SM clocks, global event-driven
-    /// fast-forward, or the cycle-stepped reference; counters are
-    /// bit-identical in every mode).
+    /// Which run loop to use (decoupled per-SM clocks or the
+    /// cycle-stepped reference; counters are bit-identical in both).
     pub step_mode: StepMode,
-    /// Thread count for [`StepMode::ParallelSm`] (1 = effectively
-    /// sequential; ignored by the other modes). Like `step_mode`, it
-    /// never changes simulated results and stays out of the result-cache
-    /// identity; tests and benchmarks set it, the figure runs keep 1. The
-    /// pool spawns `sim_threads - 1` workers (the calling thread
-    /// participates), capped by the process-wide thread budget
-    /// ([`crate::threadpool`]).
+    /// Read by no run loop: the simulator is single-threaded. It stays
+    /// out of the result-cache identity; the `sm_scaling` figure prints
+    /// it (always 1 there), and the benchmark (`perfbench/`) sets it.
     pub sim_threads: usize,
 }
 

@@ -4,28 +4,22 @@
 //!
 //! Memory-bound phases — exactly the regimes Poise targets — spend most
 //! cycles with every vital warp blocked on an outstanding load. The
-//! simulator ships three run loops over identical architectural state
-//! (selected by [`StepMode`]), each proven **bit-identical** to the next
-//! by the differential suite in the `poise` crate:
+//! simulator ships two run loops over identical architectural state
+//! (selected by [`StepMode`]), proven **bit-identical** to each other by
+//! the differential suite in the `poise` crate:
 //!
 //! * [`StepMode::Reference`] steps every cycle of every SM.
-//! * [`StepMode::EventDriven`] detects globally-dead cycles — no scheduler
-//!   on *any* SM has a ready vital warp — in O(SMs × schedulers) via the
-//!   [`Sm`] readiness counters and jumps the single global clock to
-//!   `min(next event, next controller wake − 1, budget end)`, bulk-
-//!   accounting the skipped span. One busy scheduler anywhere pins the
-//!   whole machine to stepping, which caps the win at high occupancy.
 //! * [`StepMode::PerSm`] (the default) gives every SM its **own local
 //!   clock** and lets it run ahead — and replay its own repetitive spans
-//!   — independently of the others.
+//!   — independently of the others. Every other [`StepMode`] runs this
+//!   loop too.
 //!
 //! ### The replay rule
 //!
-//! The per-SM advance (`Lane::advance`, so [`StepMode::PerSm`] and
-//! [`StepMode::ParallelSm`]) pays per state change rather than per cycle.
-//! At the top of each iteration, once the events due have been delivered,
-//! it checks every scheduler of the SM (`Sm::replay_len`, O(schedulers)
-//! on masks). Each must be in one of three states:
+//! The per-SM advance (`Lane::advance`) pays per state change rather than
+//! per cycle. At the top of each iteration, once the events due have been
+//! delivered, it checks every scheduler of the SM (`Sm::replay_len`,
+//! O(schedulers) on masks). Each must be in one of three states:
 //!
 //! * **idle** — no ready vital warp: a stepped cycle only bumps its
 //!   `stall_scheduler_cycles` if it has live warps;
@@ -48,8 +42,8 @@
 //! scheduler onto `stall_scheduler_cycles`, and `k` times each storm
 //! scheduler's probe count onto `l1_rejects`. Otherwise the SM steps one
 //! cycle. A replay with no issuing scheduler counts in [`SmFastForward`]
-//! as a span, any other as a burst. `Reference` and `EventDriven` step
-//! every cycle, so `Reference` checks every replay.
+//! as a span, any other as a burst. `Reference` steps every cycle, so it
+//! checks every replay.
 //!
 //! ### The reject memo
 //!
@@ -76,9 +70,9 @@
 //! answers known rejects without calling the L1: they still count toward
 //! the arbitration width, and those ahead of the next real probe are
 //! counted with one `l1_rejects` bump (the stashed line already tops the
-//! warp's reuse stack, so skipping the probe skips nothing else). Every
-//! loop but `Reference` consults the memo; `Reference` probes for real,
-//! which makes it the memo's oracle.
+//! warp's reuse stack, so skipping the probe skips nothing else). The
+//! per-SM loop consults the memo; `Reference` probes for real, which
+//! makes it the memo's oracle.
 //!
 //! The memo and the [`SmFastForward`] counts are derived state: they stay
 //! out of [`Counters`] and out of snapshots, and a restored machine
@@ -95,11 +89,12 @@
 //! 1. **The shared memory system.** L2 banks and DRAM partitions are
 //!    stateful queues; requests must be serviced in the exact
 //!    `(cycle, SM, scheduler)` order the reference loop issues them. In
-//!    per-SM mode requests therefore park on per-SM ports
-//!    ([`MemSystem::read`] / [`MemSystem::write`] in deferred mode) and
-//!    are applied by [`MemSystem::apply_ready`] only once no SM with a
-//!    smaller `(local clock, SM id)` key can still issue an
-//!    earlier-ordered request. Deferral gives the issuer lookahead: a read
+//!    the per-SM loop requests therefore park on per-SM ports (through a
+//!    `PortRequester`, as [`MemSystem::read`] / [`MemSystem::write`] park
+//!    them in deferred mode) and are applied by
+//!    [`MemSystem::apply_ready`] only once no SM with a smaller
+//!    `(local clock, SM id)` key can still issue an earlier-ordered
+//!    request. Deferral gives the issuer lookahead: a read
 //!    issued at cycle `t` cannot fill before `t + l2_hit_round_trip`, so
 //!    [`MemSystem::safe_horizon`] lets the SM keep executing cycles
 //!    strictly below that bound while the request's true completion time
@@ -111,7 +106,7 @@
 //!    by that contract), clamped to the budget end. Every SM must reach
 //!    the barrier before the controller runs, and all SMs leave the
 //!    barrier in lockstep — so steering decisions, window samples and
-//!    epoch logs are bit-identical with the stepped loops.
+//!    epoch logs are bit-identical with the stepped loop.
 //!
 //! An SM at local cycle `c` may therefore execute `c` iff
 //! `c < min(next event addressed to it, memory safe horizon, barrier)`.
@@ -129,11 +124,10 @@
 //! and a replay never crosses an event, the horizon or a barrier, the
 //! only points where another SM or the controller can change this SM's
 //! state. All counters — IPC, AML, hit rates, gap statistics — are
-//! therefore bit-identical across the step modes.
+//! therefore bit-identical across the two loops.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 use crate::config::{GpuConfig, StepMode};
 use crate::controller::{ControlCtx, Controller};
@@ -142,7 +136,6 @@ use crate::instruction::KernelSource;
 use crate::memsys::{MemSystem, Port, PortRequester};
 use crate::sm::{EventSink, Sm, SmEvent};
 use crate::stats::{Counters, GpuStats, SmFastForward};
-use crate::threadpool::ThreadPool;
 
 /// A scheduled event: ordered by time, then by insertion sequence for
 /// determinism. Queues are per-SM, so the SM id lives in the queue index.
@@ -190,7 +183,7 @@ impl QueuedEvent {
 
 /// Per-SM event queues. Events only ever target state of their own SM, so
 /// per-SM ordering (time, then insertion sequence) fully determines
-/// behaviour; the stepped loops drain all queues at each global cycle.
+/// behaviour; the stepped loop drains all queues at each global cycle.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     pub(crate) queues: Vec<BinaryHeap<Reverse<QueuedEvent>>>,
@@ -213,16 +206,6 @@ impl EventQueue {
         } else {
             None
         }
-    }
-
-    /// Time of the next event for `sm`.
-    fn next_at(&self, sm: usize) -> Option<u64> {
-        self.queues[sm].peek().map(|r| r.0.at)
-    }
-
-    /// Time of the next event on any SM.
-    fn next_at_any(&self) -> Option<u64> {
-        (0..self.queues.len()).filter_map(|i| self.next_at(i)).min()
     }
 
     fn all_empty(&self) -> bool {
@@ -302,22 +285,6 @@ pub struct Gpu {
     /// the `Gpu` (rather than rebuilt per epoch) so its allocation is
     /// reused across epochs — `clear()` keeps the capacity.
     pub(crate) frontier_heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Worker pool of [`StepMode::ParallelSm`], built lazily on the first
-    /// parallel run and reused across rounds, epochs and `run()` calls so
-    /// the per-round cost is a condvar wake, not a thread spawn.
-    pub(crate) pool: Option<ThreadPool>,
-    /// Per-SM scratch statistics for parallel rounds (each advancing lane
-    /// accumulates into its own, merged sequentially in SM id order);
-    /// reused across rounds to avoid reallocation.
-    pub(crate) lane_scratch: Vec<GpuStats>,
-    /// Reused scratch listing the SMs whose port went empty → non-empty
-    /// during a parallel round and must be re-registered in the memory
-    /// system's front heap.
-    pub(crate) reindex_scratch: Vec<usize>,
-    /// Global-skip diagnostics of [`StepMode::EventDriven`]:
-    /// (spans taken, cycles skipped).
-    pub(crate) ff_spans: u64,
-    pub(crate) ff_cycles: u64,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -334,10 +301,7 @@ impl Gpu {
     pub fn new(cfg: GpuConfig, kernel: &dyn KernelSource) -> Self {
         let sms: Vec<Sm> = (0..cfg.sms).map(|i| Sm::new(i, &cfg, kernel)).collect();
         let mut mem = MemSystem::new(&cfg);
-        mem.set_deferred(matches!(
-            cfg.step_mode,
-            StepMode::PerSm | StepMode::ParallelSm
-        ));
+        mem.set_deferred(cfg.step_mode != StepMode::Reference);
         let kernel_warps = kernel
             .warps_per_scheduler()
             .clamp(1, cfg.max_warps_per_scheduler);
@@ -348,9 +312,6 @@ impl Gpu {
             clocks: vec![0; cfg.sms],
             done_at: vec![None; cfg.sms],
             frontier_heap: BinaryHeap::new(),
-            pool: None,
-            lane_scratch: Vec::new(),
-            reindex_scratch: Vec::new(),
             sms,
             mem,
             stats,
@@ -358,8 +319,6 @@ impl Gpu {
             cfg,
             kernel_warps,
             drained: false,
-            ff_spans: 0,
-            ff_cycles: 0,
         }
     }
 
@@ -390,22 +349,21 @@ impl Gpu {
     }
 
     /// Aggregate fast-forward diagnostics since construction:
-    /// `(spans_taken, cycles_skipped)`, summing the global skips of
-    /// [`StepMode::EventDriven`] and the per-SM skips of
+    /// `(spans_taken, cycles_skipped)`, summing the per-SM skips of
     /// [`StepMode::PerSm`] (SM-local cycles, so the sum can exceed the
     /// global cycle count on multi-SM machines). Always `(0, 0)` in
     /// [`StepMode::Reference`].
     pub fn fast_forward_stats(&self) -> (u64, u64) {
         let per_sm = &self.stats.fast_forward;
         (
-            self.ff_spans + per_sm.iter().map(|f| f.spans).sum::<u64>(),
-            self.ff_cycles + per_sm.iter().map(|f| f.skipped).sum::<u64>(),
+            per_sm.iter().map(|f| f.spans).sum(),
+            per_sm.iter().map(|f| f.skipped).sum(),
         )
     }
 
     /// Per-SM fast-forward breakdown (non-issuing replays and their
     /// SM-cycles, horizon stalls, issuing replays and theirs), indexed by
-    /// SM id. Only the per-SM loops populate it; use it to see *why* a
+    /// SM id. Only the per-SM loop populates it; use it to see *why* a
     /// workload does not skip (frequent `horizon_stalls` mean the SM
     /// keeps hitting the shared-memory horizon; zero `spans` mean its
     /// schedulers stay busy, and `burst_cycles` then says how much of
@@ -450,19 +408,12 @@ impl Gpu {
 
     fn run_body(&mut self, controller: &mut dyn Controller, max_cycles: u64) -> SimResult {
         let end = self.cycle + max_cycles;
-        let completed = match self.cfg.step_mode {
-            StepMode::PerSm => self.run_decoupled(controller, end),
-            // At one thread the round structure of the parallel loop is
-            // pure overhead; the sequential decoupled loop is the same
-            // algorithm minus the rounds (bit-identical), so use it.
-            // The choice is a pure function of the config — a dry
-            // thread budget at `sim_threads > 1` still runs the round
-            // loop (inline), it does not silently change the loop.
-            StepMode::ParallelSm if self.cfg.sim_threads <= 1 => {
-                self.run_decoupled(controller, end)
-            }
-            StepMode::ParallelSm => self.run_parallel(controller, end),
-            StepMode::EventDriven | StepMode::Reference => self.run_stepped(controller, end),
+        // The same test picks the memory system's deferred ports
+        // (`Gpu::new`) and the reject memo (`Sm::new`).
+        let completed = if self.cfg.step_mode == StepMode::Reference {
+            self.run_stepped(controller, end)
+        } else {
+            self.run_decoupled(controller, end)
         };
         self.drained = self.drained || completed;
         controller.on_kernel_end(&mut self.control_ctx());
@@ -482,19 +433,17 @@ impl Gpu {
         }
     }
 
-    /// The single-clock loop of [`StepMode::Reference`] and
-    /// [`StepMode::EventDriven`]: every SM steps every global cycle (with
-    /// the optional globally-stalled skip in between).
+    /// The single-clock loop of [`StepMode::Reference`]: every SM steps
+    /// every global cycle.
     fn run_stepped(&mut self, controller: &mut dyn Controller, end: u64) -> bool {
-        let fast_forward = self.cfg.step_mode == StepMode::EventDriven;
         // Debug builds track the controller's declared `next_wake` so the
         // `ControlCtx` methods can assert the quiet-span contract: an
         // `on_cycle(t)` with `t` strictly before the declared wake (or
         // after a declared `None`) must be a pure no-op. The stepped
-        // loops are the only place a violation is *observable* — the
-        // fast-forwarding loops skip those cycles outright — so this is
-        // where third-party controllers get caught before the
-        // differential suite has to diagnose a divergence.
+        // loop is the only place a violation is *observable* — the
+        // per-SM loop skips those cycles outright — so this is where
+        // third-party controllers get caught before the differential
+        // suite has to diagnose a divergence.
         let mut declared_wake: Option<Option<u64>> = None;
         while self.cycle < end {
             // Deliver all events due at or before this cycle.
@@ -525,54 +474,8 @@ impl Gpu {
             if self.events.all_empty() && !self.sms.iter().any(|sm| sm.live()) {
                 return true;
             }
-            if fast_forward {
-                self.fast_forward(controller, end);
-            }
         }
         false
-    }
-
-    /// Jump the global clock across a span in which nothing can happen
-    /// ([`StepMode::EventDriven`] only).
-    ///
-    /// Preconditions established by the caller: `on_cycle(self.cycle)` has
-    /// run and the kernel has not drained. The skip triggers only when no
-    /// scheduler on any SM has a ready vital warp; the span is bounded so
-    /// it never crosses a scheduled event, a controller wake, or the
-    /// budget end (the wake bound is `w − 1` because the stepped loop
-    /// calls `on_cycle(w)` after stepping cycle `w − 1`, so cycle `w − 1`
-    /// must be stepped for the wake to fire at the same point).
-    fn fast_forward(&mut self, controller: &dyn Controller, end: u64) {
-        if self.sms.iter().any(|sm| sm.can_issue()) {
-            return;
-        }
-        // With live warps and no pending events the machine could only
-        // deadlock (cannot happen: a blocked warp always waits on a
-        // scheduled completion); stepping wouldn't change that, so the
-        // skip is still faithful — but stay conservative and only skip up
-        // to a bound we can actually name.
-        let next_event = self.events.next_at_any().unwrap_or(u64::MAX);
-        let mut target = next_event.min(end);
-        if let Some(wake) = controller.next_wake(self.cycle) {
-            // Cycle `wake − 1` must be stepped so `on_cycle(wake)` fires
-            // in loop order, exactly as the reference loop would.
-            target = target.min(wake.saturating_sub(1));
-        }
-        if target <= self.cycle {
-            return;
-        }
-        let span = target - self.cycle;
-        // Bulk-account the span exactly as `span` stepped stall cycles:
-        // every cycle bumps `cycles`; each scheduler that still manages
-        // live warps bumps `stall_scheduler_cycles` (none can issue).
-        let stalled: u64 = self.sms.iter().map(|sm| sm.live_scheduler_count()).sum();
-        self.stats.bump(|c| {
-            c.cycles += span;
-            c.stall_scheduler_cycles += span * stalled;
-        });
-        self.cycle = target;
-        self.ff_spans += 1;
-        self.ff_cycles += span;
     }
 
     /// The decoupled loop of [`StepMode::PerSm`]: between controller
@@ -675,7 +578,7 @@ impl Gpu {
 
     /// Advance SM `i` on its local clock until the barrier, its own drain,
     /// or the conservative memory horizon stops it, skipping stalled
-    /// spans in bulk along the way (the sequential laggard advance of
+    /// spans in bulk along the way (the laggard advance of
     /// [`StepMode::PerSm`], expressed as a one-off [`Lane`]).
     fn advance_sm(&mut self, i: usize, barrier: u64) {
         let min_fill = self.mem.min_fill_latency();
@@ -692,7 +595,6 @@ impl Gpu {
                 seq: &mut self.events.seqs[i],
                 port,
                 stats: &mut self.stats,
-                ff_idx: i,
                 clock: self.clocks[i],
                 done_at: None,
                 barrier,
@@ -706,203 +608,11 @@ impl Gpu {
         }
         self.mem.reindex_port(i);
     }
-
-    /// The parallel loop of [`StepMode::ParallelSm`]: the same epochs and
-    /// barriers as [`Self::run_decoupled`], but within an epoch the SMs
-    /// advance in **rounds** — every SM strictly below its own
-    /// conservative horizon advances concurrently on the worker pool,
-    /// issuing memory requests onto its private port — and a sequential
-    /// reduction between rounds applies the parked requests through
-    /// [`MemSystem::apply_ready`] in global `(cycle, SM)` order and merges
-    /// the per-lane counters in SM id order.
-    ///
-    /// **Why this is bit-identical to `PerSm`.** Each SM's execution is a
-    /// pure function of its own state and its delivered events. A lane
-    /// only executes cycles strictly below `oldest unapplied read +
-    /// min_fill_latency`, and no unapplied read can produce a fill before
-    /// that bound, so every event a lane can ever receive for the cycles
-    /// it executes is already in its queue — per-SM trajectories are
-    /// schedule-independent. Requests are applied in the same global key
-    /// order (the frontier sequence is non-decreasing in both loops), so
-    /// the shared bank/partition state sees the identical request
-    /// sequence and produces identical fill times. All architectural
-    /// counters are commutative sums, merged in a fixed order. The only
-    /// divergence is how skipped spans are *partitioned* (a round
-    /// boundary can split one `PerSm` span in two), which moves the
-    /// [`SmFastForward`] diagnostics but none of the architectural
-    /// accounting — a replay accounts each of its cycles alike, so it is
-    /// span-partition-invariant.
-    fn run_parallel(&mut self, controller: &mut dyn Controller, end: u64) -> bool {
-        if self.pool.is_none() {
-            self.pool = Some(ThreadPool::new(self.cfg.sim_threads.saturating_sub(1)));
-        }
-        if self.lane_scratch.len() != self.cfg.sms {
-            self.lane_scratch = (0..self.cfg.sms)
-                .map(|_| {
-                    let mut s = GpuStats::new();
-                    s.fast_forward = vec![SmFastForward::default()];
-                    s
-                })
-                .collect();
-        }
-        for c in &mut self.clocks {
-            *c = self.cycle;
-        }
-        let mut completed = false;
-        while self.cycle < end {
-            let epoch_start = self.cycle;
-            let barrier = controller
-                .next_wake(epoch_start)
-                .unwrap_or(u64::MAX)
-                .min(end)
-                .max(epoch_start + 1);
-            loop {
-                // The frontier: minimum `(clock, id)` over SMs that may
-                // still issue. O(SMs) rescan per round (a round advances
-                // many SMs, so there is no laggard heap to maintain).
-                let frontier = self
-                    .done_at
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.is_none())
-                    .map(|(i, _)| (self.clocks[i], i))
-                    .min();
-                let Some((c, i)) = frontier else {
-                    // Every SM drained: flush the remaining (write-only)
-                    // requests, which nothing can precede any more.
-                    self.mem
-                        .apply_ready((u64::MAX, 0), &mut self.events, &mut self.stats);
-                    break;
-                };
-                self.mem
-                    .apply_ready((c, i), &mut self.events, &mut self.stats);
-                if c >= barrier {
-                    break; // the laggard reached the barrier: all did
-                }
-                self.advance_ready_lanes(barrier);
-            }
-            debug_assert_eq!(
-                self.mem.pending_requests(),
-                0,
-                "requests drained at barrier"
-            );
-            // Identical epoch epilogue to `run_decoupled`.
-            let all_done = self.done_at.iter().all(|d| d.is_some());
-            let epoch_end = if all_done {
-                completed = true;
-                self.done_at
-                    .iter()
-                    .filter_map(|d| d.map(|c| c + 1))
-                    .max()
-                    .unwrap_or(epoch_start + 1)
-                    .max(epoch_start + 1)
-            } else {
-                barrier
-            };
-            self.stats.bump(|c| c.cycles += epoch_end - epoch_start);
-            self.cycle = epoch_end;
-            for c in &mut self.clocks {
-                *c = epoch_end;
-            }
-            if epoch_end == barrier {
-                controller.on_cycle(&mut self.control_ctx());
-            }
-            if completed {
-                break;
-            }
-        }
-        completed
-    }
-
-    /// One parallel round: build a [`Lane`] for every SM strictly below
-    /// its lane-local horizon, advance them on the pool (work-stealing
-    /// over the ready list, caller participating), then sequentially — in
-    /// SM id order — write back clocks/drains, fold the per-lane counter
-    /// scratches into the global statistics, and re-register ports that
-    /// went empty → non-empty in the memory system's front heap.
-    fn advance_ready_lanes(&mut self, barrier: u64) {
-        let min_fill = self.mem.min_fill_latency();
-        let pool = self.pool.as_mut().expect("pool built at run entry");
-        let ports = self.mem.ports_mut();
-        let mut lanes: Vec<(Mutex<Lane<'_>>, bool)> = Vec::with_capacity(self.cfg.sms);
-        for ((((sm, q), seq), port), scratch) in self
-            .sms
-            .iter_mut()
-            .zip(self.events.queues.iter_mut())
-            .zip(self.events.seqs.iter_mut())
-            .zip(ports.iter_mut())
-            .zip(self.lane_scratch.iter_mut())
-        {
-            let i = sm.id;
-            if self.done_at[i].is_some() {
-                continue;
-            }
-            let clock = self.clocks[i];
-            if clock >= barrier {
-                continue;
-            }
-            // The lane-local horizon: conservative (computed from the
-            // lane's own unapplied reads, exactly like `safe_horizon`), so
-            // a lane at or past it simply sits this round out — the
-            // laggard, whose port the reduction just drained, is always
-            // below it, so every round makes progress.
-            let hz = port.next_read_at().map_or(u64::MAX, |at| at + min_fill);
-            if clock >= hz {
-                continue;
-            }
-            scratch.total = Counters::default();
-            scratch.window = Counters::default();
-            scratch.fast_forward[0] = SmFastForward::default();
-            let was_empty = port.is_empty();
-            lanes.push((
-                Mutex::new(Lane {
-                    id: i,
-                    sm,
-                    q,
-                    seq,
-                    port,
-                    stats: scratch,
-                    ff_idx: 0,
-                    clock,
-                    done_at: None,
-                    barrier,
-                    min_fill,
-                }),
-                was_empty,
-            ));
-        }
-        pool.run(lanes.len(), |k| {
-            let mut lane = lanes[k].0.try_lock().expect("each lane claimed once");
-            lane.advance();
-        });
-        // Sequential reduction, in SM id order (lanes were built in it).
-        self.reindex_scratch.clear();
-        for (lane, was_empty) in &mut lanes {
-            let lane = lane.get_mut().expect("round finished");
-            self.clocks[lane.id] = lane.clock;
-            if lane.done_at.is_some() {
-                self.done_at[lane.id] = lane.done_at;
-            }
-            self.stats.total.accumulate(&lane.stats.total);
-            self.stats.window.accumulate(&lane.stats.window);
-            self.stats.fast_forward[lane.id].accumulate(&lane.stats.fast_forward[0]);
-            if *was_empty && !lane.port.is_empty() {
-                self.reindex_scratch.push(lane.id);
-            }
-        }
-        drop(lanes);
-        for k in 0..self.reindex_scratch.len() {
-            self.mem.reindex_port(self.reindex_scratch[k]);
-        }
-    }
 }
 
-/// One SM's decoupled advance, bundling the disjoint `&mut` borrows a
-/// worker needs: the SM, its event queue and sequence counter, its private
-/// memory port, and a statistics sink (the real one with `ff_idx = id` in
-/// the sequential loop; a per-lane scratch with `ff_idx = 0` in parallel
-/// rounds, merged afterwards). `Send`, so parallel rounds can move lanes
-/// to pool workers.
+/// One SM's decoupled advance, bundling the disjoint `&mut` borrows it
+/// needs: the SM, its event queue and sequence counter, its private
+/// memory port, and the statistics.
 struct Lane<'a> {
     id: usize,
     sm: &'a mut Sm,
@@ -910,8 +620,6 @@ struct Lane<'a> {
     seq: &'a mut u64,
     port: &'a mut Port,
     stats: &'a mut GpuStats,
-    /// Index into `stats.fast_forward` for this lane's skip diagnostics.
-    ff_idx: usize,
     /// Local clock (in/out).
     clock: u64,
     /// Drain cycle discovered by this advance, if any (out).
@@ -933,11 +641,10 @@ impl Lane<'_> {
     }
 
     /// Advance until the barrier, the lane's drain or its horizon stops
-    /// it, replaying repetitive spans along the way. The body is the
-    /// former sequential `advance_sm`, verbatim up to the borrow seam:
-    /// memory requests go through a [`PortRequester`] over the lane's own
-    /// port (identical parking semantics; the front heap is reindexed by
-    /// the caller afterwards).
+    /// it, replaying repetitive spans along the way. Memory requests go
+    /// through a [`PortRequester`] over the lane's own port (the parking
+    /// of [`MemSystem::read`] in deferred mode; the front heap is
+    /// reindexed by the caller afterwards).
     fn advance(&mut self) {
         let mut clock = self.clock;
         // The conservative horizon: re-queried only while unknown — while
@@ -965,7 +672,7 @@ impl Lane<'_> {
                 break;
             }
             if clock >= hz {
-                self.stats.fast_forward[self.ff_idx].horizon_stalls += 1;
+                self.stats.fast_forward[self.id].horizon_stalls += 1;
                 break;
             }
             // The replay rule: when every scheduler is idle, in a
@@ -983,7 +690,7 @@ impl Lane<'_> {
                 debug_assert!(target > clock);
                 let k = target - clock;
                 let issued = self.sm.replay(k, self.stats);
-                let ff = &mut self.stats.fast_forward[self.ff_idx];
+                let ff = &mut self.stats.fast_forward[self.id];
                 if issued {
                     ff.bursts += 1;
                     ff.burst_cycles += k;
@@ -1029,19 +736,9 @@ mod tests {
     use crate::controller::FixedTuple;
     use crate::instruction::UniformKernel;
 
-    const ALL_MODES: [StepMode; 4] = [
-        StepMode::PerSm,
-        StepMode::ParallelSm,
-        StepMode::EventDriven,
-        StepMode::Reference,
-    ];
-
-    /// `cfg` switched to `mode`, with two worker threads when parallel.
+    /// `cfg` switched to `mode`.
     fn cfg_with(mut cfg: GpuConfig, mode: StepMode) -> GpuConfig {
         cfg.step_mode = mode;
-        if mode == StepMode::ParallelSm {
-            cfg.sim_threads = 2;
-        }
         cfg
     }
 
@@ -1160,9 +857,9 @@ mod tests {
         // 4 warps x 100 ALU instructions per scheduler issue one
         // instruction per scheduler-cycle: cycles 0..=399 issue all 400,
         // cycle 400 discovers the exhausted streams (`fetch -> None`), and
-        // the drain is detected after advancing to cycle 401 — in ALL
-        // step modes.
-        for mode in ALL_MODES {
+        // the drain is detected after advancing to cycle 401 — in both
+        // run loops.
+        for mode in [StepMode::PerSm, StepMode::Reference] {
             let cfg = cfg_with(GpuConfig::scaled(1), mode);
             let mut gpu = Gpu::new(
                 cfg,
@@ -1181,23 +878,17 @@ mod tests {
     #[test]
     fn fast_forward_skips_stalled_spans() {
         // A single streaming warp spends almost every cycle blocked on its
-        // outstanding load; both fast modes must skip most of them.
-        for mode in [StepMode::PerSm, StepMode::ParallelSm, StepMode::EventDriven] {
-            let kernel = UniformKernel::streaming(1, 0);
-            let cfg = cfg_with(GpuConfig::scaled(1), mode);
-            let mut gpu = Gpu::new(cfg, &kernel);
-            let res = gpu.run(&mut FixedTuple::max(), 50_000);
-            let (spans, skipped) = gpu.fast_forward_stats();
-            assert!(
-                spans > 100,
-                "{mode:?}: expected many skip spans, got {spans}"
-            );
-            assert!(
-                skipped > 25_000,
-                "{mode:?}: expected most cycles skipped, got {skipped}"
-            );
-            assert_eq!(res.counters.cycles, 50_000);
-        }
+        // outstanding load; the per-SM loop must skip most of them.
+        let kernel = UniformKernel::streaming(1, 0);
+        let mut gpu = Gpu::new(GpuConfig::scaled(1), &kernel);
+        let res = gpu.run(&mut FixedTuple::max(), 50_000);
+        let (spans, skipped) = gpu.fast_forward_stats();
+        assert!(spans > 100, "expected many skip spans, got {spans}");
+        assert!(
+            skipped > 25_000,
+            "expected most cycles skipped, got {skipped}"
+        );
+        assert_eq!(res.counters.cycles, 50_000);
     }
 
     #[test]
@@ -1242,9 +933,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sm_matches_per_sm_across_thread_counts() {
-        // Bit-identity must hold for any thread count — including more
-        // threads than SMs, and a 1-thread pool (zero workers, inline).
+    fn kept_mode_names_run_the_per_sm_loop() {
+        // `ParallelSm` at any `sim_threads`, and `EventDriven`, are names
+        // for the per-SM loop: the same counters and cycle, and the same
+        // spans, bursts and horizon stalls, which only that loop records.
         let kernel = UniformKernel::streaming(16, 2);
         let run = |mode: StepMode, threads: usize| {
             let mut cfg = GpuConfig::scaled(4);
@@ -1252,26 +944,30 @@ mod tests {
             cfg.sim_threads = threads;
             let mut gpu = Gpu::new(cfg, &kernel);
             let res = gpu.run(&mut FixedTuple::max(), 30_000);
-            (res.counters, res.completed, gpu.cycle())
+            (
+                res.counters,
+                gpu.cycle(),
+                gpu.fast_forward_breakdown().to_vec(),
+            )
         };
         let base = run(StepMode::PerSm, 1);
-        for threads in [1, 2, 3, 8] {
+        for threads in [1, 2, 8] {
             assert_eq!(
                 run(StepMode::ParallelSm, threads),
                 base,
-                "sim_threads={threads} diverged from PerSm"
+                "ParallelSm at sim_threads={threads}"
             );
         }
+        assert_eq!(run(StepMode::EventDriven, 1), base, "EventDriven");
     }
 
     #[test]
     fn mshr_reject_storms_replay_identically() {
         // 24 warps/scheduler want 48 outstanding loads against 32 MSHRs:
-        // ready warps retry structurally rejected loads every cycle, so no
-        // mode can ever find a "nothing can issue" span. The decoupled
-        // loop must replay those known-reject cycles in bulk —
-        // bit-identically (every retry bumps `l1_rejects`) and actually
-        // skipping them.
+        // ready warps retry structurally rejected loads every cycle, so
+        // there is never a "nothing can issue" span. The decoupled loop
+        // must replay those known-reject cycles in bulk — bit-identically
+        // (every retry bumps `l1_rejects`) and actually skipping them.
         let kernel = UniformKernel::streaming(24, 0);
         let run = |mode: StepMode| {
             let cfg = cfg_with(GpuConfig::scaled(2), mode);
@@ -1282,25 +978,8 @@ mod tests {
         };
         let (pc, pcyc, pskip) = run(StepMode::PerSm);
         let (rc, rcyc, _) = run(StepMode::Reference);
-        let (ec, ecyc, eskip) = run(StepMode::EventDriven);
-        let (tc, tcyc, tskip) = run(StepMode::ParallelSm);
         assert_eq!((pc, pcyc), (rc, rcyc), "per-SM diverged in a reject storm");
-        assert_eq!(
-            (ec, ecyc),
-            (rc, rcyc),
-            "event-driven diverged in a reject storm"
-        );
-        assert_eq!(
-            (tc, tcyc),
-            (rc, rcyc),
-            "parallel-SM diverged in a reject storm"
-        );
-        assert!(
-            tskip > 15_000,
-            "parallel known-reject replay must engage too, got {tskip}"
-        );
         assert!(rc.l1_rejects > 20_000, "storm must reject heavily");
-        assert_eq!(eskip, 0, "the global skip cannot engage in a storm");
         assert!(
             pskip > 15_000,
             "per-SM known-reject replay must skip most of the storm, got {pskip}"
@@ -1311,7 +990,7 @@ mod tests {
     fn alu_bursts_engage_and_match_reference() {
         // 64-instruction ALU runs between loads: the greedy warps issue
         // long ALU runs while the other warps wait on their loads, so the
-        // per-SM loops account most issuing cycles in bursts — and must
+        // per-SM loop accounts most issuing cycles in bursts — and must
         // stay bit-identical to the reference, which never bursts.
         let kernel = UniformKernel::resident(6, 64);
         let run = |mode: StepMode| {
@@ -1326,15 +1005,13 @@ mod tests {
         };
         let (rc, rcyc, rbursts) = run(StepMode::Reference);
         assert_eq!(rbursts, (0, 0), "the reference loop must not burst");
-        for mode in [StepMode::PerSm, StepMode::ParallelSm] {
-            let (c, cyc, (bursts, burst_cycles)) = run(mode);
-            assert_eq!((c, cyc), (rc, rcyc), "{mode:?} diverged with bursts");
-            assert!(bursts > 100, "{mode:?}: expected many bursts, got {bursts}");
-            assert!(
-                burst_cycles > 20_000,
-                "{mode:?}: expected most of the 40k SM-cycles in bursts, got {burst_cycles}"
-            );
-        }
+        let (c, cyc, (bursts, burst_cycles)) = run(StepMode::PerSm);
+        assert_eq!((c, cyc), (rc, rcyc), "per-SM diverged with bursts");
+        assert!(bursts > 100, "expected many bursts, got {bursts}");
+        assert!(
+            burst_cycles > 20_000,
+            "expected most of the 40k SM-cycles in bursts, got {burst_cycles}"
+        );
     }
 
     /// A controller that acts (resets the window and logs) exactly at
@@ -1385,26 +1062,23 @@ mod tests {
     #[test]
     fn compliant_controllers_pass_the_contract_assertion() {
         // The periodic Tick controller declares its cadence correctly and
-        // must run clean under the debug assertion in every stepped mode.
-        for mode in [StepMode::Reference, StepMode::EventDriven] {
-            let kernel = UniformKernel::streaming(2, 1);
-            let mut cfg = GpuConfig::scaled(1);
-            cfg.step_mode = mode;
-            let mut gpu = Gpu::new(cfg, &kernel);
-            let mut ctrl = Tick {
-                period: 500,
-                fired_at: Vec::new(),
-            };
-            gpu.run(&mut ctrl, 5_000);
-            assert!(!ctrl.fired_at.is_empty());
-        }
+        // must run clean under the debug assertion of the stepped loop.
+        let kernel = UniformKernel::streaming(2, 1);
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.step_mode = StepMode::Reference;
+        let mut gpu = Gpu::new(cfg, &kernel);
+        let mut ctrl = Tick {
+            period: 500,
+            fired_at: Vec::new(),
+        };
+        gpu.run(&mut ctrl, 5_000);
+        assert!(!ctrl.fired_at.is_empty());
     }
 
     #[test]
     fn fast_forward_never_crosses_a_controller_wake() {
         // The periodic controller must fire at exactly the same cycles in
-        // every mode: skipped spans stop short of each wake, and per-SM
-        // epochs barrier exactly on it.
+        // both loops: per-SM epochs barrier exactly on each wake.
         let run = |mode: StepMode| {
             let kernel = UniformKernel::streaming(2, 1);
             let cfg = cfg_with(GpuConfig::scaled(1), mode);
@@ -1417,12 +1091,10 @@ mod tests {
             (ctrl.fired_at, res.counters, gpu.fast_forward_stats().1)
         };
         let (rf_fired, rf_counters, _) = run(StepMode::Reference);
-        for mode in [StepMode::PerSm, StepMode::ParallelSm, StepMode::EventDriven] {
-            let (fired, counters, skipped) = run(mode);
-            assert_eq!(fired, rf_fired, "{mode:?}");
-            assert_eq!(counters, rf_counters, "{mode:?}");
-            assert!(skipped > 0, "{mode:?} must engage for this workload");
-        }
+        let (fired, counters, skipped) = run(StepMode::PerSm);
+        assert_eq!(fired, rf_fired);
+        assert_eq!(counters, rf_counters);
+        assert!(skipped > 0, "the per-SM loop must engage for this workload");
         // Every wake observed exactly once per period boundary.
         assert!(rf_fired.windows(2).all(|w| w[1] - w[0] == 777));
     }

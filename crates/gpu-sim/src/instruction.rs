@@ -39,9 +39,10 @@ pub enum Instr {
 /// Streams may be unbounded (steady-state kernels); the simulator bounds
 /// execution with a cycle limit.
 ///
-/// `Send` because [`StepMode::ParallelSm`](crate::config::StepMode)
-/// advances SMs (and therefore pulls from their warps' streams) on worker
-/// threads.
+/// `Send` so that a [`Gpu`](crate::Gpu), which owns every warp's stream,
+/// is `Send`: a caller may build a machine on one thread and run,
+/// snapshot or drop it on another. The simulator itself runs on the
+/// calling thread, and no code in this workspace moves a machine today.
 pub trait InstructionStream: Send {
     /// Produce the next instruction, or `None` when the warp's trace ends.
     fn next_instr(&mut self) -> Option<Instr>;

@@ -13,8 +13,8 @@
 //! Because the servers keep mutable shared state (`next_free` timestamps,
 //! L2 tags), the *order* in which requests are applied matters: the
 //! cycle-stepped reference loop applies them in `(cycle, SM, scheduler)`
-//! order, and every other step mode must reproduce exactly that order to
-//! stay bit-identical. When SMs run on decoupled local clocks
+//! order, and the per-SM loop must reproduce exactly that order to stay
+//! bit-identical. When SMs run on decoupled local clocks
 //! ([`StepMode::PerSm`]), an SM that is ahead cannot apply its requests
 //! immediately — a lagging SM might still issue an earlier-cycle request.
 //!
@@ -72,13 +72,11 @@ enum PendingReq {
 /// nondecreasing timestamps.
 ///
 /// A port is the *only* memory-system state an SM's decoupled advance
-/// touches, which is what makes [`StepMode::ParallelSm`] sound: worker
-/// threads hold disjoint `&mut Port`s (via [`MemSystem::ports_mut`]) and
-/// append through [`PortRequester`], while the shared service state (bank
-/// queues, L2 tags, the front heap) is only ever read or written by the
-/// sequential [`MemSystem::apply_ready`] reduction between rounds.
-///
-/// [`StepMode::ParallelSm`]: crate::config::StepMode::ParallelSm
+/// touches: the advance holds its SM's `&mut Port` (via
+/// [`MemSystem::ports_mut`]) and appends through [`PortRequester`], while
+/// the shared service state (bank queues, L2 tags, the front heap) is
+/// only ever read or written by [`MemSystem::apply_ready`] between
+/// advances.
 #[derive(Debug, Default)]
 pub(crate) struct Port {
     queue: VecDeque<(u64, PendingReq)>,
@@ -107,9 +105,9 @@ impl Port {
 }
 
 /// The memory-request surface an SM issues through — implemented by
-/// [`MemSystem`] itself (immediate or deferred, for the single-threaded
-/// loops) and by [`PortRequester`] (append-only onto one lane-held port,
-/// for the decoupled loops). Generic at the call sites so both paths
+/// [`MemSystem`] itself (immediate or deferred; the stepped loop issues
+/// through it) and by [`PortRequester`] (append-only onto one lane-held
+/// port, for the decoupled loop). Generic at the call sites so both paths
 /// monomorphize: the per-issue hot path pays no virtual dispatch.
 pub trait MemRequester {
     /// Issue a read of `line` by SM `sm` at time `now` on behalf of MSHR
@@ -149,9 +147,8 @@ impl MemRequester for MemSystem {
 
 /// A [`MemRequester`] over one SM's own port: appends requests without
 /// touching any shared [`MemSystem`] state (in particular not the front
-/// heap, which the owning loop reindexes sequentially after the advance).
-/// This is what a decoupled SM advance — single-threaded laggard or
-/// parallel worker lane — issues through.
+/// heap, which the owning loop reindexes after the advance). This is what
+/// a decoupled SM advance issues through.
 pub(crate) struct PortRequester<'a> {
     /// The SM that owns the port (debug-asserted on every request).
     pub(crate) sm: usize,
@@ -394,9 +391,9 @@ impl MemSystem {
         start + self.dram_latency
     }
 
-    /// The per-SM ports as a slice, so the decoupled loops can hand each
-    /// advancing lane a disjoint `&mut` to its own port (the borrow
-    /// checker's view of "SM advances only touch SM-private memory state").
+    /// The per-SM ports as a slice, so the decoupled loop can hand the
+    /// advancing lane a `&mut` to its own port alone (the borrow checker's
+    /// view of "SM advances only touch SM-private memory state").
     pub(crate) fn ports_mut(&mut self) -> &mut [Port] {
         &mut self.ports
     }

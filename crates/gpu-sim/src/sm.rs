@@ -187,18 +187,6 @@ impl Sm {
         self.live_warps.iter().any(|&c| c > 0)
     }
 
-    /// Whether any scheduler has a ready vital warp, i.e. whether stepping
-    /// this SM could have any effect this cycle. O(schedulers).
-    pub fn can_issue(&self) -> bool {
-        (0..self.schedulers.len()).any(|s| self.issue_candidates(s) != 0)
-    }
-
-    /// Number of schedulers that still manage live warps (these accrue
-    /// `stall_scheduler_cycles` on cycles with no issue).
-    pub fn live_scheduler_count(&self) -> u64 {
-        self.live_warps.iter().filter(|&&c| c > 0).count() as u64
-    }
-
     /// Apply `f` to one warp, incrementally maintaining the ready/live
     /// counters across the state transition `f` may cause.
     #[inline]

@@ -26,8 +26,8 @@
 //! invariant above: configuration (rebuilt from the spec), per-SM local
 //! clocks (equal to the global cycle), per-SM drain cycles (re-detected; an
 //! all-drained machine is short-circuited by the drain flag), memory-system
-//! ports and front heap (empty), run-loop scratch (heaps, pools, lanes) and
-//! fast-forward diagnostics (not architectural). Snapshots are therefore
+//! ports and front heap (empty), the run loop's frontier heap (scratch)
+//! and fast-forward diagnostics (not architectural). Snapshots are therefore
 //! **step-mode independent**: a blob taken under one mode restores under
 //! any other.
 //!
@@ -71,66 +71,6 @@ impl std::error::Error for SnapshotError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, SnapshotError> {
     Err(SnapshotError(msg.into()))
-}
-
-/// Apply a macro to the full ordered field list of [`Counters`]. The
-/// writer's exhaustive destructure (below) keeps this list honest: a new
-/// counter fails to compile until added here, which versions the encoding.
-macro_rules! with_counter_fields {
-    ($m:ident) => {
-        $m!(
-            cycles,
-            instructions,
-            loads,
-            stores,
-            l1_accesses,
-            l1_hits,
-            l1_intra_hits,
-            l1_inter_hits,
-            l1_hits_polluting,
-            l1_accesses_polluting,
-            l1_hits_non_polluting,
-            l1_accesses_non_polluting,
-            l1_misses_completed,
-            miss_latency_sum,
-            l1_rejects,
-            mshr_allocations,
-            mshr_merges,
-            l2_accesses,
-            l2_hits,
-            dram_accesses,
-            busy_scheduler_cycles,
-            stall_scheduler_cycles,
-            in_gap_sum,
-            in_gap_count,
-            reuse_distance_sum,
-            reuse_distance_count
-        )
-    };
-}
-
-fn counters_to_line(c: &Counters) -> String {
-    macro_rules! emit {
-        ($($f:ident),*) => {{
-            let Counters { $($f),* } = *c;
-            [$($f.to_string()),*].join(" ")
-        }};
-    }
-    with_counter_fields!(emit)
-}
-
-fn counters_from_slice(v: &[u64]) -> Option<Counters> {
-    macro_rules! build {
-        ($($f:ident),*) => {{
-            let mut it = v.iter().copied();
-            let c = Counters { $($f: it.next()?),* };
-            if it.next().is_some() {
-                return None;
-            }
-            Some(c)
-        }};
-    }
-    with_counter_fields!(build)
 }
 
 fn bool_code(b: bool) -> u8 {
@@ -244,11 +184,6 @@ impl Gpu {
             clocks: _,        // equal to `cycle` at barriers
             done_at: _,       // re-detected; all-drained ⇒ `drained` flag
             frontier_heap: _, // per-epoch scratch
-            pool: _,          // worker pool, rebuilt lazily
-            lane_scratch: _,  // per-round scratch
-            reindex_scratch: _,
-            ff_spans: _, // diagnostics, not architectural
-            ff_cycles: _,
         } = self;
         let mut out = String::new();
         out.push_str(SNAPSHOT_HEADER);
@@ -274,8 +209,8 @@ impl Gpu {
             window,
             fast_forward: _, // diagnostics
         } = stats;
-        let _ = writeln!(out, "total {}", counters_to_line(total));
-        let _ = writeln!(out, "window {}", counters_to_line(window));
+        let _ = writeln!(out, "total {}", total.to_line());
+        let _ = writeln!(out, "window {}", window.to_line());
         let EventQueue { queues, seqs } = events;
         for (i, sm) in sms.iter().enumerate() {
             write_sm(&mut out, sm, &queues[i], seqs[i]);
@@ -688,12 +623,8 @@ fn parse(text: &str) -> Result<SnapDoc, SnapshotError> {
                     });
                 }
                 "total" | "window" => {
-                    let vals: Vec<u64> = it
-                        .map(|t| t.parse::<u64>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| SnapshotError("bad counter value".into()))?;
-                    let c = counters_from_slice(&vals)
-                        .ok_or_else(|| SnapshotError("wrong counter count".into()))?;
+                    let c = Counters::from_words(it)
+                        .ok_or_else(|| SnapshotError("bad counters".into()))?;
                     if tag == "total" {
                         total = Some(c);
                     } else {

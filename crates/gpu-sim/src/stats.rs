@@ -6,6 +6,43 @@
 //! intervals — exactly how the paper's seven 32-bit per-SM performance
 //! counters are used — and reset it between samples.
 
+/// Apply a macro to the full ordered field list of [`Counters`]: the
+/// order of its text encoding ([`Counters::to_line`]). Every user
+/// destructures or builds a `Counters` without `..`, so a field missing
+/// here fails to compile.
+macro_rules! with_counter_fields {
+    ($m:ident) => {
+        $m!(
+            cycles,
+            instructions,
+            loads,
+            stores,
+            l1_accesses,
+            l1_hits,
+            l1_intra_hits,
+            l1_inter_hits,
+            l1_hits_polluting,
+            l1_accesses_polluting,
+            l1_hits_non_polluting,
+            l1_accesses_non_polluting,
+            l1_misses_completed,
+            miss_latency_sum,
+            l1_rejects,
+            mshr_allocations,
+            mshr_merges,
+            l2_accesses,
+            l2_hits,
+            dram_accesses,
+            busy_scheduler_cycles,
+            stall_scheduler_cycles,
+            in_gap_sum,
+            in_gap_count,
+            reuse_distance_sum,
+            reuse_distance_count
+        )
+    };
+}
+
 /// Raw event counters, aggregated over the whole GPU.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Counters {
@@ -133,67 +170,17 @@ impl Counters {
         ratio(self.l2_hits, self.l2_accesses)
     }
 
-    /// Counter-wise sum (`self += other`); used to fold the per-lane
-    /// scratch counters of a parallel advance back into the global stats.
-    /// Every counter is a commutative event sum, so folding lane scratches
-    /// in any fixed order reproduces the sequential accumulation exactly.
+    /// Counter-wise sum (`self += other`). Every counter is an event
+    /// count, so the sum over several runs counts the runs taken
+    /// together.
     pub fn accumulate(&mut self, other: &Counters) {
-        // Exhaustive destructure: adding a counter field without extending
-        // the merge is a compile error, not a silent bit-identity break.
-        let Counters {
-            cycles,
-            instructions,
-            loads,
-            stores,
-            l1_accesses,
-            l1_hits,
-            l1_intra_hits,
-            l1_inter_hits,
-            l1_hits_polluting,
-            l1_accesses_polluting,
-            l1_hits_non_polluting,
-            l1_accesses_non_polluting,
-            l1_misses_completed,
-            miss_latency_sum,
-            l1_rejects,
-            mshr_allocations,
-            mshr_merges,
-            l2_accesses,
-            l2_hits,
-            dram_accesses,
-            busy_scheduler_cycles,
-            stall_scheduler_cycles,
-            in_gap_sum,
-            in_gap_count,
-            reuse_distance_sum,
-            reuse_distance_count,
-        } = *other;
-        self.cycles += cycles;
-        self.instructions += instructions;
-        self.loads += loads;
-        self.stores += stores;
-        self.l1_accesses += l1_accesses;
-        self.l1_hits += l1_hits;
-        self.l1_intra_hits += l1_intra_hits;
-        self.l1_inter_hits += l1_inter_hits;
-        self.l1_hits_polluting += l1_hits_polluting;
-        self.l1_accesses_polluting += l1_accesses_polluting;
-        self.l1_hits_non_polluting += l1_hits_non_polluting;
-        self.l1_accesses_non_polluting += l1_accesses_non_polluting;
-        self.l1_misses_completed += l1_misses_completed;
-        self.miss_latency_sum += miss_latency_sum;
-        self.l1_rejects += l1_rejects;
-        self.mshr_allocations += mshr_allocations;
-        self.mshr_merges += mshr_merges;
-        self.l2_accesses += l2_accesses;
-        self.l2_hits += l2_hits;
-        self.dram_accesses += dram_accesses;
-        self.busy_scheduler_cycles += busy_scheduler_cycles;
-        self.stall_scheduler_cycles += stall_scheduler_cycles;
-        self.in_gap_sum += in_gap_sum;
-        self.in_gap_count += in_gap_count;
-        self.reuse_distance_sum += reuse_distance_sum;
-        self.reuse_distance_count += reuse_distance_count;
+        macro_rules! add {
+            ($($f:ident),*) => {{
+                let Counters { $($f),* } = *other;
+                $(self.$f += $f;)*
+            }};
+        }
+        with_counter_fields!(add)
     }
 
     /// Counter-wise difference (`self − earlier`); useful for deriving a
@@ -204,34 +191,32 @@ impl Counters {
                 Counters { $($f: self.$f.wrapping_sub(earlier.$f)),* }
             };
         }
-        d!(
-            cycles,
-            instructions,
-            loads,
-            stores,
-            l1_accesses,
-            l1_hits,
-            l1_intra_hits,
-            l1_inter_hits,
-            l1_hits_polluting,
-            l1_accesses_polluting,
-            l1_hits_non_polluting,
-            l1_accesses_non_polluting,
-            l1_misses_completed,
-            miss_latency_sum,
-            l1_rejects,
-            mshr_allocations,
-            mshr_merges,
-            l2_accesses,
-            l2_hits,
-            dram_accesses,
-            busy_scheduler_cycles,
-            stall_scheduler_cycles,
-            in_gap_sum,
-            in_gap_count,
-            reuse_distance_sum,
-            reuse_distance_count
-        )
+        with_counter_fields!(d)
+    }
+
+    /// The text encoding of snapshots and cached results: every counter
+    /// in declaration order, in decimal, separated by single spaces.
+    pub fn to_line(&self) -> String {
+        macro_rules! emit {
+            ($($f:ident),*) => {{
+                let Counters { $($f),* } = *self;
+                [$($f.to_string()),*].join(" ")
+            }};
+        }
+        with_counter_fields!(emit)
+    }
+
+    /// Decode [`Counters::to_line`] from its whitespace-separated words:
+    /// `None` unless there is exactly one valid `u64` per counter.
+    pub fn from_words<'a>(words: impl IntoIterator<Item = &'a str>) -> Option<Counters> {
+        let mut it = words.into_iter();
+        macro_rules! build {
+            ($($f:ident),*) => {
+                Counters { $($f: it.next()?.parse().ok()?),* }
+            };
+        }
+        let c = with_counter_fields!(build);
+        it.next().is_none().then_some(c)
     }
 }
 
@@ -291,13 +276,10 @@ impl WindowSample {
 /// These are *wall-clock* diagnostics, not architectural counters: they
 /// explain why a workload does (not) benefit from [`StepMode::PerSm`]
 /// without affecting any simulated quantity, and are therefore excluded
-/// from the bit-identity contract on [`Counters`]. In particular
-/// [`StepMode::ParallelSm`] partitions the same skipped cycles into
-/// different spans than [`StepMode::PerSm`] (a round boundary splits a
-/// span; the architectural accounting is span-partition-invariant).
+/// from the bit-identity contract on [`Counters`] (the reference loop
+/// records none).
 ///
 /// [`StepMode::PerSm`]: crate::config::StepMode::PerSm
-/// [`StepMode::ParallelSm`]: crate::config::StepMode::ParallelSm
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmFastForward {
     /// Replays in which no scheduler issued (every scheduler idle or in
@@ -317,24 +299,6 @@ pub struct SmFastForward {
     pub burst_cycles: u64,
 }
 
-impl SmFastForward {
-    /// Fold another breakdown into this one (parallel-lane scratch merge).
-    pub fn accumulate(&mut self, other: &SmFastForward) {
-        let SmFastForward {
-            spans,
-            skipped,
-            horizon_stalls,
-            bursts,
-            burst_cycles,
-        } = *other;
-        self.spans += spans;
-        self.skipped += skipped;
-        self.horizon_stalls += horizon_stalls;
-        self.bursts += bursts;
-        self.burst_cycles += burst_cycles;
-    }
-}
-
 /// Total and windowed counters for one simulation.
 #[derive(Debug, Clone, Default)]
 pub struct GpuStats {
@@ -343,8 +307,8 @@ pub struct GpuStats {
     /// Resettable window counters.
     pub window: Counters,
     /// Per-SM fast-forward breakdown, indexed by SM id. Populated (and
-    /// sized) by [`crate::Gpu::new`]; only [`StepMode::PerSm`] runs write
-    /// to it.
+    /// sized) by [`crate::Gpu::new`]; only the [`StepMode::PerSm`] loop
+    /// writes to it.
     ///
     /// [`StepMode::PerSm`]: crate::config::StepMode::PerSm
     pub fast_forward: Vec<SmFastForward>,

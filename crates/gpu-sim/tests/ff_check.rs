@@ -1,8 +1,8 @@
 //! Fast-forward sanity check, promoted from the old `ff_check` example so
 //! it runs under `cargo test` instead of requiring a manual invocation:
-//! every fast run loop must produce bit-identical counters to the
-//! cycle-stepped reference across the three regimes that bracket the
-//! design space, and must actually engage where it is supposed to.
+//! the per-SM loop must produce bit-identical counters to the
+//! cycle-stepped reference across the regimes that bracket the design
+//! space, and must actually engage where it is supposed to.
 
 use gpu_sim::{
     FixedTuple, Gpu, GpuConfig, Instr, InstructionStream, KernelSource, StepMode, UniformKernel,
@@ -41,20 +41,16 @@ fn fast_forward_sanity_check() {
         let kernel = UniformKernel::streaming(warps, alu);
         let rf = run(&kernel, warps, StepMode::Reference);
         assert_eq!(rf.3, (0, 0), "{name}: reference must never skip");
-        for mode in [StepMode::PerSm, StepMode::EventDriven] {
-            let fast = run(&kernel, warps, mode);
-            assert_eq!(fast.0, rf.0, "{name}/{mode:?}: counters diverged");
-            assert_eq!(
-                (fast.1, fast.2),
-                (rf.1, rf.2),
-                "{name}/{mode:?}: completion/cycle diverged"
-            );
-        }
+        let (counters, completed, cycle, (spans, skipped)) = run(&kernel, warps, StepMode::PerSm);
+        assert_eq!(counters, rf.0, "{name}: counters diverged");
+        assert_eq!(
+            (completed, cycle),
+            (rf.1, rf.2),
+            "{name}: completion/cycle diverged"
+        );
         // The per-SM loop must skip heavily on every memory-bound regime,
-        // including the structural reject storm the stepped skip cannot
-        // touch.
+        // including the structural reject storm.
         if alu < 40 {
-            let (_, _, _, (spans, skipped)) = run(&kernel, warps, StepMode::PerSm);
             assert!(
                 spans > 0 && skipped > BUDGET / 4,
                 "{name}: per-SM fast-forward barely engaged \
@@ -127,14 +123,11 @@ impl KernelSource for SharedLines {
 #[test]
 fn shared_line_storms_match_the_memo_free_reference() {
     // `Reference` probes the L1 for every retry, so it checks each known
-    // reject the fast loops answer from the memo.
+    // reject the per-SM loop answers from the memo.
     let kernel = SharedLines { warps: 24 };
     let run = |mode: StepMode, tuple: WarpTuple| {
         let mut cfg = GpuConfig::scaled(2);
         cfg.step_mode = mode;
-        if mode == StepMode::ParallelSm {
-            cfg.sim_threads = 2;
-        }
         let mut gpu = Gpu::new(cfg, &kernel);
         let res = gpu.run(&mut FixedTuple::new(tuple), 20_000);
         (res.counters, gpu.cycle(), gpu.fast_forward_stats())
@@ -147,17 +140,12 @@ fn shared_line_storms_match_the_memo_free_reference() {
             rf.0.l1_rejects,
             rf.0.mshr_merges
         );
-        for mode in [StepMode::PerSm, StepMode::ParallelSm] {
-            let fast = run(mode, tuple);
-            assert_eq!(
-                (fast.0, fast.1),
-                (rf.0, rf.1),
-                "{tuple:?}/{mode:?}: diverged from the reference"
-            );
-            assert!(
-                fast.2 .1 > 0,
-                "{tuple:?}/{mode:?}: the replay never engaged"
-            );
-        }
+        let fast = run(StepMode::PerSm, tuple);
+        assert_eq!(
+            (fast.0, fast.1),
+            (rf.0, rf.1),
+            "{tuple:?}: diverged from the reference"
+        );
+        assert!(fast.2 .1 > 0, "{tuple:?}: the replay never engaged");
     }
 }

@@ -1,5 +1,5 @@
 //! Property-based tests of the simulator's core data structures and of
-//! the event-driven fast-forward run loop.
+//! the per-SM fast-forward run loop.
 
 use gpu_sim::{
     CacheGeometry, Counters, FixedTuple, Gpu, GpuConfig, GpuStats, SetAssocCache, SetIndexing,
@@ -141,12 +141,10 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&r));
     }
 
-    /// Every fast run loop (per-SM decoupled clocks — single-threaded and
-    /// on the work-stealing pool at any thread count — and the global
-    /// event-driven skip) is bit-identical to the cycle-stepped reference
-    /// for arbitrary kernels, tuples, SM counts and budgets — including
-    /// mid-run `run()` re-entry, which is how the profiler drives the GPU
-    /// (warmup run, window reset, measurement run). Identical counters
+    /// The per-SM decoupled loop is bit-identical to the cycle-stepped
+    /// reference for arbitrary kernels, tuples, SM counts and budgets —
+    /// including mid-run `run()` re-entry, which is how the profiler drives
+    /// the GPU (warmup run, window reset, measurement run). Identical counters
     /// mean AML (which encodes event delivery times), IPC and stall
     /// accounting all agree exactly — so no skipped span ever crossed a
     /// scheduled event, no per-SM advance outran the shared memory
@@ -161,7 +159,6 @@ proptest! {
         budget in 500u64..12_000,
         split_num in 0u64..=4,
         resident in prop_oneof![Just(false), Just(true)],
-        threads in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
     ) {
         let kernel = if resident {
             UniformKernel::resident(warps, alu)
@@ -171,20 +168,16 @@ proptest! {
         // Split the budget into two back-to-back `run()` calls at an
         // arbitrary point (0% / 25% / 50% / 75% / 100%).
         let first = budget * split_num / 4;
-        let run = |mode: StepMode, sim_threads: usize| {
+        let run = |mode: StepMode| {
             let mut cfg = GpuConfig::scaled(sms);
             cfg.step_mode = mode;
-            cfg.sim_threads = sim_threads;
             let mut gpu = Gpu::new(cfg, &kernel);
             let mut ctrl = FixedTuple::new(WarpTuple::new(n, p, 24));
             let mid = gpu.run(&mut ctrl, first);
             let res = gpu.run(&mut ctrl, budget - first);
             (mid.counters, mid.completed, res.counters, res.completed, gpu.cycle())
         };
-        let rf = run(StepMode::Reference, 1);
-        prop_assert_eq!(run(StepMode::PerSm, 1), rf.clone());
-        prop_assert_eq!(run(StepMode::ParallelSm, threads), rf.clone());
-        prop_assert_eq!(run(StepMode::EventDriven, 1), rf);
+        prop_assert_eq!(run(StepMode::PerSm), run(StepMode::Reference));
     }
 }
 
@@ -210,9 +203,6 @@ proptest! {
         let run = |mode: StepMode| {
             let mut cfg = GpuConfig::scaled(sms);
             cfg.step_mode = mode;
-            if mode == StepMode::ParallelSm {
-                cfg.sim_threads = 2;
-            }
             let mut gpu = Gpu::new(cfg, &kernel);
             let mut ctrl = FixedTuple::new(WarpTuple::new(warps, warps, 24));
             let res = gpu.run(&mut ctrl, budget);
@@ -220,8 +210,6 @@ proptest! {
         };
         let rf = run(StepMode::Reference);
         prop_assert!(rf.0.l1_rejects > 0, "occupancy beyond the MSHRs must reject");
-        prop_assert_eq!(run(StepMode::PerSm), rf.clone());
-        prop_assert_eq!(run(StepMode::ParallelSm), rf.clone());
-        prop_assert_eq!(run(StepMode::EventDriven), rf);
+        prop_assert_eq!(run(StepMode::PerSm), rf);
     }
 }

@@ -58,12 +58,17 @@ pub struct FigCtx {
     pub model: SharedSpec<ModelSpec>,
     /// The trace workloads under [`crate::traces_dir`], loaded once at
     /// context construction so the `trace_eval` jobs and renderer see
-    /// the same snapshot (and each file is read and digested once).
+    /// the same snapshot. A load reads, hashes and header-checks each
+    /// file once; its op streams decode from those bytes in the first
+    /// job that simulates it, so a warm pass decodes none.
     pub traces: Vec<Workload>,
-    /// Load failures from the traces directory (`file: error`). The
+    /// Load failures (`path: error`): a file that cannot be read or has
+    /// a corrupt header, or a traces directory that cannot be read. The
     /// loadable traces still declare jobs, but `trace_eval`'s render
-    /// fails while any trace is unreadable — a corrupt committed trace
-    /// must fail the run (and veto `--gc`), not silently shrink it.
+    /// fails while any error stands — a corrupt committed trace must
+    /// fail the run (and veto `--gc`), not silently shrink it. A corrupt
+    /// *body* is not found here: it fails each job that simulates the
+    /// trace, which fails the run the same way.
     pub trace_errors: Vec<String>,
 }
 
@@ -1092,14 +1097,23 @@ const TRACE_EVAL_SCHEMES: [Scheme; 7] = [
 
 /// Load every `*.trace` file under [`crate::traces_dir`], sorted by file
 /// name for a deterministic job order. Returns the loadable workloads
-/// plus one message per unreadable/corrupt file; the caller surfaces
-/// those as a `trace_eval` failure. Called once per [`FigCtx`]; figures
-/// read the cached `ctx.traces`.
+/// plus one message per unreadable file or corrupt header, or for an
+/// unreadable directory; the caller surfaces those as a `trace_eval`
+/// failure. Called once per [`FigCtx`]; figures read the cached
+/// `ctx.traces`.
 fn load_trace_workloads() -> (Vec<Workload>, Vec<String>) {
     let dir = crate::traces_dir();
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        // No traces directory at all is a valid (trace-less) checkout.
-        return (Vec::new(), Vec::new());
+    let entries = match std::fs::read_dir(&dir) {
+        Ok(entries) => entries,
+        // A checkout without the default `traces/` has no trace
+        // workloads; a directory named by `POISE_TRACES_DIR` must exist.
+        Err(e)
+            if e.kind() == std::io::ErrorKind::NotFound
+                && std::env::var_os("POISE_TRACES_DIR").is_none() =>
+        {
+            return (Vec::new(), Vec::new())
+        }
+        Err(e) => return (Vec::new(), vec![format!("{}: {e}", dir.display())]),
     };
     let mut paths: Vec<_> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -1138,7 +1152,7 @@ fn render_trace_eval(
     let setup = &single_point(points)?.setup;
     if !ctx.trace_errors.is_empty() {
         return Err(format!(
-            "unreadable trace file(s): {}",
+            "traces failed to load: {}",
             ctx.trace_errors.join("; ")
         ));
     }

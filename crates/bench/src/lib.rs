@@ -53,12 +53,13 @@ pub fn base_setup(overlay: &KnobOverlay) -> Setup {
 
 /// Directory scanned for committed trace workloads (`*.trace` files):
 /// the workspace-root `traces/`, or `POISE_TRACES_DIR`. Unlike
-/// [`results_dir`] this is not created on demand — a missing directory
-/// simply means no trace workloads.
+/// [`results_dir`] this is not created on demand. A missing `traces/`
+/// means no trace workloads; a missing directory that
+/// `POISE_TRACES_DIR` names fails `trace_eval`.
 pub fn traces_dir() -> PathBuf {
-    match std::env::var("POISE_TRACES_DIR") {
-        Ok(dir) => PathBuf::from(dir),
-        Err(_) => {
+    match std::env::var_os("POISE_TRACES_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => {
             let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
             manifest
                 .parent()

@@ -116,3 +116,24 @@ fn closing_line_names_the_results_directory() {
         "{stdout}"
     );
 }
+
+#[test]
+fn a_traces_directory_that_cannot_be_read_fails_trace_eval() {
+    let dir = results_dir(&["missing-traces"]);
+    let traces = dir.join("no-such-dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--only", "trace_eval"])
+        .env("POISE_RESULTS_DIR", &dir)
+        .env("POISE_TRACES_DIR", &traces)
+        .output()
+        .expect("spawn run_all");
+    let summary = std::fs::read_to_string(dir.join("run_all_summary.txt")).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&traces.display().to_string()),
+        "the error must name the directory: {stderr}"
+    );
+    assert!(summary.contains(" executed=0 "), "{summary}");
+}

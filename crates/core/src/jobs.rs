@@ -2530,6 +2530,41 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_trace_body_fails_the_run_that_simulates_it() {
+        use workloads::{record_kernel, TraceRef};
+        let (engine, dir) = tmp_engine("trace-body");
+        let mut setup = tiny_setup();
+        setup.run_cycles = 4_000;
+        let spec = KernelSpec::steady("tb", AccessMix::memory_sensitive(), 5).with_warps(4);
+        let data = record_kernel(&spec, "tb", 1, setup.cfg.schedulers_per_sm, 200);
+        let mut lines: Vec<String> = data.to_text().lines().map(String::from).collect();
+        lines[99] = "l zzzz 1".to_string();
+        let path = std::env::temp_dir().join(format!("poise-body-{}.trace", std::process::id()));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+        // The header is valid, so the trace loads and declares its job.
+        let trace = Workload::from(TraceRef::load(&path).expect("the header is valid"));
+        let job = SimJob::Run(KernelRunSpec::new(&trace, Scheme::Gto, &setup, None));
+        let (store, report) = engine.run(std::slice::from_ref(&job));
+        assert_eq!(
+            (report.executed, report.cache_hits, report.failed.len()),
+            (0, 0, 1)
+        );
+        let t = &report.trouble[0];
+        assert_eq!(t.class, FailClass::Panic);
+        let want = format!("{}: trace parse error at line 100: ", path.display());
+        assert!(t.error.starts_with(&want), "{}", t.error);
+        assert!(store.get(&job).is_err());
+        assert_eq!(
+            engine.fsck().unwrap().scanned,
+            0,
+            "no cache entry is stored"
+        );
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn prune_untouched_drops_jobs_outside_the_current_set() {
         let (engine, dir) = tmp_engine("gc");
         let setup = tiny_setup();

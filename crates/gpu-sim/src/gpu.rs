@@ -90,15 +90,14 @@
 //!    stateful queues; requests must be serviced in the exact
 //!    `(cycle, SM, scheduler)` order the reference loop issues them. In
 //!    the per-SM loop requests therefore park on per-SM ports (through a
-//!    `PortRequester`, as [`MemSystem::read`] / [`MemSystem::write`] park
-//!    them in deferred mode) and are applied by
-//!    [`MemSystem::apply_ready`] only once no SM with a smaller
-//!    `(local clock, SM id)` key can still issue an earlier-ordered
-//!    request. Deferral gives the issuer lookahead: a read
-//!    issued at cycle `t` cannot fill before `t + l2_hit_round_trip`, so
-//!    [`MemSystem::safe_horizon`] lets the SM keep executing cycles
-//!    strictly below that bound while the request's true completion time
-//!    is still unknown.
+//!    `PortRequester`) and are applied by [`MemSystem::apply_ready`] only
+//!    once no SM with a smaller `(local clock, SM id)` key can still
+//!    issue an earlier-ordered request, while the stepped loop has
+//!    [`MemSystem::read`] / [`MemSystem::write`] service them as issued.
+//!    Parking gives the issuer lookahead: a read issued at cycle `t`
+//!    cannot fill before `t +` [`MemSystem::min_fill_latency`], so the
+//!    SM keeps executing cycles strictly below that bound (its horizon)
+//!    while the request's true completion time is still unknown.
 //! 2. **The controller.** Steering and window sampling are global-time
 //!    operations, so [`Controller::on_cycle`] fires only at **global
 //!    barriers**: the wakes the controller declares via
@@ -300,8 +299,7 @@ impl Gpu {
     /// Instantiate a GPU and launch `kernel` on it (one stream per warp).
     pub fn new(cfg: GpuConfig, kernel: &dyn KernelSource) -> Self {
         let sms: Vec<Sm> = (0..cfg.sms).map(|i| Sm::new(i, &cfg, kernel)).collect();
-        let mut mem = MemSystem::new(&cfg);
-        mem.set_deferred(cfg.step_mode != StepMode::Reference);
+        let mem = MemSystem::new(&cfg);
         let kernel_warps = kernel
             .warps_per_scheduler()
             .clamp(1, cfg.max_warps_per_scheduler);
@@ -408,8 +406,7 @@ impl Gpu {
 
     fn run_body(&mut self, controller: &mut dyn Controller, max_cycles: u64) -> SimResult {
         let end = self.cycle + max_cycles;
-        // The same test picks the memory system's deferred ports
-        // (`Gpu::new`) and the reject memo (`Sm::new`).
+        // The same test picks the reject memo (`Sm::new`).
         let completed = if self.cfg.step_mode == StepMode::Reference {
             self.run_stepped(controller, end)
         } else {
@@ -632,8 +629,7 @@ struct Lane<'a> {
 impl Lane<'_> {
     /// The lane-local conservative horizon: first cycle that may not run
     /// until the oldest unapplied read has been applied in global order.
-    /// Identical to [`MemSystem::safe_horizon`] — a port is the only
-    /// memory state an SM's own reads park on.
+    /// A port is the only memory state an SM's own reads park on.
     fn horizon(&self) -> u64 {
         self.port
             .next_read_at()
@@ -642,9 +638,8 @@ impl Lane<'_> {
 
     /// Advance until the barrier, the lane's drain or its horizon stops
     /// it, replaying repetitive spans along the way. Memory requests go
-    /// through a [`PortRequester`] over the lane's own port (the parking
-    /// of [`MemSystem::read`] in deferred mode; the front heap is
-    /// reindexed by the caller afterwards).
+    /// through a [`PortRequester`] over the lane's own port (the front
+    /// heap is reindexed by the caller afterwards).
     fn advance(&mut self) {
         let mut clock = self.clock;
         // The conservative horizon: re-queried only while unknown — while

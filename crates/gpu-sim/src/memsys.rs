@@ -12,30 +12,31 @@
 //!
 //! Because the servers keep mutable shared state (`next_free` timestamps,
 //! L2 tags), the *order* in which requests are applied matters: the
-//! cycle-stepped reference loop applies them in `(cycle, SM, scheduler)`
-//! order, and the per-SM loop must reproduce exactly that order to stay
+//! cycle-stepped reference loop services them in `(cycle, SM, scheduler)`
+//! order as it issues them ([`MemSystem::read`] / [`MemSystem::write`]),
+//! and the per-SM loop must reproduce exactly that order to stay
 //! bit-identical. When SMs run on decoupled local clocks
 //! ([`StepMode::PerSm`]), an SM that is ahead cannot apply its requests
 //! immediately — a lagging SM might still issue an earlier-cycle request.
 //!
-//! The memory system therefore supports a **deferred** mode
-//! ([`MemSystem::set_deferred`]) in which [`MemSystem::read`] /
-//! [`MemSystem::write`] only *enqueue* the request on the issuing SM's
-//! private port (FIFO per SM, timestamps nondecreasing by construction).
+//! A decoupled SM advance therefore issues through a `PortRequester`,
+//! which only *enqueues* each request on the SM's private port (FIFO per
+//! SM, timestamps nondecreasing by construction).
 //! [`MemSystem::apply_ready`] later drains the ports in global
 //! `(cycle, SM)` order, but only up to the caller-supplied *frontier* —
 //! the smallest `(local clock, SM id)` key over all SMs still able to
 //! issue — so no request is ever serviced before a possibly-earlier one.
 //!
-//! Deferral is what creates lookahead for the issuing SM: a read issued at
+//! Parking is what creates lookahead for the issuing SM: a read issued at
 //! cycle `t` cannot possibly fill before `t +`
-//! [`MemSystem::l2_hit_round_trip`] (crossbar + L2 + crossbar, the
+//! [`MemSystem::min_fill_latency`] (crossbar + L2 + crossbar, the
 //! uncontended minimum), so the SM may keep executing cycles strictly
 //! below that bound even while the request's actual completion time is
-//! still unknown. [`MemSystem::safe_horizon`] exposes exactly this bound:
-//! the first cycle the SM may **not** execute until its oldest unresolved
-//! read has been applied. Writes produce no reply and never bound their
-//! issuer; they only hold their place in the global application order.
+//! still unknown. The port's oldest unresolved read plus that latency is
+//! the first cycle the SM may **not** execute until the read has been
+//! applied (the per-SM loop's horizon). Writes produce no reply and never
+//! bound their issuer; they only hold their place in the global
+//! application order.
 //!
 //! [`StepMode::PerSm`]: crate::config::StepMode::PerSm
 
@@ -80,8 +81,8 @@ enum PendingReq {
 #[derive(Debug, Default)]
 pub(crate) struct Port {
     queue: VecDeque<(u64, PendingReq)>,
-    /// Issue cycles of unresolved reads only (front = oldest), for
-    /// [`MemSystem::safe_horizon`] in O(1).
+    /// Issue cycles of unresolved reads only (front = oldest), for the
+    /// horizon in O(1).
     reads: VecDeque<u64>,
 }
 
@@ -97,15 +98,15 @@ impl Port {
     }
 
     /// Issue cycle of the oldest unresolved *read* (writes never bound
-    /// their issuer); the lane-local equivalent of
-    /// [`MemSystem::safe_horizon`]'s numerator.
+    /// their issuer): the horizon is this plus
+    /// [`MemSystem::min_fill_latency`].
     pub(crate) fn next_read_at(&self) -> Option<u64> {
         self.reads.front().copied()
     }
 }
 
 /// The memory-request surface an SM issues through — implemented by
-/// [`MemSystem`] itself (immediate or deferred; the stepped loop issues
+/// [`MemSystem`] itself (servicing on the spot; the stepped loop issues
 /// through it) and by [`PortRequester`] (append-only onto one lane-held
 /// port, for the decoupled loop). Generic at the call sites so both paths
 /// monomorphize: the per-issue hot path pays no virtual dispatch.
@@ -191,9 +192,7 @@ pub struct MemSystem {
     pub(crate) l2_service: u64,
     pub(crate) dram_latency: u64,
     pub(crate) dram_service: u64,
-    /// Deferred mode: requests park on per-SM ports until applied in
-    /// global order (used by the per-SM decoupled run loop).
-    pub(crate) deferred: bool,
+    /// Requests the per-SM loop parked, until applied in global order.
     pub(crate) ports: Vec<Port>,
     /// Min-heap holding the front `(cycle, SM)` key of every non-empty
     /// port — exactly one entry per such port — so [`MemSystem::apply_ready`]
@@ -203,9 +202,7 @@ pub struct MemSystem {
 }
 
 impl MemSystem {
-    /// Build the memory system from the GPU configuration. Starts in
-    /// immediate mode; the per-SM run loop switches it to deferred via
-    /// [`MemSystem::set_deferred`].
+    /// Build the memory system from the GPU configuration.
     pub fn new(cfg: &GpuConfig) -> Self {
         MemSystem {
             banks: (0..cfg.l2.banks)
@@ -222,17 +219,9 @@ impl MemSystem {
             l2_service: cfg.l2.service_interval,
             dram_latency: cfg.dram.latency,
             dram_service: cfg.dram.service_interval,
-            deferred: false,
             ports: (0..cfg.sms).map(|_| Port::default()).collect(),
             front_heap: BinaryHeap::new(),
         }
-    }
-
-    /// Switch between immediate servicing and per-SM deferred ports. Must
-    /// only be flipped while no requests are pending.
-    pub fn set_deferred(&mut self, deferred: bool) {
-        debug_assert_eq!(self.pending_requests(), 0);
-        self.deferred = deferred;
     }
 
     /// Requests parked on the per-SM ports, not yet applied.
@@ -240,11 +229,9 @@ impl MemSystem {
         self.ports.iter().map(|p| p.queue.len()).sum()
     }
 
-    /// Issue a read of `line` by SM `sm` at time `now` on behalf of MSHR
-    /// entry `mshr`. In immediate mode the request is serviced on the spot
-    /// and the fill event is scheduled through `events`; in deferred mode
-    /// it parks on the SM's port until [`MemSystem::apply_ready`] reaches
-    /// it in global order.
+    /// Service a read of `line` by SM `sm` at time `now` on behalf of MSHR
+    /// entry `mshr` on the spot, scheduling the fill event through
+    /// `events`.
     pub fn read(
         &mut self,
         sm: usize,
@@ -254,49 +241,15 @@ impl MemSystem {
         events: &mut dyn EventSink,
         stats: &mut GpuStats,
     ) {
-        if self.deferred {
-            let port = &mut self.ports[sm];
-            debug_assert!(port.queue.back().is_none_or(|&(at, _)| at <= now));
-            if port.queue.is_empty() {
-                self.front_heap.push(Reverse((now, sm)));
-            }
-            port.queue.push_back((now, PendingReq::Read { line, mshr }));
-            port.reads.push_back(now);
-        } else {
-            let ready = self.service_read(line, now, stats);
-            events.schedule(ready, sm, SmEvent::Fill { mshr });
-        }
+        let ready = self.service_read(line, now, stats);
+        events.schedule(ready, sm, SmEvent::Fill { mshr });
     }
 
-    /// Issue a write of `line` by SM `sm` at time `now`. Writes consume L2
-    /// and (on L2 miss) DRAM bandwidth but produce no reply; L2 is
+    /// Service a write of `line` at time `now` on the spot. Writes consume
+    /// L2 and (on L2 miss) DRAM bandwidth but produce no reply; L2 is
     /// write-through no-allocate for this model.
-    pub fn write(&mut self, sm: usize, line: u64, now: u64, stats: &mut GpuStats) {
-        if self.deferred {
-            let port = &mut self.ports[sm];
-            debug_assert!(port.queue.back().is_none_or(|&(at, _)| at <= now));
-            if port.queue.is_empty() {
-                self.front_heap.push(Reverse((now, sm)));
-            }
-            port.queue.push_back((now, PendingReq::Write { line }));
-        } else {
-            self.service_write(line, now, stats);
-        }
-    }
-
-    /// The first cycle SM `sm` (whose local clock is `now`) may **not**
-    /// execute before resynchronising: the earliest possible fill
-    /// completion of its oldest unresolved read, `issue +`
-    /// [`MemSystem::l2_hit_round_trip`]. `u64::MAX` when the SM has no
-    /// unresolved reads (writes never bound their issuer).
-    pub fn safe_horizon(&self, sm: usize, now: u64) -> u64 {
-        match self.ports[sm].reads.front() {
-            Some(&at) => {
-                debug_assert!(at < now, "unresolved read from a cycle not yet executed");
-                at + self.min_fill_latency()
-            }
-            None => u64::MAX,
-        }
+    pub fn write(&mut self, _sm: usize, line: u64, now: u64, stats: &mut GpuStats) {
+        self.service_write(line, now, stats);
     }
 
     /// Apply every parked request strictly ordered before `frontier` —
@@ -418,9 +371,7 @@ impl MemSystem {
 
     /// The horizon lookahead: at least one cycle even for degenerate
     /// zero-latency configurations, so decoupled SMs always make progress.
-    /// `safe_horizon(sm) = oldest unresolved read + min_fill_latency`;
-    /// public so decoupled lanes can compute the same bound from their own
-    /// port without reaching into shared state.
+    /// A lane's horizon is its port's oldest unresolved read plus this.
     pub fn min_fill_latency(&self) -> u64 {
         self.l2_hit_round_trip().max(1)
     }
@@ -520,15 +471,36 @@ mod tests {
         assert_eq!(t, 10_000 + m.dram_round_trip());
     }
 
+    /// One decoupled SM advance, as `Gpu::advance_sm` runs it: `issue`
+    /// parks requests on SM `sm`'s drained port through a
+    /// [`PortRequester`], then the port is reindexed.
+    fn advance(
+        m: &mut MemSystem,
+        sm: usize,
+        st: &mut GpuStats,
+        issue: impl FnOnce(&mut PortRequester<'_>, &mut VecSink, &mut GpuStats),
+    ) {
+        assert!(
+            m.ports[sm].is_empty(),
+            "an advance starts on a drained port"
+        );
+        let mut sink = VecSink(Vec::new());
+        let port = &mut m.ports_mut()[sm];
+        issue(&mut PortRequester { sm, port }, &mut sink, st);
+        assert!(sink.0.is_empty(), "a parked read schedules no fill");
+        m.reindex_port(sm);
+    }
+
     #[test]
     fn deferred_requests_park_until_the_frontier_passes() {
         let (mut m, mut st) = memsys();
-        m.set_deferred(true);
         let mut sink = VecSink(Vec::new());
         // SM 1 runs ahead and issues at cycle 10; SM 0 lags at cycle 4.
-        m.read(1, 777, 10, 3, &mut sink, &mut st);
+        advance(&mut m, 1, &mut st, |p, ev, st| {
+            p.read(1, 777, 10, 3, ev, st)
+        });
         assert_eq!(m.pending_requests(), 1);
-        assert_eq!(st.total.l2_accesses, 0, "deferred reads touch no state");
+        assert_eq!(st.total.l2_accesses, 0, "parked reads touch no state");
         // Frontier below the request: nothing may be applied yet.
         m.apply_ready((4, 0), &mut sink, &mut st);
         assert_eq!(m.pending_requests(), 1);
@@ -555,11 +527,14 @@ mod tests {
         // Reference order: (cycle 5, SM 0) then (cycle 5, SM 1).
         m_imm.read(0, 0, 5, 0, &mut imm, &mut st_imm);
         m_imm.read(1, banks, 5, 1, &mut imm, &mut st_imm);
-        // Deferred, enqueued out of SM order (SM 1 advanced first).
-        m_def.set_deferred(true);
+        // Parked out of SM order (SM 1 advanced first).
+        advance(&mut m_def, 1, &mut st_def, |p, ev, st| {
+            p.read(1, banks, 5, 1, ev, st)
+        });
+        advance(&mut m_def, 0, &mut st_def, |p, ev, st| {
+            p.read(0, 0, 5, 0, ev, st)
+        });
         let mut def = VecSink(Vec::new());
-        m_def.read(1, banks, 5, 1, &mut def, &mut st_def);
-        m_def.read(0, 0, 5, 0, &mut def, &mut st_def);
         m_def.apply_ready((u64::MAX, 0), &mut def, &mut st_def);
         let fill_of =
             |v: &VecSink, sm: usize| v.0.iter().find(|&&(_, s, _)| s == sm).expect("fill").0;
@@ -570,17 +545,24 @@ mod tests {
     #[test]
     fn safe_horizon_tracks_oldest_unresolved_read() {
         let (mut m, mut st) = memsys();
-        m.set_deferred(true);
         let mut sink = VecSink(Vec::new());
-        assert_eq!(m.safe_horizon(0, 50), u64::MAX);
-        m.read(0, 1, 7, 0, &mut sink, &mut st);
-        m.read(0, 2, 9, 1, &mut sink, &mut st);
-        assert_eq!(m.safe_horizon(0, 10), 7 + m.l2_hit_round_trip());
+        // The bound `Lane::horizon` uses.
+        let horizon = |m: &MemSystem, sm: usize| {
+            m.ports[sm]
+                .next_read_at()
+                .map(|at| at + m.min_fill_latency())
+        };
+        assert_eq!(horizon(&m, 0), None);
+        advance(&mut m, 0, &mut st, |p, ev, st| {
+            p.read(0, 1, 7, 0, ev, st);
+            p.read(0, 2, 9, 1, ev, st);
+        });
+        assert_eq!(horizon(&m, 0), Some(7 + m.l2_hit_round_trip()));
         // Writes never bound their issuer.
-        m.write(1, 3, 2, &mut st);
-        assert_eq!(m.safe_horizon(1, 5), u64::MAX);
+        advance(&mut m, 1, &mut st, |p, _, st| p.write(1, 3, 2, st));
+        assert_eq!(horizon(&m, 1), None);
         // Applying the oldest read moves the horizon to the next one.
         m.apply_ready((8, 0), &mut sink, &mut st);
-        assert_eq!(m.safe_horizon(0, 10), 9 + m.l2_hit_round_trip());
+        assert_eq!(horizon(&m, 0), Some(9 + m.l2_hit_round_trip()));
     }
 }

@@ -217,7 +217,7 @@ impl Sm {
 
     /// Advance this SM by one cycle: each scheduler attempts one issue.
     ///
-    /// Generic over the memory requester so the parallel step mode can
+    /// Generic over the memory requester so the per-SM loop can
     /// substitute a per-SM [`crate::memsys::PortRequester`] (append-only,
     /// no shared state) without virtual dispatch on the issue hot path.
     pub fn step<M: MemRequester>(
@@ -508,8 +508,9 @@ impl Sm {
                             warp.outstanding_loads += 1;
                             if primary {
                                 // The memory system schedules the fill —
-                                // immediately, or (in deferred mode) once
-                                // the request is applied in global order.
+                                // immediately (stepped loop), or once the
+                                // parked request is applied in global
+                                // order (per-SM loop).
                                 mem.read(self.id, line, now, mshr, events, stats);
                                 self.forget_rejects_on(line);
                             }

@@ -418,7 +418,6 @@ fn write_mem(out: &mut String, mem: &MemSystem) {
         l2_service: _,
         dram_latency: _,
         dram_service: _,
-        deferred: _, // a pure function of the step mode
         ports,
         front_heap: _, // empty at barriers (asserted below)
     } = mem;

@@ -37,6 +37,21 @@
 //! while carrying no payload. The trailing `end-trace` marker makes a
 //! truncated file detectable.
 //!
+//! ## Loading: the header at load, the body on first simulation
+//!
+//! [`TraceRef::load`] reads a file, hashes its bytes and checks only the
+//! five header lines, which carry everything a trace's identity (its
+//! `Debug` form, and so every job spec and cache key) and planning read.
+//! The op streams are decoded from those same bytes, never from a second
+//! read of the file, on the first [`KernelSource::stream_for`] or
+//! [`TraceRef::data`], once for the ref and all its clones. So a warm
+//! pass, which simulates nothing, never decodes a trace. A file with a
+//! valid header over a corrupt body loads and plans like any other, and
+//! every simulation of it panics with `<path>: trace parse error at line
+//! N: …`. It can never replay as a different workload: its identity is
+//! the content digest, and a cache entry under that digest exists only
+//! if a decode of identical bytes succeeded.
+//!
 //! ## Replay semantics
 //!
 //! A trace records a *finite* stream per warp for a fixed geometry. The
@@ -55,7 +70,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::digest::sha256_hex_bytes;
 use gpu_sim::{Instr, InstructionStream, KernelSource};
@@ -204,59 +219,92 @@ impl TraceData {
         s
     }
 
-    /// Decode the v1 text format. Any malformed, out-of-range or missing
-    /// content is an error (a corrupt trace must never silently replay as
-    /// a different workload).
+    /// Decode the v1 text format: the header, then the body. Any
+    /// malformed, out-of-range or missing content is an error (a corrupt
+    /// trace must never silently replay as a different workload).
     pub fn from_text(text: &str) -> Result<TraceData, TraceError> {
-        let mut lines = text.lines().enumerate();
-        let perr = |line: usize, msg: String| TraceError::Parse {
-            line: line + 1,
-            msg,
-        };
-        let mut next_line = |expect: &str| -> Result<(usize, &str), TraceError> {
-            lines
-                .next()
-                .ok_or(TraceError::Truncated)
-                .map(|(i, l)| (i, l.trim_end()))
-                .and_then(|(i, l)| {
-                    if l.is_empty() {
-                        Err(perr(i, format!("empty line (expected {expect})")))
-                    } else {
-                        Ok((i, l))
-                    }
-                })
-        };
+        let mut lines = Lines(text.lines().enumerate());
+        Header::parse(&mut lines)?.decode_body(lines)
+    }
+}
 
-        let (_, header) = next_line("header")?;
+/// The lines of a trace's text, numbered, with empty lines refused.
+struct Lines<'a>(std::iter::Enumerate<std::str::Lines<'a>>);
+
+impl<'a> Lines<'a> {
+    /// The next line (0-based index, trailing whitespace trimmed), where
+    /// the format expects `expect`.
+    fn next(&mut self, expect: &str) -> Result<(usize, &'a str), TraceError> {
+        let (i, l) = self.0.next().ok_or(TraceError::Truncated)?;
+        let l = l.trim_end();
+        if l.is_empty() {
+            return Err(perr(i, format!("empty line (expected {expect})")));
+        }
+        Ok((i, l))
+    }
+}
+
+/// A parse error at the 0-based line `i`.
+fn perr(i: usize, msg: String) -> TraceError {
+    TraceError::Parse { line: i + 1, msg }
+}
+
+/// The value of a `<want> <value>` line.
+fn field<'a>(want: &str, (i, l): (usize, &'a str)) -> Result<&'a str, TraceError> {
+    l.strip_prefix(want)
+        .and_then(|r| r.strip_prefix(' '))
+        .ok_or_else(|| perr(i, format!("expected `{want} ...`, got {l:?}")))
+}
+
+fn parse_usize(s: &str, i: usize, what: &str) -> Result<usize, TraceError> {
+    s.parse()
+        .map_err(|_| perr(i, format!("invalid {what}: {s:?}")))
+}
+
+/// The number of header lines: the version tag, `name`,
+/// `warps_per_scheduler`, `n_pcs` and `geometry`.
+const HEADER_LINES: usize = 5;
+
+/// A trace's header: all that its identity and planning read.
+struct Header {
+    name: String,
+    warps_per_scheduler: usize,
+    n_pcs: usize,
+    sms: usize,
+    schedulers: usize,
+}
+
+impl Header {
+    fn of(data: &TraceData) -> Header {
+        Header {
+            name: data.name.clone(),
+            warps_per_scheduler: data.warps_per_scheduler,
+            n_pcs: data.n_pcs,
+            sms: data.sms,
+            schedulers: data.schedulers,
+        }
+    }
+
+    /// Read and check the [`HEADER_LINES`] header lines.
+    fn parse(lines: &mut Lines) -> Result<Header, TraceError> {
+        let (_, header) = lines.next("header")?;
         if header != TRACE_HEADER {
             return Err(TraceError::BadHeader);
         }
-        let field = |want: &str, got: (usize, &str)| -> Result<String, TraceError> {
-            let (i, l) = got;
-            l.strip_prefix(want)
-                .and_then(|r| r.strip_prefix(' '))
-                .map(|r| r.to_string())
-                .ok_or_else(|| perr(i, format!("expected `{want} ...`, got {l:?}")))
-        };
-        let name = field("name", next_line("name")?)?;
-        let parse_usize = |s: &str, i: usize, what: &str| -> Result<usize, TraceError> {
-            s.parse()
-                .map_err(|_| perr(i, format!("invalid {what}: {s:?}")))
-        };
-        let got = next_line("warps_per_scheduler")?;
+        let name = field("name", lines.next("name")?)?.to_string();
+        let got = lines.next("warps_per_scheduler")?;
         let warps_per_scheduler =
-            parse_usize(&field("warps_per_scheduler", got)?, got.0, "warp count")?;
-        let got = next_line("n_pcs")?;
-        let n_pcs = parse_usize(&field("n_pcs", got)?, got.0, "pc count")?;
+            parse_usize(field("warps_per_scheduler", got)?, got.0, "warp count")?;
+        let got = lines.next("n_pcs")?;
+        let n_pcs = parse_usize(field("n_pcs", got)?, got.0, "pc count")?;
         // Bounded like the geometry below: the simulator allocates per-PC
         // tracking state of this size per SM, so a corrupt header must be
         // a parse error, not an allocation abort.
         if n_pcs > 1 << 16 {
             return Err(perr(got.0, format!("implausible n_pcs ({n_pcs})")));
         }
-        let (gi, gl) = next_line("geometry")?;
-        let geom = field("geometry", (gi, gl))?;
-        let mut it = geom.split_whitespace();
+        let (gi, gl) = lines.next("geometry")?;
+        let mut it = field("geometry", (gi, gl))?.split_whitespace();
         let sms = parse_usize(it.next().unwrap_or(""), gi, "SM count")?;
         let schedulers = parse_usize(it.next().unwrap_or(""), gi, "scheduler count")?;
         if it.next().is_some() {
@@ -265,21 +313,52 @@ impl TraceData {
         if warps_per_scheduler == 0 || sms == 0 || schedulers == 0 {
             return Err(perr(gi, "geometry fields must be positive".into()));
         }
-        let n_warps = sms * schedulers * warps_per_scheduler;
-        if n_warps > 1 << 20 {
-            return Err(perr(gi, format!("implausible geometry ({n_warps} warps)")));
+        // Checked: a corrupt count must not wrap into a plausible product.
+        let n_warps = sms
+            .checked_mul(schedulers)
+            .and_then(|n| n.checked_mul(warps_per_scheduler));
+        if n_warps.is_none_or(|n| n > 1 << 20) {
+            return Err(perr(
+                gi,
+                format!(
+                    "implausible geometry ({sms} x {schedulers} x {warps_per_scheduler} warps)"
+                ),
+            ));
         }
+        Ok(Header {
+            name,
+            warps_per_scheduler,
+            n_pcs,
+            sms,
+            schedulers,
+        })
+    }
 
+    /// Decode the body that follows this header in `lines`: one block
+    /// per warp, then the `end-trace` marker.
+    fn decode_body(self, mut lines: Lines) -> Result<TraceData, TraceError> {
+        let Header {
+            name,
+            warps_per_scheduler,
+            n_pcs,
+            sms,
+            schedulers,
+        } = self;
+        let n_warps = sms * schedulers * warps_per_scheduler;
         let mut ops: Vec<Vec<TraceOp>> = Vec::with_capacity(n_warps);
         for expected in 0..n_warps {
-            let (wi, wl) = next_line("warp")?;
-            let hdr = field("warp", (wi, wl))?;
-            let mut it = hdr.split_whitespace();
+            let (wi, wl) = lines.next("warp")?;
+            let mut it = field("warp", (wi, wl))?.split_whitespace();
             let sm = parse_usize(it.next().unwrap_or(""), wi, "warp sm")?;
             let sched = parse_usize(it.next().unwrap_or(""), wi, "warp scheduler")?;
             let warp = parse_usize(it.next().unwrap_or(""), wi, "warp index")?;
-            let idx = (sm * schedulers + sched) * warps_per_scheduler + warp;
-            if sm >= sms || sched >= schedulers || warp >= warps_per_scheduler || idx != expected {
+            // The index is computed only within the geometry, where it
+            // cannot overflow.
+            if sm >= sms
+                || sched >= schedulers
+                || warp >= warps_per_scheduler
+                || (sm * schedulers + sched) * warps_per_scheduler + warp != expected
+            {
                 return Err(perr(
                     wi,
                     format!("warp {sm}/{sched}/{warp} out of order or out of geometry"),
@@ -287,7 +366,7 @@ impl TraceData {
             }
             let mut warp_ops = Vec::new();
             loop {
-                let (oi, ol) = next_line("op or end")?;
+                let (oi, ol) = lines.next("op or end")?;
                 let mut toks = ol.split_whitespace();
                 match toks.next() {
                     Some("end") => break,
@@ -324,7 +403,7 @@ impl TraceData {
             }
             ops.push(warp_ops);
         }
-        let (_, last) = next_line("end-trace")?;
+        let (_, last) = lines.next("end-trace")?;
         if last != "end-trace" {
             return Err(TraceError::Truncated);
         }
@@ -402,7 +481,8 @@ pub fn record_kernel(
 
 /// A loaded, content-addressed trace workload: the replayer plus the
 /// identity (`name`, SHA-256 `digest` of the encoded bytes) that keys it
-/// in experiment caches. Cheap to clone (the decoded ops are shared).
+/// in experiment caches. Cheap to clone: clones share the header and the
+/// one decode of the op streams (see the module docs, "Loading").
 ///
 /// Equality is by content digest: two `TraceRef`s loaded from identical
 /// bytes are the same workload wherever the files live, and editing a
@@ -415,23 +495,56 @@ pub struct TraceRef {
     /// Where the trace was loaded from (informational; not part of the
     /// workload's identity).
     pub path: PathBuf,
-    data: Arc<TraceData>,
+    trace: Arc<Loaded>,
+}
+
+/// What the clones of one [`TraceRef`] share.
+struct Loaded {
+    header: Header,
+    /// The bytes [`TraceRef::load`] read and hashed, until the decode
+    /// takes them, so a decoded trace does not also hold its text (empty
+    /// for data handed over decoded).
+    bytes: Mutex<Vec<u8>>,
+    decoded: OnceLock<Result<Arc<TraceData>, TraceError>>,
+}
+
+impl Loaded {
+    /// The op streams, decoded from the loaded bytes on the first call.
+    fn decoded(&self) -> &Result<Arc<TraceData>, TraceError> {
+        self.decoded.get_or_init(|| {
+            let bytes = std::mem::take(&mut *self.bytes.lock().expect("no decode panicked"));
+            TraceData::from_text(&String::from_utf8_lossy(&bytes)).map(Arc::new)
+        })
+    }
 }
 
 /// Alias emphasising the `KernelSource` role of a loaded trace.
 pub type TraceKernel = TraceRef;
 
 impl TraceRef {
-    /// Load and decode a trace file.
+    /// Read a trace file, hash it and check its header. The body is
+    /// decoded from the same bytes on first use ([`TraceRef::data`]).
     pub fn load(path: impl AsRef<Path>) -> Result<TraceRef, TraceError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&bytes);
-        let data = TraceData::from_text(&text)?;
+        // `\n` never occurs inside a UTF-8 sequence, so the header lines
+        // read from this prefix exactly as from the whole file's text.
+        let header_end = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .nth(HEADER_LINES - 1)
+            .map_or(bytes.len(), |(i, _)| i + 1);
+        let prefix = String::from_utf8_lossy(&bytes[..header_end]);
+        let header = Header::parse(&mut Lines(prefix.lines().enumerate()))?;
         Ok(TraceRef {
             digest: sha256_hex_bytes(&bytes),
             path: path.to_path_buf(),
-            data: Arc::new(data),
+            trace: Arc::new(Loaded {
+                header,
+                bytes: Mutex::new(bytes),
+                decoded: OnceLock::new(),
+            }),
         })
     }
 
@@ -442,15 +555,19 @@ impl TraceRef {
         TraceRef {
             digest,
             path: PathBuf::new(),
-            data: Arc::new(data),
+            trace: Arc::new(Loaded {
+                header: Header::of(&data),
+                bytes: Mutex::default(),
+                decoded: OnceLock::from(Ok(Arc::new(data))),
+            }),
         }
     }
 
     /// Encode and write the trace to `path`, returning the loaded-back
     /// reference (whose digest matches what a later [`TraceRef::load`]
-    /// will compute). The write is atomic (temp file + rename), so an
-    /// interrupted re-record leaves the previous trace intact instead of
-    /// a truncated file.
+    /// will compute, and whose body decodes from the written bytes). The
+    /// write is atomic (temp file + rename), so an interrupted re-record
+    /// leaves the previous trace intact instead of a truncated file.
     pub fn write(data: &TraceData, path: impl AsRef<Path>) -> Result<TraceRef, TraceError> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
@@ -467,12 +584,14 @@ impl TraceRef {
 
     /// The kernel name recorded in the trace.
     pub fn name(&self) -> &str {
-        &self.data.name
+        &self.trace.header.name
     }
 
-    /// The decoded trace.
-    pub fn data(&self) -> &TraceData {
-        &self.data
+    /// The decoded trace. The first call (or [`KernelSource::stream_for`])
+    /// on this ref or any clone decodes the body; `Err` is a corrupt
+    /// body, returned by every call.
+    pub fn data(&self) -> Result<&TraceData, &TraceError> {
+        self.trace.decoded().as_ref().map(|d| &**d)
     }
 }
 
@@ -480,12 +599,13 @@ impl fmt::Debug for TraceRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Identity only — never the op streams (this repr enters job spec
         // texts and progress labels).
+        let h = &self.trace.header;
         f.debug_struct("TraceRef")
-            .field("name", &self.data.name)
+            .field("name", &h.name)
             .field("digest", &self.digest)
-            .field("warps_per_scheduler", &self.data.warps_per_scheduler)
-            .field("n_pcs", &self.data.n_pcs)
-            .field("geometry", &(self.data.sms, self.data.schedulers))
+            .field("warps_per_scheduler", &h.warps_per_scheduler)
+            .field("n_pcs", &h.n_pcs)
+            .field("geometry", &(h.sms, h.schedulers))
             .finish()
     }
 }
@@ -497,21 +617,28 @@ impl PartialEq for TraceRef {
 }
 
 impl KernelSource for TraceRef {
+    /// Decodes the body on first use. A corrupt body panics, naming the
+    /// file and the line: the job engine records the panic as the
+    /// simulating job's failure.
     fn stream_for(&self, sm: usize, scheduler: usize, warp: usize) -> Box<dyn InstructionStream> {
+        let data = match self.trace.decoded() {
+            Ok(data) => data,
+            Err(e) => panic!("{}: {e}", self.path.display()),
+        };
         Box::new(TraceStream {
-            data: Arc::clone(&self.data),
-            warp: self.data.warp_index(sm, scheduler, warp),
+            data: Arc::clone(data),
+            warp: data.warp_index(sm, scheduler, warp),
             pos: 0,
             alu_left: 0,
         })
     }
 
     fn warps_per_scheduler(&self) -> usize {
-        self.data.warps_per_scheduler
+        self.trace.header.warps_per_scheduler
     }
 
     fn n_pcs(&self) -> usize {
-        self.data.n_pcs.max(1)
+        self.trace.header.n_pcs.max(1)
     }
 }
 
@@ -809,6 +936,19 @@ mod tests {
             TraceData::from_text(&huge_pcs),
             Err(TraceError::Parse { .. })
         ));
+        // Counts whose products overflow are parse errors too, in the
+        // geometry and in a warp header.
+        for (needle, replacement, line) in [
+            ("geometry 1 2\n", "geometry 4294967296 4294967296\n", 5),
+            ("warp 0 0 0\n", "warp 18446744073709551615 0 0\n", 6),
+        ] {
+            let bad = text.replacen(needle, replacement, 1);
+            assert_ne!(bad, text, "test needle {needle:?} must occur");
+            match TraceData::from_text(&bad) {
+                Err(TraceError::Parse { line: l, .. }) => assert_eq!(l, line),
+                other => panic!("expected a parse error at line {line}, got {other:?}"),
+            }
+        }
         // Garbage op line: error names the line.
         let garbled = text.replacen("\ny\n", "\nq zzz\n", 1);
         match TraceData::from_text(&garbled) {
@@ -834,6 +974,52 @@ mod tests {
                 "trailing tokens in {needle:?} line must be a parse error"
             );
         }
+    }
+
+    #[test]
+    fn load_checks_the_header_and_decodes_the_body_on_first_use() {
+        let text = sample_data().to_text();
+        let dir = std::env::temp_dir().join(format!("poise-trace-lazy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.trace");
+        let with_line = |i: usize, replacement: &str| -> String {
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines[i] = replacement;
+            lines.iter().map(|l| format!("{l}\n")).collect()
+        };
+
+        // A valid header over a corrupt body loads with the header's
+        // identity and the file's digest.
+        let corrupt = with_line(20, "l zzzz 1");
+        std::fs::write(&path, &corrupt).unwrap();
+        let t = TraceRef::load(&path).expect("the header is valid");
+        assert_eq!(t.name(), "t");
+        assert_eq!(KernelSource::warps_per_scheduler(&t), 2);
+        assert!(format!("{t:?}").contains("geometry: (1, 2)"), "{t:?}");
+        assert_eq!(t.digest, sha256_hex_bytes(corrupt.as_bytes()));
+        // Its first decode fails as decoding the whole text does, and
+        // every clone sees that one decode.
+        let Err(TraceError::Parse { line, msg }) = TraceData::from_text(&corrupt) else {
+            panic!("the corrupt body must be a parse error");
+        };
+        assert_eq!(line, 21);
+        for r in [t.clone(), t] {
+            match r.data() {
+                Err(TraceError::Parse { line: l, msg: m }) => assert_eq!((*l, m), (line, &msg)),
+                other => panic!("expected the decode's parse error, got {other:?}"),
+            }
+        }
+
+        // Any corrupt header line still fails the load itself, with the
+        // error a full decode reports.
+        for i in 0..HEADER_LINES {
+            let bad = with_line(i, "x 1");
+            std::fs::write(&path, &bad).unwrap();
+            let err = TraceRef::load(&path).expect_err("a corrupt header fails the load");
+            let whole = TraceData::from_text(&bad).expect_err("and the full decode");
+            assert_eq!(err.to_string(), whole.to_string(), "header line {}", i + 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

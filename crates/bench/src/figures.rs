@@ -271,7 +271,7 @@ fn jobs_main_comparison(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     for bench in evaluation_suite() {
         for scheme in Scheme::main_comparison() {
             let model = (scheme == Scheme::Poise).then_some(&ctx.model);
-            jobs.extend(scheme_jobs(&bench, scheme, setup, model));
+            jobs.extend(scheme_jobs(bench, scheme, setup, model));
         }
     }
     jobs
@@ -304,7 +304,7 @@ fn main_rows(ctx: &FigCtx, setup: &Setup, store: &ResultStore) -> Result<Vec<Mai
     for bench in evaluation_suite() {
         for scheme in Scheme::main_comparison() {
             let model = (scheme == Scheme::Poise).then_some(&ctx.model);
-            match scheme_result(store, &bench, scheme, setup, model) {
+            match scheme_result(store, bench, scheme, setup, model) {
                 Ok(r) => rows.push(crate::row_of(&r)),
                 Err(e) => {
                     eprintln!(
@@ -614,7 +614,7 @@ fn fig02_spec(setup: &Setup) -> ProfileSpec {
     // shows the same structure — use the ii base kernel. Full 300-point
     // triangle at the hardware scheduler capacity.
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == "ii")
         .expect("ii benchmark");
     let kernel = bench.kernels[0].clone();
@@ -691,7 +691,7 @@ fn render_fig02(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Re
 
 fn fig05_specs(setup: &Setup) -> Vec<ProfileSpec> {
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == "ii")
         .expect("ii benchmark");
     [&bench.kernels[2], &bench.kernels[4]]
@@ -757,7 +757,7 @@ fn render_fig05(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Re
 // Table III — workloads with Pbest.
 // ---------------------------------------------------------------------------
 
-fn table3_specs(setup: &Setup) -> Vec<(&'static str, Benchmark, PbestSpec)> {
+fn table3_specs(setup: &Setup) -> Vec<(&'static str, &'static Benchmark, PbestSpec)> {
     let window = ProfileWindow::pbest();
     let mut specs = Vec::new();
     for (set, suite) in [("train", training_suite()), ("eval", evaluation_suite())] {
@@ -1039,8 +1039,8 @@ fn render_prediction_error(
 fn jobs_fig16(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     let mut jobs = Vec::new();
     for bench in compute_insensitive_suite() {
-        jobs.extend(scheme_jobs(&bench, Scheme::Gto, setup, None));
-        jobs.extend(scheme_jobs(&bench, Scheme::Poise, setup, Some(&ctx.model)));
+        jobs.extend(scheme_jobs(bench, Scheme::Gto, setup, None));
+        jobs.extend(scheme_jobs(bench, Scheme::Poise, setup, Some(&ctx.model)));
         jobs.push(SimJob::Pbest(PbestSpec {
             workload: bench.kernels[0].clone(),
             cfg: setup.cfg.clone(),
@@ -1055,8 +1055,8 @@ fn render_fig16(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
     let mut table = Vec::new();
     let mut ratios = Vec::new();
     for bench in compute_insensitive_suite() {
-        let gto = scheme_result(store, &bench, Scheme::Gto, setup, None)?;
-        let poise = scheme_result(store, &bench, Scheme::Poise, setup, Some(&ctx.model))?;
+        let gto = scheme_result(store, bench, Scheme::Gto, setup, None)?;
+        let poise = scheme_result(store, bench, Scheme::Poise, setup, Some(&ctx.model))?;
         let pb = store.pbest(&PbestSpec {
             workload: bench.kernels[0].clone(),
             cfg: setup.cfg.clone(),
@@ -1223,7 +1223,7 @@ fn jobs_fig15(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     let mut jobs = jobs_main_comparison(ctx, setup);
     for bench in evaluation_suite() {
         for scheme in [Scheme::Apcm, Scheme::RandomRestart] {
-            jobs.extend(scheme_jobs(&bench, scheme, setup, None));
+            jobs.extend(scheme_jobs(bench, scheme, setup, None));
         }
     }
     jobs
@@ -1240,7 +1240,7 @@ fn render_fig15(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         let poise = metric(&cached, &bench.name, "Poise", |r| r.ipc) / gto;
         let mut row = vec![bench.name.clone()];
         for (i, &scheme) in schemes.iter().enumerate() {
-            let r = scheme_result(store, &bench, scheme, setup, None)?;
+            let r = scheme_result(store, bench, scheme, setup, None)?;
             let v = r.ipc / gto;
             cols[i].push(v);
             row.push(cell(v, 3));
@@ -1269,7 +1269,7 @@ fn render_fig15(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
 
 fn fig17_specs(ctx: &FigCtx, setup: &Setup) -> (ProfileSpec, KernelRunSpec) {
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == "bfs")
         .expect("bfs");
     let kernel = bench.kernels[0].clone();
@@ -1347,7 +1347,7 @@ fn jobs_fig11(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     for bench in evaluation_suite() {
         for (sn, sp) in FIG11_STRIDES {
             let s = fig11_setup(setup, sn, sp);
-            jobs.extend(scheme_jobs(&bench, Scheme::Poise, &s, Some(&ctx.model)));
+            jobs.extend(scheme_jobs(bench, Scheme::Poise, &s, Some(&ctx.model)));
         }
     }
     jobs
@@ -1363,7 +1363,7 @@ fn render_fig11(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         let mut row = vec![bench.name.clone()];
         for (si, (sn, sp)) in FIG11_STRIDES.into_iter().enumerate() {
             let s = fig11_setup(setup, sn, sp);
-            let r = scheme_result(store, &bench, Scheme::Poise, &s, Some(&ctx.model))?;
+            let r = scheme_result(store, bench, Scheme::Poise, &s, Some(&ctx.model))?;
             let v = r.ipc / gto;
             per_stride[si].push(v);
             row.push(cell(v, 3));
@@ -1404,8 +1404,8 @@ fn axes_fig12(_ctx: &FigCtx) -> Vec<Axis> {
 fn jobs_fig12(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     let mut jobs = Vec::new();
     for bench in evaluation_suite() {
-        jobs.extend(scheme_jobs(&bench, Scheme::Gto, setup, None));
-        jobs.extend(scheme_jobs(&bench, Scheme::Poise, setup, Some(&ctx.model)));
+        jobs.extend(scheme_jobs(bench, Scheme::Gto, setup, None));
+        jobs.extend(scheme_jobs(bench, Scheme::Poise, setup, Some(&ctx.model)));
     }
     jobs
 }
@@ -1420,8 +1420,8 @@ fn render_fig12(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
             // this scale's H-Mean to MISSING) instead of failing the
             // figure.
             let v = match (
-                scheme_result(store, &bench, Scheme::Gto, &point.setup, None),
-                scheme_result(store, &bench, Scheme::Poise, &point.setup, Some(&ctx.model)),
+                scheme_result(store, bench, Scheme::Gto, &point.setup, None),
+                scheme_result(store, bench, Scheme::Poise, &point.setup, Some(&ctx.model)),
             ) {
                 (Ok(gto), Ok(poise)) => poise.ipc / gto.ipc,
                 (Err(e), _) | (_, Err(e)) => {
@@ -1489,7 +1489,7 @@ fn jobs_fig13(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     for (_, model) in fig13_variants(ctx) {
         jobs.push(SimJob::Train((*model).clone()));
         for bench in evaluation_suite() {
-            jobs.extend(scheme_jobs(&bench, Scheme::Poise, &s, Some(&model)));
+            jobs.extend(scheme_jobs(bench, Scheme::Poise, &s, Some(&model)));
         }
     }
     jobs
@@ -1503,7 +1503,7 @@ fn render_fig13(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
     for bench in evaluation_suite() {
         let mut ipcs = Vec::new();
         for (_, model) in &variants {
-            let r = scheme_result(store, &bench, Scheme::Poise, &s, Some(model))?;
+            let r = scheme_result(store, bench, Scheme::Poise, &s, Some(model))?;
             ipcs.push(r.ipc);
         }
         let all = ipcs[0];
@@ -1540,7 +1540,7 @@ const MSHR_SWEEP: [usize; 5] = [4, 8, 16, 32, 64];
 
 fn ablation_mshr_specs(setup: &Setup) -> Vec<(usize, KernelRunSpec)> {
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == "ii")
         .expect("ii");
     let kernel = bench.kernels[0].clone();
@@ -1593,11 +1593,10 @@ fn render_ablation_mshr(
 
 const EPOCH_SWEEP: [u64; 4] = [50_000, 100_000, 200_000, 400_000];
 
-fn ablation_epoch_benches() -> Vec<Benchmark> {
+fn ablation_epoch_benches() -> impl Iterator<Item = &'static Benchmark> {
     evaluation_suite()
-        .into_iter()
+        .iter()
         .filter(|b| b.name == "ii" || b.name == "gsmv")
-        .collect()
 }
 
 fn ablation_epoch_setup(setup: &Setup, t: u64) -> Setup {
@@ -1611,10 +1610,10 @@ fn ablation_epoch_setup(setup: &Setup, t: u64) -> Setup {
 fn jobs_ablation_epoch(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     let mut jobs = Vec::new();
     for bench in ablation_epoch_benches() {
-        jobs.extend(scheme_jobs(&bench, Scheme::Gto, setup, None));
+        jobs.extend(scheme_jobs(bench, Scheme::Gto, setup, None));
         for t in EPOCH_SWEEP {
             let s = ablation_epoch_setup(setup, t);
-            jobs.extend(scheme_jobs(&bench, Scheme::Poise, &s, Some(&ctx.model)));
+            jobs.extend(scheme_jobs(bench, Scheme::Poise, &s, Some(&ctx.model)));
         }
     }
     jobs
@@ -1628,11 +1627,11 @@ fn render_ablation_epoch(
     let setup = &single_point(points)?.setup;
     let mut rows = Vec::new();
     for bench in ablation_epoch_benches() {
-        let gto = scheme_result(store, &bench, Scheme::Gto, setup, None)?;
+        let gto = scheme_result(store, bench, Scheme::Gto, setup, None)?;
         let mut row = vec![bench.name.clone()];
         for t in EPOCH_SWEEP {
             let s = ablation_epoch_setup(setup, t);
-            let r = scheme_result(store, &bench, Scheme::Poise, &s, Some(&ctx.model))?;
+            let r = scheme_result(store, bench, Scheme::Poise, &s, Some(&ctx.model))?;
             row.push(cell(r.ipc / gto.ipc, 3));
         }
         rows.push(row);
@@ -1669,10 +1668,7 @@ fn axes_sm_scaling(ctx: &FigCtx) -> Vec<Axis> {
 /// One kernel per evaluation benchmark keeps the 7-scheme × machine-size
 /// product tractable.
 fn sm_scaling_benches() -> Vec<Benchmark> {
-    evaluation_suite()
-        .into_iter()
-        .map(|b| b.capped(1))
-        .collect()
+    evaluation_suite().iter().map(|b| b.capped(1)).collect()
 }
 
 fn jobs_sm_scaling(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {

@@ -49,8 +49,11 @@
 //! across the host's cores. Each job executes once, under
 //! `catch_unwind`, so one panicking simulation marks its dependants
 //! failed without tearing down the run; every failure is terminal (see
-//! [`FailClass`]). Progress is reported per job completion; cache
-//! hit/miss/store counts are aggregated in the [`RunReport`].
+//! [`FailClass`]). Such a panic prints one line, its location and
+//! payload, through a panic hook the engine installs once per process:
+//! the failures report already holds the message. Progress is reported
+//! per job completion; cache hit/miss/store counts are aggregated in the
+//! [`RunReport`].
 //!
 //! Executed results are canonicalised through their own serialisation
 //! before being returned, so a cold run and a warm (all-hits) run hand
@@ -66,9 +69,13 @@
 //! `sim_threads`, a run's display `tag` and `prefix_chain`) share one
 //! entry.
 //!
-//! Rendering a spec text costs tens of microseconds, and a pass asks for
-//! the same few hundred identities thousands of times, so each layer
-//! resolves identities through a pass-scoped [`IdentityTable`]:
+//! Rendering a spec text in full costs 7–11 µs (release build, the
+//! figures-smoke and default-knob closures, a 2-vCPU x86-64 host), most
+//! of it in three lines: the workload's `kernel KernelSpec { .. }`
+//! line, the machine's `cfg gpu v1 ..` line and the grid line. A pass
+//! asks for the same few hundred identities about a thousand times, so
+//! each layer resolves identities through a pass-scoped
+//! [`IdentityTable`]:
 //!
 //! * one per `plan_jobs` call, shared by every figure's
 //!   [`crate::plan::ExperimentPlan::expand`] and by [`factor_prefixes`];
@@ -85,23 +92,43 @@
 //! equality compares. A miss renders the text, and a text the table
 //! already holds resolves to that entry.
 //!
+//! A miss renders over the table's *fragment memo*: the three costly
+//! lines above, each keyed by its value's fingerprint and compared under
+//! the same identity equality, so a memo hit writes exactly the bytes a
+//! render would. A pass's few hundred identities share a few dozen
+//! fragments (at figures-smoke knobs a pass renders 120 fragments for
+//! its 1,049 spec texts, where rendering each text whole took 2,674),
+//! and a render over a warm memo costs 1–2 µs. [`SimJob::spec_text`]
+//! is the same renderer over a fresh memo.
+//!
 //! The dependency digests a run embeds (`model <sha>`, `profile <sha>`)
 //! are memoised in the [`SharedSpec`] the run holds its model and profile
-//! specs in, so every clone of the run shares one digest.
+//! specs in, so every clone of the run shares one digest; the share
+//! also memoises its spec's fingerprint, so a Poise run fingerprints
+//! its training [`ModelSpec`] (a dozen or more kernels) once per share,
+//! not once per lookup. The engine's graph records each job's
+//! dependencies as graph entries, and its [`ResultStore`] memoises the
+//! SHA-256 of each output a dependant's cache key embeds, so a pass
+//! serialises and hashes the trained model once, not once per Poise
+//! run.
 //!
-//! No table outlives its pass: tables are locals of the call that owns
-//! the pass (or of the store it returns), never global, `static`,
-//! thread-local or owned by the [`Engine`]. A `run_all` process makes one
-//! pass, so a longer-lived table would only make repeated in-process
-//! passes — a benchmark's — cheaper than any real invocation.
+//! No table outlives its pass: tables (their fragment memos with them)
+//! are locals of the call that owns the pass (or of the store it
+//! returns), never global, `static`, thread-local or owned by the
+//! [`Engine`]. A `run_all` process makes one pass, so a longer-lived
+//! table would only make repeated in-process passes — a benchmark's —
+//! cheaper than any real invocation. The benchmark suites of
+//! `workloads::suites` are `static`, but they are constants of the
+//! program, not memos of a pass's inputs (see that module's docs).
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup};
@@ -410,19 +437,20 @@ impl ModelSpec {
 trait EmbeddedSpec {
     /// [`SimJob::kind`] of the job producing this input.
     const KIND: &'static str;
-    /// The job's spec lines after its `job <kind>` header.
-    fn write_lines(&self, s: &mut String);
+    /// The job's spec lines after its `job <kind>` header, with the
+    /// costly fragments answered from `memo`.
+    fn write_lines(&self, memo: &mut Fragments, s: &mut String);
 }
 
 impl EmbeddedSpec for ModelSpec {
     const KIND: &'static str = "train";
-    fn write_lines(&self, s: &mut String) {
+    fn write_lines(&self, memo: &mut Fragments, s: &mut String) {
         use std::fmt::Write as _;
         for k in &self.kernels {
-            let _ = writeln!(s, "{}", k.spec_line());
+            memo.workload(k, s);
         }
-        let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&self.cfg));
-        let _ = writeln!(s, "{}", spec_render::grid(&self.grid));
+        memo.gpu_config(&self.cfg, s);
+        memo.grid(&self.grid, s);
         let _ = writeln!(s, "{}", spec_render::window(&self.window));
         let _ = writeln!(s, "{}", spec_render::scoring(&self.scoring));
         let _ = writeln!(
@@ -435,36 +463,51 @@ impl EmbeddedSpec for ModelSpec {
 
 impl EmbeddedSpec for ProfileSpec {
     const KIND: &'static str = "profile";
-    fn write_lines(&self, s: &mut String) {
+    fn write_lines(&self, memo: &mut Fragments, s: &mut String) {
         use std::fmt::Write as _;
-        let _ = writeln!(s, "{}", self.workload.spec_line());
-        let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&self.cfg));
-        let _ = writeln!(s, "{}", spec_render::grid(&self.grid));
+        memo.workload(&self.workload, s);
+        memo.gpu_config(&self.cfg, s);
+        memo.grid(&self.grid, s);
         let _ = writeln!(s, "{}", spec_render::window(&self.window));
     }
 }
 
 /// An immutable spec shared by reference between runs: the model a
 /// Poise run deploys, the profile a profile-driven run reads its tuples
-/// from. Clones share the spec and the memoised SHA-256 of its job's
-/// spec text, which the run's own spec text embeds (see "Job identity"
-/// in the module docs). Build one per model and hand clones to every
-/// run deploying it ([`KernelRunSpec::new_shared`]).
-pub struct SharedSpec<T>(Arc<(T, OnceLock<String>)>);
+/// from. Clones share the spec, the memoised SHA-256 of its job's spec
+/// text, which the run's own spec text embeds, and its memoised
+/// fingerprint (see "Job identity" in the module docs). Build one per
+/// model and hand clones to every run deploying it
+/// ([`KernelRunSpec::new_shared`]).
+pub struct SharedSpec<T>(Arc<Shared<T>>);
+
+/// What the clones of one [`SharedSpec`] share.
+struct Shared<T> {
+    spec: T,
+    /// SHA-256 of the spec's job spec text.
+    digest: OnceLock<String>,
+    /// The spec's [`IdentityTable`] fingerprint.
+    print: OnceLock<u64>,
+}
 
 impl<T> SharedSpec<T> {
     /// Share `spec`.
     pub fn new(spec: T) -> Self {
-        SharedSpec(Arc::new((spec, OnceLock::new())))
+        SharedSpec(Arc::new(Shared {
+            spec,
+            digest: OnceLock::new(),
+            print: OnceLock::new(),
+        }))
     }
 }
 
-/// SHA-256 of a shared spec's job spec text, rendered once per share.
-fn embedded_hash<T: EmbeddedSpec>(shared: &SharedSpec<T>) -> &str {
-    let (spec, hash) = &*shared.0;
-    hash.get_or_init(|| {
+/// SHA-256 of a shared spec's job spec text, rendered once per share
+/// (its fragments through `memo`).
+fn embedded_hash<'a, T: EmbeddedSpec>(shared: &'a SharedSpec<T>, memo: &mut Fragments) -> &'a str {
+    let Shared { spec, digest, .. } = &*shared.0;
+    digest.get_or_init(|| {
         let mut s = format!("job {}\n", T::KIND);
-        spec.write_lines(&mut s);
+        spec.write_lines(memo, &mut s);
         sha256_hex(&s)
     })
 }
@@ -472,7 +515,7 @@ fn embedded_hash<T: EmbeddedSpec>(shared: &SharedSpec<T>) -> &str {
 impl<T> Deref for SharedSpec<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0 .0
+        &self.0.spec
     }
 }
 
@@ -484,13 +527,13 @@ impl<T> Clone for SharedSpec<T> {
 
 impl<T: PartialEq> PartialEq for SharedSpec<T> {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 .0 == other.0 .0
+        Arc::ptr_eq(&self.0, &other.0) || self.0.spec == other.0.spec
     }
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for SharedSpec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0 .0.fmt(f)
+        self.0.spec.fmt(f)
     }
 }
 
@@ -744,42 +787,48 @@ impl SimJob {
     /// appear as the SHA-256 of *their* spec text, so input edits
     /// propagate through the graph.
     ///
-    /// Renders on every call: layers that ask repeatedly resolve through
-    /// an [`IdentityTable`] instead (see "Job identity" in the module
-    /// docs).
+    /// Renders on every call, over a fresh fragment memo: layers that
+    /// ask repeatedly resolve through an [`IdentityTable`] instead (see
+    /// "Job identity" in the module docs).
     pub fn spec_text(&self) -> String {
+        self.render(&mut Fragments::default())
+    }
+
+    /// [`SimJob::spec_text`], with the costly fragments answered from
+    /// `memo`: the one renderer of every spec text.
+    fn render(&self, memo: &mut Fragments) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(s, "job {}", self.kind());
         match self {
-            SimJob::Profile(p) => p.write_lines(&mut s),
+            SimJob::Profile(p) => p.write_lines(memo, &mut s),
             SimJob::Pbest(p) => {
-                let _ = writeln!(s, "{}", p.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
+                memo.workload(&p.workload, &mut s);
+                memo.gpu_config(&p.cfg, &mut s);
                 let _ = writeln!(s, "{}", spec_render::window(&p.window));
             }
             SimJob::TupleRun(t) => {
-                let _ = writeln!(s, "{}", t.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&t.cfg));
+                memo.workload(&t.workload, &mut s);
+                memo.gpu_config(&t.cfg, &mut s);
                 let _ = writeln!(s, "{}", spec_render::tuple(&t.tuple));
                 let _ = writeln!(s, "{}", spec_render::window(&t.window));
             }
             SimJob::Sample(p) => {
-                let _ = writeln!(s, "{}", p.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
-                let _ = writeln!(s, "{}", spec_render::grid(&p.grid));
+                memo.workload(&p.workload, &mut s);
+                memo.gpu_config(&p.cfg, &mut s);
+                memo.grid(&p.grid, &mut s);
                 let _ = writeln!(s, "{}", spec_render::window(&p.window));
                 let _ = writeln!(s, "{}", spec_render::scoring(&p.scoring));
             }
-            SimJob::Train(m) => m.write_lines(&mut s),
+            SimJob::Train(m) => m.write_lines(memo, &mut s),
             // A prefix renders the same input lines as the run it was
             // factored from (under its own `job prefix` header): its
             // identity is exactly "the simulation of these inputs up to
             // run_cycles", which is what suffix runs resolve against.
             SimJob::Run(r) | SimJob::Prefix(r) => {
-                let _ = writeln!(s, "{}", r.workload.spec_line());
+                memo.workload(&r.workload, &mut s);
                 let _ = writeln!(s, "scheme {}", r.scheme.name());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&r.cfg));
+                memo.gpu_config(&r.cfg, &mut s);
                 let _ = writeln!(s, "run_cycles {}", r.run_cycles);
                 if let Some(p) = &r.params {
                     let _ = writeln!(s, "{}", spec_render::params(p));
@@ -791,10 +840,10 @@ impl SimJob {
                     let _ = writeln!(s, "rr_seeds {}", spec_render::int_list(&r.rr_seeds));
                 }
                 if let Some(m) = &r.model {
-                    let _ = writeln!(s, "model {}", embedded_hash(m));
+                    let _ = writeln!(s, "model {}", embedded_hash(m, memo));
                 }
                 if let Some(p) = &r.profile {
-                    let _ = writeln!(s, "profile {}", embedded_hash(p));
+                    let _ = writeln!(s, "profile {}", embedded_hash(p, memo));
                 }
             }
         }
@@ -901,9 +950,10 @@ impl SimJob {
     /// Poise run digests the model weights, a profile-driven run only the
     /// two derived tuples (so profile jitter that leaves the chosen
     /// tuples intact does not invalidate the run), and training digests
-    /// the full sample rows.
-    fn dep_digest(&self, dep: &SimJob, out: &JobOutput) -> String {
-        match (self, dep, out) {
+    /// the full sample rows. A full-output digest is memoised in the
+    /// store, so each output is serialised and hashed once per pass.
+    fn dep_digest(&self, dep: &SimJob, resolved: &Resolved) -> String {
+        match (self, dep, &resolved.out) {
             (SimJob::Run(r) | SimJob::Prefix(r), SimJob::Profile(_), JobOutput::Grid(g)) => {
                 let max_warps = r
                     .workload
@@ -915,7 +965,7 @@ impl SimJob {
                     static_best_from_grid(g, max_warps)
                 )
             }
-            _ => sha256_hex(&out.to_text()),
+            _ => resolved.digest().to_string(),
         }
     }
 }
@@ -936,7 +986,12 @@ pub(crate) struct Identity {
 impl Identity {
     /// Render `job`'s identity, without a table.
     pub(crate) fn of(job: &SimJob) -> Self {
-        let spec = job.spec_text();
+        Identity::render(job, &mut Fragments::default())
+    }
+
+    /// Render `job`'s identity, its fragments through `memo`.
+    fn render(job: &SimJob, memo: &mut Fragments) -> Self {
+        let spec = job.render(memo);
         Identity {
             hash: sha256_hex(&spec).into(),
             spec: spec.into(),
@@ -946,9 +1001,10 @@ impl Identity {
 
 /// A pass-scoped memo of job identities (see "Job identity" in the
 /// module docs): one entry per distinct spec text, holding the first job
-/// seen with it. A table serving an engine run doubles as its job graph,
-/// so the graph's jobs are not cloned a second time. A planner creates
-/// one (`IdentityTable::default()`) per pass and hands it to
+/// seen with it, and the spec-line fragments its renders share. A table
+/// serving an engine run doubles as its job graph, so the graph's jobs
+/// are not cloned a second time. A planner creates one
+/// (`IdentityTable::default()`) per pass and hands it to
 /// [`crate::plan::ExperimentPlan::expand`] and [`factor_prefixes`].
 #[derive(Debug, Default)]
 pub struct IdentityTable {
@@ -957,6 +1013,8 @@ pub struct IdentityTable {
     by_print: HashMap<u64, Vec<usize>>,
     /// Spec hash → entry.
     by_hash: HashMap<Arc<str>, usize>,
+    /// The fragments of this table's renders.
+    fragments: Fragments,
 }
 
 impl IdentityTable {
@@ -970,15 +1028,15 @@ impl IdentityTable {
     }
 
     /// Intern `job`: its entry, and whether this call added it. A miss
-    /// renders the spec text; a text an entry already holds (a job equal
-    /// to it in text but not under the identity equality) resolves to
-    /// that entry.
+    /// renders the spec text over the table's fragments; a text an entry
+    /// already holds (a job equal to it in text but not under the
+    /// identity equality) resolves to that entry.
     pub(crate) fn intern(&mut self, job: Cow<'_, SimJob>) -> (usize, bool) {
-        let print = fingerprint(&job);
+        let print = fingerprint(job.as_ref());
         if let Some(i) = self.find(&job, print) {
             return (i, false);
         }
-        let id = Identity::of(&job);
+        let id = Identity::render(&job, &mut self.fragments);
         if let Some(&i) = self.by_hash.get(&id.hash) {
             return (i, false);
         }
@@ -1011,12 +1069,74 @@ impl IdentityTable {
     }
 }
 
-/// The fingerprint of a job for [`IdentityTable`] buckets: a fast
-/// multiply-rotate hash (FxHash's) over fields the identity equality
-/// compares, so identity-equal jobs always share a bucket.
-fn fingerprint(job: &SimJob) -> u64 {
+/// The memoised spec-line fragments of one table's renders (see "Job
+/// identity" in the module docs): a workload's line, a machine
+/// configuration's `cfg` line and a grid's line, each rendered on first
+/// sight and keyed by the table's fingerprint under the identity
+/// equality, so a hit writes the bytes a render would.
+#[derive(Debug, Default)]
+pub(crate) struct Fragments {
+    workloads: FragmentMemo<Workload>,
+    configs: FragmentMemo<GpuConfig>,
+    grids: FragmentMemo<GridSpec>,
+}
+
+impl Fragments {
+    /// Append `w`'s spec line.
+    fn workload(&mut self, w: &Workload, s: &mut String) {
+        s.push_str(self.workloads.line(w, |w| format!("{}\n", w.spec_line())));
+    }
+
+    /// Append `c`'s `cfg` line.
+    fn gpu_config(&mut self, c: &GpuConfig, s: &mut String) {
+        s.push_str(
+            self.configs
+                .line(c, |c| format!("cfg {}\n", spec_render::gpu_config(c))),
+        );
+    }
+
+    /// Append `g`'s grid line.
+    fn grid(&mut self, g: &GridSpec, s: &mut String) {
+        s.push_str(
+            self.grids
+                .line(g, |g| format!("{}\n", spec_render::grid(g))),
+        );
+    }
+}
+
+/// One kind of fragment: fingerprint → the values seen with it and
+/// their lines.
+#[derive(Debug)]
+struct FragmentMemo<T>(HashMap<u64, Vec<(T, String)>>);
+
+impl<T> Default for FragmentMemo<T> {
+    fn default() -> Self {
+        FragmentMemo(HashMap::new())
+    }
+}
+
+impl<T: SpecEq + Clone> FragmentMemo<T> {
+    /// The line of `value`, rendered by `render` on first sight only.
+    fn line(&mut self, value: &T, render: impl FnOnce(&T) -> String) -> &str {
+        let bucket = self.0.entry(fingerprint(value)).or_default();
+        let i = match bucket.iter().position(|(v, _)| v.spec_eq(value)) {
+            Some(i) => i,
+            None => {
+                bucket.push((value.clone(), render(value)));
+                bucket.len() - 1
+            }
+        };
+        &bucket[i].1
+    }
+}
+
+/// The fingerprint of a job for [`IdentityTable`] buckets (or of a
+/// fragment for its memo): a fast multiply-rotate hash (FxHash's) over
+/// fields the identity equality compares, so identity-equal values
+/// always share a bucket.
+fn fingerprint<T: SpecEq + ?Sized>(value: &T) -> u64 {
     let mut fp = Fingerprint(0);
-    job.print(&mut fp);
+    value.print(&mut fp);
     fp.0
 }
 
@@ -1067,8 +1187,11 @@ impl SpecEq for f64 {
     fn spec_eq(&self, other: &Self) -> bool {
         self.to_bits() == other.to_bits()
     }
+    /// Signed zeros share a bucket, so only the equality tells them
+    /// apart (as the `signed_zero_*_fields_get_distinct_fragments` tests
+    /// check).
     fn print(&self, fp: &mut Fingerprint) {
-        fp.word(self.to_bits());
+        fp.word(if *self == 0.0 { 0 } else { self.to_bits() });
     }
 }
 
@@ -1123,10 +1246,11 @@ impl<T: SpecEq> SpecEq for Vec<T> {
 
 impl<T: SpecEq> SpecEq for SharedSpec<T> {
     fn spec_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 .0.spec_eq(&other.0 .0)
+        Arc::ptr_eq(&self.0, &other.0) || self.0.spec.spec_eq(&other.0.spec)
     }
+    /// The inner spec's fingerprint, walked once per share.
     fn print(&self, fp: &mut Fingerprint) {
-        self.0 .0.print(fp);
+        fp.word(*self.0.print.get_or_init(|| fingerprint(&self.0.spec)));
     }
 }
 
@@ -1564,11 +1688,26 @@ pub struct ResultStore {
     /// The run's identity table (its job graph), so lookups by job
     /// resolve without rendering; a job outside it renders.
     pub(crate) ids: IdentityTable,
-    pub(crate) outputs: HashMap<Arc<str>, Result<JobOutput, String>>,
+    pub(crate) outputs: HashMap<Arc<str>, Result<Resolved, String>>,
     /// Execution wall seconds per spec hash: measured for executed jobs,
     /// recalled from the entry's metadata for cache hits — so
     /// throughput-reporting figures render identically cold and warm.
     pub(crate) walls: HashMap<Arc<str>, f64>,
+}
+
+/// One job's output, with the SHA-256 of its serialisation memoised for
+/// the cache keys of its dependants ([`SimJob::dep_digest`]).
+#[derive(Debug)]
+pub(crate) struct Resolved {
+    out: JobOutput,
+    digest: OnceLock<String>,
+}
+
+impl Resolved {
+    /// SHA-256 of the output's serialisation, computed once.
+    fn digest(&self) -> &str {
+        self.digest.get_or_init(|| sha256_hex(&self.out.to_text()))
+    }
 }
 
 impl ResultStore {
@@ -1586,16 +1725,33 @@ impl ResultStore {
         if result.is_ok() {
             self.walls.insert(hash.clone(), wall);
         }
-        self.outputs.insert(hash, result);
+        let resolved = result.map(|out| Resolved {
+            out,
+            digest: OnceLock::new(),
+        });
+        self.outputs.insert(hash, resolved);
+    }
+
+    /// The result of `job` (spec hash `hash`); `Err` carries the failure
+    /// (or "never ran").
+    fn result(&self, job: &SimJob, hash: &str) -> Result<&Resolved, String> {
+        match self.outputs.get(hash) {
+            Some(Ok(r)) => Ok(r),
+            Some(Err(e)) => Err(e.clone()),
+            None => Err(format!("{} was not executed", job.label())),
+        }
+    }
+
+    /// Entry `i`'s result, as [`ResultStore::get`] gives it.
+    fn resolved(&self, i: usize) -> Result<&Resolved, String> {
+        let (job, id) = self.ids.entry(i);
+        self.result(job, &id.hash)
     }
 
     /// Fetch a job's output; `Err` carries the failure (or "never ran").
     pub fn get(&self, job: &SimJob) -> Result<&JobOutput, String> {
-        match self.outputs.get(&self.ids.resolve(job).hash) {
-            Some(Ok(o)) => Ok(o),
-            Some(Err(e)) => Err(e.clone()),
-            None => Err(format!("{} was not executed", job.label())),
-        }
+        self.result(job, &self.ids.resolve(job).hash)
+            .map(|r| &r.out)
     }
 
     /// The execution wall seconds of a job's simulation (see `walls`).
@@ -1783,7 +1939,7 @@ pub trait ProgressSink: Send + Sync {
 /// `(spec_hash, label)` pairs in stable execution order: the identity
 /// set an [`Engine::run`] over `jobs` resolves.
 pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
-    let JobGraph { ids, order } = expand_graph(jobs);
+    let JobGraph { ids, order, .. } = expand_graph(jobs);
     order
         .iter()
         .map(|&i| {
@@ -1801,6 +1957,10 @@ struct JobGraph {
     ids: IdentityTable,
     /// Entries of `ids` in execution order.
     order: Vec<usize>,
+    /// Each entry's direct dependencies, as entries in [`SimJob::deps`]
+    /// order, so the engine reaches a dependency's output without
+    /// rebuilding or resolving its job.
+    deps: Vec<Vec<usize>>,
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
@@ -1808,19 +1968,31 @@ struct JobGraph {
 fn expand_graph(jobs: &[SimJob]) -> JobGraph {
     let mut ids = IdentityTable::default();
     let mut order: Vec<usize> = Vec::new();
-    let mut worklist: Vec<Cow<'_, SimJob>> = jobs.iter().map(Cow::Borrowed).collect();
-    while let Some(job) = worklist.pop() {
+    let mut deps: Vec<Vec<usize>> = Vec::new();
+    // Each item carries the entry and dependency slot it fills, if any.
+    let mut worklist: Vec<_> = jobs.iter().map(|j| (None, Cow::Borrowed(j))).collect();
+    while let Some((slot, job)) = worklist.pop() {
         let (i, new) = ids.intern(job);
         if new {
-            worklist.extend(ids.entry(i).0.deps().into_iter().map(Cow::Owned));
+            let job_deps = ids.entry(i).0.deps();
+            deps.push(vec![usize::MAX; job_deps.len()]);
+            worklist.extend(
+                job_deps
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, d)| (Some((i, k)), Cow::Owned(d))),
+            );
             order.push(i);
+        }
+        if let Some((parent, k)) = slot {
+            deps[parent][k] = i;
         }
     }
     // Stable order: wave, then expansion order (reversed so that the
     // originally-requested jobs come before late-discovered deps of
     // the same wave — purely cosmetic, execution is parallel anyway).
     order.sort_by_key(|&i| ids.entry(i).0.wave());
-    JobGraph { ids, order }
+    JobGraph { ids, order, deps }
 }
 
 /// Factor the declared jobs into shared prefixes and suffix runs.
@@ -2048,8 +2220,9 @@ impl Engine {
     /// (and their dependants) surface in the report and as `Err` entries
     /// in the store.
     pub fn run(&self, jobs: &[SimJob]) -> (ResultStore, RunReport) {
+        install_job_panic_hook();
         let t0 = Instant::now();
-        let JobGraph { ids, order } = expand_graph(jobs);
+        let JobGraph { ids, order, deps } = expand_graph(jobs);
         let total = order.len();
 
         // The store keeps the graph's identity table: dependency lookups
@@ -2082,7 +2255,7 @@ impl Engine {
                 crate::parallel::parallel_map(&wave_jobs, |&i| {
                     let (job, id) = store.ids.entry(i);
                     let jt = Instant::now();
-                    let d = self.run_one(job, id, &store);
+                    let d = self.run_one(job, id, &deps[i], &store);
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
@@ -2131,20 +2304,22 @@ impl Engine {
         (store, report)
     }
 
-    /// Resolve the cache key of `job` (identity `id`) against `store`
-    /// (dependencies must already be resolved there — their output
-    /// digests enter the key). `Err` carries the dependency-failure
-    /// message.
+    /// Resolve the cache key of `job` (identity `id`, dependency entries
+    /// `deps`) against `store` (dependencies must already be resolved
+    /// there — their output digests enter the key). `Err` carries the
+    /// dependency-failure message.
     fn identify(
         &self,
         job: &SimJob,
         id: &Identity,
+        deps: &[usize],
         store: &ResultStore,
     ) -> Result<CacheKey, String> {
         let mut dep_digests = String::new();
-        for dep in &job.deps() {
-            match store.get(dep) {
-                Ok(o) => dep_digests.push_str(&format!("dep {}\n", job.dep_digest(dep, o))),
+        for &d in deps {
+            let dep = store.ids.entry(d).0;
+            match store.resolved(d) {
+                Ok(r) => dep_digests.push_str(&format!("dep {}\n", job.dep_digest(dep, r))),
                 Err(e) => return Err(format!("dependency {} failed: {e}", dep.label())),
             }
         }
@@ -2158,11 +2333,13 @@ impl Engine {
     /// Resolve a job's prefix chain to concrete cache coordinates: each
     /// barrier cycle maps to the synthetic [`SimJob::Prefix`] at that
     /// boundary, identified exactly like a real job (spec text + dep
-    /// digests), so a chain entry and the standalone prefix job the
-    /// factoring emitted address the same cache entry. `None` when the
-    /// job has no chain (or its deps failed, in which case `run_one`
-    /// fails first anyway); the job then runs cold.
-    fn prefix_io(&self, job: &SimJob, store: &ResultStore) -> Option<PrefixIo<'_>> {
+    /// digests, over the job's own dependency entries `deps`: a prefix
+    /// shares its run's model and profile), so a chain entry and the
+    /// standalone prefix job the factoring emitted address the same
+    /// cache entry. `None` when the job has no chain (or its deps
+    /// failed, in which case `run_one` fails first anyway); the job then
+    /// runs cold.
+    fn prefix_io(&self, job: &SimJob, deps: &[usize], store: &ResultStore) -> Option<PrefixIo<'_>> {
         let r = match job {
             SimJob::Run(r) | SimJob::Prefix(r) => r,
             _ => return None,
@@ -2175,7 +2352,7 @@ impl Engine {
             let synth = SimJob::Prefix(r.prefix_at(cycles, &r.prefix_chain[..i]));
             // Ladder barriers are graph jobs (a table hit).
             let id = store.ids.resolve(&synth);
-            let key = self.identify(&synth, &id, store).ok()?.key;
+            let key = self.identify(&synth, &id, deps, store).ok()?.key;
             points.push(PrefixPoint {
                 cycles,
                 key,
@@ -2190,13 +2367,20 @@ impl Engine {
         })
     }
 
-    /// Run (or load) one job (identity `id`) whose dependencies are
-    /// already in `store`, injecting an execution fault when a plan is
-    /// installed. A job executes at most once: every failure is terminal.
-    fn run_one(&self, job: &SimJob, id: &Identity, store: &ResultStore) -> Disposition {
+    /// Run (or load) one job (identity `id`, dependency entries `deps`)
+    /// whose dependencies are already in `store`, injecting an execution
+    /// fault when a plan is installed. A job executes at most once:
+    /// every failure is terminal.
+    fn run_one(
+        &self,
+        job: &SimJob,
+        id: &Identity,
+        deps: &[usize],
+        store: &ResultStore,
+    ) -> Disposition {
         let spec_hash: &str = &id.hash;
         let label = job.label();
-        let CacheKey { kind, key } = match self.identify(job, id, store) {
+        let CacheKey { kind, key } = match self.identify(job, id, deps, store) {
             Ok(k) => k,
             Err(error) => {
                 self.emit(&label, spec_hash, JobStatus::Failed, 0.0, Some(&error));
@@ -2207,10 +2391,9 @@ impl Engine {
                 };
             }
         };
-        let deps = job.deps();
         let dep_outputs: Vec<&JobOutput> = deps
             .iter()
-            .map(|d| store.get(d).expect("identify() checked every dep"))
+            .map(|&d| &store.resolved(d).expect("identify() checked every dep").out)
             .collect();
         // A corrupt entry was quarantined by the lookup and re-executes
         // exactly like a miss.
@@ -2227,16 +2410,18 @@ impl Engine {
             // edit): re-execute; the store below overwrites the entry.
         }
 
-        let prefixes = self.prefix_io(job, store);
+        let prefixes = self.prefix_io(job, deps, store);
         let injected = self.faults.as_ref().and_then(|p| p.exec_fault(spec_hash));
         self.emit(&label, spec_hash, JobStatus::Started, 0.0, None);
         let t0 = Instant::now();
+        IN_JOB.set(true);
         let executed = catch_unwind(AssertUnwindSafe(|| {
             if injected == Some(FaultKind::Panic) {
                 panic!("injected fault: panic");
             }
             job.execute(&dep_outputs, prefixes.as_ref())
         }));
+        IN_JOB.set(false);
         let wall = t0.elapsed().as_secs_f64();
         let result = match executed {
             Ok(out) => {
@@ -2254,11 +2439,7 @@ impl Engine {
                     )
                 })
             }
-            Err(panic) => Err(panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_string())),
+            Err(panic) => Err(panic_message(&*panic)),
         };
         match &result {
             Ok(_) => self.emit(&label, spec_hash, JobStatus::Done, wall, None),
@@ -2270,6 +2451,45 @@ impl Engine {
             wall,
         }
     }
+}
+
+thread_local! {
+    /// Whether this thread is inside [`Engine::run_one`]'s
+    /// `catch_unwind`, which records any panic as the job's failure.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// A panic payload as text, as the failures report records it.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "job panicked".to_string())
+}
+
+/// Install, once per process, a panic hook that prints a job's panic as
+/// one line, its location and payload: the engine catches it and the
+/// failures report already holds the message, so a backtrace per failed
+/// job would only bury the log. Every other panic goes to the hook that
+/// was installed before, unchanged.
+fn install_job_panic_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_JOB.get() {
+                return previous(info);
+            }
+            let location = info
+                .location()
+                .map_or_else(|| "an unknown location".to_string(), |l| l.to_string());
+            eprintln!(
+                "[engine] job panicked at {location}: {}",
+                panic_message(info.payload())
+            );
+        }));
+    });
 }
 
 #[cfg(test)]
@@ -2756,6 +2976,44 @@ mod tests {
                 .count();
             assert_eq!(runs, 2);
         }
+    }
+
+    /// Intern `a`, then `b`, in one table: their identities must differ
+    /// and equal the ones each renders alone.
+    fn assert_distinct_in_one_table(a: &SimJob, b: &SimJob) {
+        assert_eq!(a, b, "struct equality cannot tell the zeros apart");
+        let mut ids = IdentityTable::default();
+        let ha = ids.identity(a).hash.clone();
+        let hb = ids.identity(b).hash.clone();
+        assert_ne!(ha, hb);
+        assert_eq!((ha, hb), (Identity::of(a).hash, Identity::of(b).hash));
+    }
+
+    #[test]
+    fn signed_zero_kernel_fields_get_distinct_fragments() {
+        // Two runs whose kernel lines differ only in the sign of a zero:
+        // the second run's line is looked up among the first run's
+        // fragments and must not reuse its text.
+        let setup = tiny_setup();
+        let run = |hot_frac: f64| {
+            let mut mix = AccessMix::memory_sensitive();
+            mix.hot_frac = hot_frac;
+            let k: Workload = KernelSpec::steady("z", mix, 1).into();
+            SimJob::Run(KernelRunSpec::new(&k, Scheme::Gto, &setup, None))
+        };
+        assert_distinct_in_one_table(&run(0.0), &run(-0.0));
+    }
+
+    #[test]
+    fn signed_zero_config_fields_get_distinct_fragments() {
+        // The same for two `cfg` lines differing in an energy weight.
+        let setup = tiny_setup();
+        let run = |leakage: f64| {
+            let mut s = setup.clone();
+            s.cfg.energy.leakage_per_sm_cycle = leakage;
+            SimJob::Run(KernelRunSpec::new(&kernel(1), Scheme::Gto, &s, None))
+        };
+        assert_distinct_in_one_table(&run(0.0), &run(-0.0));
     }
 
     #[test]

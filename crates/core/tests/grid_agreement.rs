@@ -20,7 +20,7 @@ fn full_and_coarse_grids_agree_on_the_best_tuple() {
         measure: 6_000,
     };
     let ii = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == "ii")
         .expect("ii benchmark");
     let kernels = [

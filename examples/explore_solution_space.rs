@@ -15,7 +15,7 @@ use poise_repro::workloads::evaluation_suite;
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "ii".to_string());
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == which)
         .unwrap_or_else(|| panic!("unknown benchmark {which}"));
     let kernel = &bench.kernels[0];

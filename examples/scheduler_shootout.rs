@@ -13,7 +13,7 @@ use poise_repro::workloads::evaluation_suite;
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "ii".to_string());
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == which)
         .unwrap_or_else(|| panic!("unknown benchmark {which}"));
 
@@ -37,7 +37,7 @@ fn main() {
         Scheme::RandomRestart,
         Scheme::Apcm,
     ] {
-        let r = experiment::run_benchmark(&bench, scheme, &model, &setup);
+        let r = experiment::run_benchmark(bench, scheme, &model, &setup);
         let base = *gto_ipc.get_or_insert(r.ipc);
         println!(
             "{:<16} {:>8.3} {:>9.2}x {:>8.1}% {:>8.0}",

@@ -34,11 +34,11 @@ fn main() {
 
     println!("\n== deployment on an unseen benchmark (end-user side) ==");
     let bench = evaluation_suite()
-        .into_iter()
+        .iter()
         .find(|b| b.name == "mm")
         .expect("mm benchmark");
-    let gto = experiment::run_benchmark(&bench, Scheme::Gto, &model, &setup);
-    let poise = experiment::run_benchmark(&bench, Scheme::Poise, &model, &setup);
+    let gto = experiment::run_benchmark(bench, Scheme::Gto, &model, &setup);
+    let poise = experiment::run_benchmark(bench, Scheme::Poise, &model, &setup);
     println!(
         "{}: GTO IPC {:.3} -> Poise IPC {:.3} ({:.2}x)",
         bench.name,

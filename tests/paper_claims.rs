@@ -73,7 +73,7 @@ fn suite_structure_matches_table_iiia() {
     let eval = evaluation_suite();
     assert_eq!(train.iter().map(|b| b.kernels.len()).sum::<usize>(), 277);
     assert_eq!(eval.iter().map(|b| b.kernels.len()).sum::<usize>(), 346);
-    for t in &train {
+    for t in train {
         assert!(eval.iter().all(|e| e.name != t.name));
     }
 }
@@ -83,7 +83,7 @@ fn suite_structure_matches_table_iiia() {
 #[test]
 fn insensitive_suite_exceeds_imax() {
     let c = cfg();
-    for bench in compute_insensitive_suite().into_iter().take(2) {
+    for bench in compute_insensitive_suite().iter().take(2) {
         let base = run_tuple(&bench.kernels[0], &c, WarpTuple::max(24), window());
         assert!(
             base.window.in_avg() > PoiseParams::default().i_max,

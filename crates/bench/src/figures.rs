@@ -253,16 +253,38 @@ fn scheme_result(
     setup: &Setup,
     model: Option<&SharedSpec<ModelSpec>>,
 ) -> Result<experiment::BenchResult, String> {
-    let capped = bench.capped(setup.kernels_cap);
-    let mut runs = Vec::with_capacity(capped.kernels.len());
-    for k in &capped.kernels {
-        runs.push(
-            store
-                .run(&KernelRunSpec::new_shared(k, scheme, setup, model))?
-                .clone(),
-        );
-    }
-    Ok(experiment::aggregate(bench.name.clone(), scheme, runs))
+    scheme_results(store, bench, &[scheme], setup, model)
+        .pop()
+        .expect("one result per scheme")
+}
+
+/// [`scheme_result`] for each of `schemes`, in order. Each kernel's
+/// profile-driven runs are looked up through one profile share
+/// ([`KernelRunSpec::for_schemes`]).
+fn scheme_results(
+    store: &ResultStore,
+    bench: &Benchmark,
+    schemes: &[Scheme],
+    setup: &Setup,
+    model: Option<&SharedSpec<ModelSpec>>,
+) -> Vec<Result<experiment::BenchResult, String>> {
+    let specs: Vec<Vec<KernelRunSpec>> = bench
+        .capped(setup.kernels_cap)
+        .kernels
+        .iter()
+        .map(|k| KernelRunSpec::for_schemes(k, schemes, setup, model))
+        .collect();
+    schemes
+        .iter()
+        .enumerate()
+        .map(|(si, &scheme)| {
+            let runs = specs
+                .iter()
+                .map(|kernel| store.run(&kernel[si]).cloned())
+                .collect::<Result<Vec<_>, String>>()?;
+            Ok(experiment::aggregate(bench.name.clone(), scheme, runs))
+        })
+        .collect()
 }
 
 /// The Figs. 7–10/14 comparison: five schemes × eleven benchmarks.
@@ -301,10 +323,11 @@ fn missing_row(bench: &str, scheme: Scheme) -> MainRow {
 /// failing the whole figure.
 fn main_rows(ctx: &FigCtx, setup: &Setup, store: &ResultStore) -> Result<Vec<MainRow>, String> {
     let mut rows = Vec::new();
+    let schemes = Scheme::main_comparison();
     for bench in evaluation_suite() {
-        for scheme in Scheme::main_comparison() {
-            let model = (scheme == Scheme::Poise).then_some(&ctx.model);
-            match scheme_result(store, bench, scheme, setup, model) {
+        let results = scheme_results(store, bench, &schemes, setup, Some(&ctx.model));
+        for (scheme, result) in schemes.into_iter().zip(results) {
+            match result {
                 Ok(r) => rows.push(crate::row_of(&r)),
                 Err(e) => {
                     eprintln!(
@@ -1160,20 +1183,17 @@ fn render_trace_eval(
     let mut table = Vec::new();
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); TRACE_EVAL_SCHEMES.len()];
     for workload in workloads {
-        let run_of = |scheme: Scheme| -> Result<poise::experiment::KernelRun, String> {
-            let model = (scheme == Scheme::Poise).then_some(&ctx.model);
-            store
-                .run(&KernelRunSpec::new_shared(workload, scheme, setup, model))
-                .cloned()
-        };
-        let gto = run_of(Scheme::Gto)?;
+        let specs =
+            KernelRunSpec::for_schemes(workload, &TRACE_EVAL_SCHEMES, setup, Some(&ctx.model));
+        // GTO is the first scheme.
+        let gto = store.run(&specs[0])?;
         let gto_ipc = gto.counters.ipc().max(1e-12);
         let mut row = vec![
             workload.name().to_string(),
             workload.trace().expect("trace workload").digest[..12].to_string(),
         ];
-        for (si, &scheme) in TRACE_EVAL_SCHEMES.iter().enumerate() {
-            let r = run_of(scheme)?;
+        for (si, spec) in specs.iter().enumerate() {
+            let r = store.run(spec)?;
             let v = r.counters.ipc() / gto_ipc;
             per_scheme[si].push(v);
             row.push(cell(v, 3));
@@ -1690,25 +1710,25 @@ fn render_sm_scaling(
     let mut table = Vec::new();
     for point in points {
         let setup = &point.setup;
+        let specs: Vec<Vec<KernelRunSpec>> = sm_scaling_benches()
+            .iter()
+            .flat_map(|bench| bench.capped(setup.kernels_cap).kernels)
+            .map(|k| KernelRunSpec::for_schemes(&k, &TRACE_EVAL_SCHEMES, setup, Some(&ctx.model)))
+            .collect();
         // GTO first: the normalisation base at this machine size.
         let mut gto_ipc = f64::NAN;
-        for &scheme in &TRACE_EVAL_SCHEMES {
-            let model = (scheme == Scheme::Poise).then_some(&ctx.model);
+        for (si, &scheme) in TRACE_EVAL_SCHEMES.iter().enumerate() {
             // Aggregate this scheme's runs; a failed job degrades the
             // whole (scheme, size) cell to MISSING rather than failing
             // the figure. A missing GTO leaves gto_ipc NaN, so the
             // "vs GTO" column of the other schemes goes MISSING too.
             let aggregate = || -> Result<(u64, u64, f64), String> {
                 let (mut cycles, mut instructions, mut wall) = (0u64, 0u64, 0.0f64);
-                for bench in sm_scaling_benches() {
-                    for k in &bench.capped(setup.kernels_cap).kernels {
-                        let spec = KernelRunSpec::new_shared(k, scheme, setup, model);
-                        let job = SimJob::Run(spec.clone());
-                        let run = store.run(&spec)?;
-                        cycles += run.counters.cycles;
-                        instructions += run.counters.instructions;
-                        wall += store.wall(&job).unwrap_or(0.0);
-                    }
+                for kernel in &specs {
+                    let run = store.run(&kernel[si])?;
+                    cycles += run.counters.cycles;
+                    instructions += run.counters.instructions;
+                    wall += store.wall(&SimJob::Run(kernel[si].clone())).unwrap_or(0.0);
                 }
                 Ok((cycles, instructions, wall))
             };
@@ -2140,7 +2160,8 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     println!();
     // Only a sweeping run carries the shared-job statistic, keeping the
     // default (single-point) summary line unchanged; likewise the
-    // prefix-factoring statistic only appears when factoring fired.
+    // prefix-factoring statistic only appears when factoring fired, and
+    // the steady-state point count when a job simulated one.
     let mut sweep_note = if sweeping {
         format!(" sweep_shared={sweep_shared};")
     } else {
@@ -2148,6 +2169,9 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     };
     if prefix_shared > 0 {
         sweep_note.push_str(&format!(" prefix_shared={prefix_shared};"));
+    }
+    if report.steady_points > 0 {
+        sweep_note.push_str(&format!(" steady_points={};", report.steady_points));
     }
     emit_table(
         "run_all_summary.txt",

@@ -59,6 +59,37 @@
 //! before being returned, so a cold run and a warm (all-hits) run hand
 //! the renderer bit-identical values by construction.
 //!
+//! Every steady-state run an executed job needs goes through one
+//! [`SteadyMemo`] that [`Engine::run`] owns for the pass: a profile's
+//! baseline and points, a sample's baseline, points and (1, 1)
+//! reference, a tuple run, and Pbest's two runs (see "The steady-state
+//! memo" in [`crate::profiler`]).
+//!
+//! * *Scope*: one pass. The memo is a local of [`Engine::run`], like its
+//!   identity table (see "Job identity" below), so no point outlives the
+//!   pass; a cache hit simulates nothing and asks the memo nothing.
+//! * *Key*: (workload, machine configuration, warmup/measure window,
+//!   tuple), compared and fingerprinted under the identity equality
+//!   below: floats by bit pattern, engine-only fields such as
+//!   `step_mode` ignored. Each (workload, configuration, window) is
+//!   held once, with its points under it.
+//! * *Single flight*: the first request for a point simulates it, a
+//!   concurrent request waits for that simulation, and later requests
+//!   reuse it. A profile leaves the points another job is simulating
+//!   for last, so two jobs over one grid split it.
+//! * *Failure*: a simulation that panics leaves its point empty, so the
+//!   next job to ask re-runs it and fails the same way (a corrupt trace
+//!   body fails every job that simulates the trace, each as `panic`).
+//!
+//! A point's run is a function of its key, so sharing changes no output,
+//! only what a pass simulates: a sample reads its profile's grid, and a
+//! coarse grid the points of a full one. A cold pass at figures-smoke
+//! knobs simulates 2,612 distinct points where its jobs ask for 3,266
+//! ([`RunReport::steady_points`]; `run_all` prints it as
+//! `steady_points=` in its summary). A job's recorded wall is what it
+//! took in its pass, so a job whose points another job simulated
+//! records less.
+//!
 //! ## Job identity
 //!
 //! A job's *identity* is its [`SimJob::spec_text`] and the SHA-256 of
@@ -139,8 +170,8 @@ use crate::experiment::{
 use crate::faults::{FaultKind, FaultPlan};
 use crate::params::PoiseParams;
 use crate::policies::{static_best_from_grid, swl_tuple_from_grid};
-use crate::profiler::{pbest, profile_grid, run_tuple, GridSpec, ProfileWindow, SteadyState};
-use crate::train::{collect_sample_scored, fit_samples};
+use crate::profiler::{pbest_in, GridSpec, MachineKey, ProfileWindow, SteadyMemo, SteadyState};
+use crate::train::{collect_sample_in, fit_samples};
 use gpu_sim::KernelSource;
 use gpu_sim::{
     CacheGeometry, Counters, DramConfig, EnergyBreakdown, EnergyConfig, GpuConfig, L2Config,
@@ -630,6 +661,35 @@ impl KernelRunSpec {
         setup: &Setup,
         model: Option<&SharedSpec<ModelSpec>>,
     ) -> Self {
+        Self::with_profile(workload, scheme, setup, model, &mut None)
+    }
+
+    /// [`KernelRunSpec::new_shared`] under each of `schemes`, in order.
+    /// The profile-driven schemes' specs share one profile share, so
+    /// looking their runs up fingerprints the profile once, not once per
+    /// scheme.
+    pub fn for_schemes(
+        workload: &Workload,
+        schemes: &[Scheme],
+        setup: &Setup,
+        model: Option<&SharedSpec<ModelSpec>>,
+    ) -> Vec<Self> {
+        let mut profile = None;
+        schemes
+            .iter()
+            .map(|&scheme| Self::with_profile(workload, scheme, setup, model, &mut profile))
+            .collect()
+    }
+
+    /// [`KernelRunSpec::new_shared`], a profile-driven scheme taking its
+    /// profile share from `profile`, which it fills when empty.
+    fn with_profile(
+        workload: &Workload,
+        scheme: Scheme,
+        setup: &Setup,
+        model: Option<&SharedSpec<ModelSpec>>,
+        profile: &mut Option<SharedSpec<ProfileSpec>>,
+    ) -> Self {
         let needs_profile = matches!(scheme, Scheme::Swl | Scheme::PcalSwl | Scheme::StaticBest);
         KernelRunSpec {
             workload: workload.clone(),
@@ -647,12 +707,16 @@ impl KernelRunSpec {
             model: (scheme == Scheme::Poise)
                 .then(|| model.expect("a Poise run needs a ModelSpec").clone()),
             profile: needs_profile.then(|| {
-                SharedSpec::new(ProfileSpec {
-                    workload: workload.clone(),
-                    cfg: setup.cfg.clone(),
-                    grid: setup.eval_grid.clone(),
-                    window: setup.profile_window,
-                })
+                profile
+                    .get_or_insert_with(|| {
+                        SharedSpec::new(ProfileSpec {
+                            workload: workload.clone(),
+                            cfg: setup.cfg.clone(),
+                            grid: setup.eval_grid.clone(),
+                            window: setup.profile_window,
+                        })
+                    })
+                    .clone()
             }),
             tag: None,
             prefix_chain: Vec::new(),
@@ -889,18 +953,25 @@ impl SimJob {
 
     /// Execute the job. `dep_outputs` holds the resolved outputs in
     /// [`SimJob::deps`] order; `prefixes` is the engine's snapshot
-    /// transport for jobs with a prefix chain (`None` runs cold). Panics
-    /// propagate to the engine's isolation layer.
-    fn execute(&self, dep_outputs: &[&JobOutput], prefixes: Option<&PrefixIo>) -> JobOutput {
+    /// transport for jobs with a prefix chain (`None` runs cold); every
+    /// steady-state run goes through the pass's `memo`. Panics propagate
+    /// to the engine's isolation layer.
+    fn execute(
+        &self,
+        dep_outputs: &[&JobOutput],
+        prefixes: Option<&PrefixIo>,
+        memo: &SteadyMemo,
+    ) -> JobOutput {
         match self {
             SimJob::Profile(p) => {
-                JobOutput::Grid(profile_grid(&p.workload, &p.cfg, &p.grid, p.window))
+                JobOutput::Grid(memo.runs(&p.workload, &p.cfg, p.window).profile(&p.grid))
             }
-            SimJob::Pbest(p) => JobOutput::Scalar(pbest(&p.workload, &p.cfg, p.window)),
+            SimJob::Pbest(p) => JobOutput::Scalar(pbest_in(memo, &p.workload, &p.cfg, p.window)),
             SimJob::TupleRun(t) => {
-                JobOutput::Steady(run_tuple(&t.workload, &t.cfg, t.tuple, t.window))
+                JobOutput::Steady(memo.runs(&t.workload, &t.cfg, t.window).run(t.tuple))
             }
-            SimJob::Sample(p) => JobOutput::Sample(collect_sample_scored(
+            SimJob::Sample(p) => JobOutput::Sample(collect_sample_in(
+                memo,
                 &p.workload,
                 &p.cfg,
                 &p.grid,
@@ -1131,16 +1202,16 @@ impl<T: SpecEq + Clone> FragmentMemo<T> {
 }
 
 /// The fingerprint of a job for [`IdentityTable`] buckets (or of a
-/// fragment for its memo): a fast multiply-rotate hash (FxHash's) over
-/// fields the identity equality compares, so identity-equal values
-/// always share a bucket.
-fn fingerprint<T: SpecEq + ?Sized>(value: &T) -> u64 {
+/// fragment for its memo, or of a [`SteadyMemo`] key): a fast
+/// multiply-rotate hash (FxHash's) over fields the identity equality
+/// compares, so identity-equal values always share a bucket.
+pub(crate) fn fingerprint<T: SpecEq + ?Sized>(value: &T) -> u64 {
     let mut fp = Fingerprint(0);
     value.print(&mut fp);
     fp.0
 }
 
-struct Fingerprint(u64);
+pub(crate) struct Fingerprint(u64);
 
 impl Fingerprint {
     fn word(&mut self, w: u64) {
@@ -1159,7 +1230,7 @@ impl Fingerprint {
 
 /// The identity equality (see "Job identity" in the module docs) and the
 /// fingerprint consistent with it.
-trait SpecEq {
+pub(crate) trait SpecEq {
     /// Whether the two values render the same spec text, judged on the
     /// values alone: every rendered field compared, floats by bit
     /// pattern. May say `false` for equal texts; never `true` for
@@ -1293,6 +1364,7 @@ spec_eq_fields! {
     ProfileSpec { workload, cfg, grid, window };
     PbestSpec { workload, cfg, window };
     TupleRunSpec { workload, cfg, tuple, window };
+    MachineKey { workload, cfg, window };
     SampleSpec { workload, cfg, grid, window, scoring };
     ModelSpec { drop_features, scoring, window, grid, cfg, kernels };
     KernelRunSpec {
@@ -1847,6 +1919,9 @@ pub struct RunReport {
     pub executed: usize,
     /// Jobs answered from the cache.
     pub cache_hits: usize,
+    /// Steady-state points the executed jobs simulated: each distinct
+    /// point once per pass (see "Execution model" in the module docs).
+    pub steady_points: usize,
     /// Failed jobs as `(label, error)`; dependants of a failed job fail
     /// with a "dependency failed" error.
     pub failed: Vec<(String, String)>,
@@ -2233,6 +2308,7 @@ impl Engine {
             ..RunReport::default()
         };
         let done = AtomicUsize::new(0);
+        let memo = SteadyMemo::default();
         let (corrupt0, quarantined0, store_faults0) = (
             self.cache.stats.corrupt_count(),
             self.cache.stats.quarantined_count(),
@@ -2255,7 +2331,7 @@ impl Engine {
                 crate::parallel::parallel_map(&wave_jobs, |&i| {
                     let (job, id) = store.ids.entry(i);
                     let jt = Instant::now();
-                    let d = self.run_one(job, id, &deps[i], &store);
+                    let d = self.run_one(job, id, &deps[i], &store, &memo);
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
@@ -2294,6 +2370,7 @@ impl Engine {
             }
         }
 
+        report.steady_points = memo.simulated();
         report.corrupt = self.cache.stats.corrupt_count() - corrupt0;
         report.quarantined = self.cache.stats.quarantined_count() - quarantined0;
         report.store_faults = self.cache.stats.store_faults_count() - store_faults0;
@@ -2368,15 +2445,17 @@ impl Engine {
     }
 
     /// Run (or load) one job (identity `id`, dependency entries `deps`)
-    /// whose dependencies are already in `store`, injecting an execution
-    /// fault when a plan is installed. A job executes at most once:
-    /// every failure is terminal.
+    /// whose dependencies are already in `store`, its steady-state runs
+    /// through the pass's `memo`, injecting an execution fault when a
+    /// plan is installed. A job executes at most once: every failure is
+    /// terminal.
     fn run_one(
         &self,
         job: &SimJob,
         id: &Identity,
         deps: &[usize],
         store: &ResultStore,
+        memo: &SteadyMemo,
     ) -> Disposition {
         let spec_hash: &str = &id.hash;
         let label = job.label();
@@ -2419,7 +2498,7 @@ impl Engine {
             if injected == Some(FaultKind::Panic) {
                 panic!("injected fault: panic");
             }
-            job.execute(&dep_outputs, prefixes.as_ref())
+            job.execute(&dep_outputs, prefixes.as_ref(), memo)
         }));
         IN_JOB.set(false);
         let wall = t0.elapsed().as_secs_f64();
@@ -2780,6 +2859,103 @@ mod tests {
             0,
             "no cache entry is stored"
         );
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A profile, a sample and a tuple run of one workload on one
+    /// machine over one window, the tuple one of the grid's.
+    fn shared_point_jobs(workload: &Workload, setup: &Setup) -> [SimJob; 3] {
+        let grid = GridSpec::diagonal(6);
+        let tuple = WarpTuple { n: 3, p: 3 };
+        assert!(grid.points().contains(&(tuple.n, tuple.p)));
+        [
+            SimJob::Profile(ProfileSpec {
+                workload: workload.clone(),
+                cfg: setup.cfg.clone(),
+                grid: grid.clone(),
+                window: setup.profile_window,
+            }),
+            SimJob::Sample(SampleSpec {
+                workload: workload.clone(),
+                cfg: setup.cfg.clone(),
+                grid,
+                window: setup.profile_window,
+                scoring: setup.params.scoring,
+            }),
+            SimJob::TupleRun(TupleRunSpec {
+                workload: workload.clone(),
+                cfg: setup.cfg.clone(),
+                tuple,
+                window: setup.profile_window,
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_pass_simulates_each_steady_state_point_once() {
+        let setup = tiny_setup();
+        // Eight warps: the (8, 8) baseline lies outside the diagonal(6)
+        // grid, which holds (1, 1).
+        let workload: Workload = KernelSpec::steady("sp", AccessMix::memory_sensitive(), 3)
+            .with_warps(8)
+            .into();
+        let jobs = shared_point_jobs(&workload, &setup);
+        let (engine, dir) = tmp_engine("shared-points");
+        let (store, report) = engine.run(&jobs);
+        assert_eq!((report.executed, report.failed.len()), (3, 0));
+
+        // Each distinct point once: the grid's, the baseline and (1, 1).
+        let mut points: Vec<(usize, usize)> = GridSpec::diagonal(6).points().to_vec();
+        points.extend([(8, 8), (1, 1)]);
+        points.sort_unstable();
+        points.dedup();
+        assert_eq!(report.steady_points, points.len());
+
+        // The same outputs as three passes that share nothing.
+        for (k, job) in jobs.iter().enumerate() {
+            let (alone, solo_dir) = tmp_engine(&format!("shared-points-{k}"));
+            let (solo, r) = alone.run(std::slice::from_ref(job));
+            assert_eq!(r.executed, 1);
+            assert_eq!(
+                store.get(job).unwrap().to_text(),
+                solo.get(job).unwrap().to_text(),
+                "{}",
+                job.label()
+            );
+            let _ = std::fs::remove_dir_all(&solo_dir);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_trace_body_fails_every_job_that_shares_its_points() {
+        use workloads::{record_kernel, TraceRef};
+        let (engine, dir) = tmp_engine("trace-body-points");
+        let setup = tiny_setup();
+        let spec = KernelSpec::steady("tp", AccessMix::memory_sensitive(), 5).with_warps(4);
+        let data = record_kernel(&spec, "tp", 1, setup.cfg.schedulers_per_sm, 200);
+        let mut lines: Vec<String> = data.to_text().lines().map(String::from).collect();
+        lines[99] = "l zzzz 1".to_string();
+        let path = std::env::temp_dir().join(format!("poise-points-{}.trace", std::process::id()));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+        let trace = Workload::from(TraceRef::load(&path).expect("the header is valid"));
+        let [profile, sample, _] = shared_point_jobs(&trace, &setup);
+        let (_, report) = engine.run(&[profile, sample]);
+        assert_eq!((report.executed, report.steady_points), (0, 0));
+        let want = format!("{}: trace parse error at line 100: ", path.display());
+        let mut kinds: Vec<&str> = report
+            .trouble
+            .iter()
+            .map(|t| {
+                assert_eq!(t.class, FailClass::Panic, "{}", t.label);
+                assert!(t.error.starts_with(&want), "{}", t.error);
+                &t.label[..t.label.find('[').unwrap()]
+            })
+            .collect();
+        kinds.sort_unstable();
+        assert_eq!(kinds, ["profile", "sample"]);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(&dir);
     }

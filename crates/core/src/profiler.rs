@@ -1,7 +1,32 @@
 //! Offline {N, p} profiling: steady-state runs at fixed tuples, full or
 //! coarse grid sweeps (parallelised with [`std::thread::scope`]), and the
 //! `Pbest` classification.
+//!
+//! ## The steady-state memo
+//!
+//! [`run_tuple`] simulates one point: a workload on a machine
+//! configuration at a fixed tuple over a warmup/measure window. Every
+//! other entry point runs its points through a [`SteadyMemo`], which
+//! keeps each point's [`SteadyState`] once simulated: [`SteadyMemo::runs`]
+//! resolves a (workload, configuration, window) to its [`SteadyRuns`],
+//! under the job identity equality of [`crate::jobs`], and
+//! [`SteadyRuns::run`] and [`SteadyRuns::profile`] answer from it. A
+//! point's first request simulates it; a concurrent request waits for
+//! that simulation; later requests reuse it. A simulation that panics
+//! leaves its point empty, so the next request runs it again and panics
+//! the same way.
+//!
+//! The job engine owns one memo per pass, so the profiles, samples,
+//! tuple runs and Pbest classifications of a pass simulate each point
+//! once (see "Execution model" in [`crate::jobs`]). [`profile_grid`],
+//! [`pbest`] and [`crate::train::collect_sample`] keep their signatures
+//! and run over a fresh memo of their own: one code path.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+use crate::jobs::{fingerprint, SpecEq};
 use crate::parallel::parallel_map;
 use gpu_sim::{Counters, FixedTuple, Gpu, GpuConfig, KernelSource, WarpTuple};
 use poise_ml::SpeedupGrid;
@@ -137,78 +162,228 @@ impl GridSpec {
 
 /// Profile `spec` over `grid`, returning speedups relative to the maximal
 /// tuple `(max, max)` (the GTO baseline). Runs points in parallel across
-/// the host's cores.
+/// the host's cores, over a fresh [`SteadyMemo`].
 pub fn profile_grid(
     spec: &Workload,
     cfg: &GpuConfig,
     grid: &GridSpec,
     window: ProfileWindow,
 ) -> SpeedupGrid {
-    profile_grid_runs(spec, cfg, grid, window).grid
-}
-
-/// A profiled grid together with the steady-state runs behind it.
-pub(crate) struct GridRuns {
-    pub(crate) grid: SpeedupGrid,
-    /// The `(max, max)` baseline run.
-    pub(crate) base: SteadyState,
-    /// The runs of the other profiled points, in grid order.
-    pub(crate) points: Vec<SteadyState>,
-}
-
-impl GridRuns {
-    /// The run at `tuple`, if the profile simulated it.
-    pub(crate) fn run_at(&self, tuple: WarpTuple) -> Option<&SteadyState> {
-        std::iter::once(&self.base)
-            .chain(&self.points)
-            .find(|st| st.tuple == tuple)
-    }
-}
-
-/// [`profile_grid`], keeping the runs so callers can reuse them. The
-/// baseline is a speedup of exactly 1 by construction, so it is simulated
-/// once, not again as a grid point.
-pub(crate) fn profile_grid_runs(
-    spec: &Workload,
-    cfg: &GpuConfig,
-    grid: &GridSpec,
-    window: ProfileWindow,
-) -> GridRuns {
-    let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let max = WarpTuple::max(max_warps);
-    let base = run_tuple(spec, cfg, max, window);
-    let base_ipc = base.ipc().max(1e-9);
-
-    let tuples: Vec<WarpTuple> = grid
-        .points()
-        .iter()
-        .map(|&(n, p)| WarpTuple { n, p })
-        .filter(|&t| t.n <= max_warps && t.p <= t.n && t != max)
-        .collect();
-
-    let points = parallel_map(&tuples, |&t| run_tuple(spec, cfg, t, window));
-
-    let mut out = SpeedupGrid::new(max_warps);
-    for st in &points {
-        out.set(st.tuple.n, st.tuple.p, st.ipc() / base_ipc);
-    }
-    out.set(max.n, max.p, 1.0);
-    GridRuns {
-        grid: out,
-        base,
-        points,
-    }
+    SteadyMemo::default().runs(spec, cfg, window).profile(grid)
 }
 
 /// Compute `Pbest`: the speedup of the kernel when the L1 is scaled 64×
 /// (the paper's memory-sensitivity classifier; sensitive iff > 1.4).
 pub fn pbest(spec: &Workload, cfg: &GpuConfig, window: ProfileWindow) -> f64 {
-    let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let t = WarpTuple::max(max_warps);
-    let base = run_tuple(spec, cfg, t, window);
-    let big_cfg = cfg.clone().with_l1_scale(64);
-    let big = run_tuple(spec, &big_cfg, t, window);
-    big.ipc() / base.ipc().max(1e-9)
+    pbest_in(&SteadyMemo::default(), spec, cfg, window)
+}
+
+/// [`pbest`] over `memo`'s runs.
+pub(crate) fn pbest_in(
+    memo: &SteadyMemo,
+    spec: &Workload,
+    cfg: &GpuConfig,
+    window: ProfileWindow,
+) -> f64 {
+    let base = memo.runs(spec, cfg, window);
+    let big = memo.runs(spec, &cfg.clone().with_l1_scale(64), window);
+    let t = base.max_tuple();
+    let base_ipc = base.run(t).ipc().max(1e-9);
+    big.run(t).ipc() / base_ipc
+}
+
+/// A memo of steady-state runs: see "The steady-state memo" in the
+/// module docs.
+#[derive(Default)]
+pub struct SteadyMemo {
+    /// Fingerprint → the machines with it.
+    machines: Mutex<HashMap<u64, Vec<Arc<Machine>>>>,
+    /// Points simulated through this memo (a reuse does not count).
+    simulated: AtomicUsize,
+}
+
+/// What one memo entry simulates, held once for all its points: a
+/// workload on a machine configuration over a window. Compared and
+/// fingerprinted under the job identity equality.
+pub(crate) struct MachineKey {
+    pub(crate) workload: Workload,
+    pub(crate) cfg: GpuConfig,
+    pub(crate) window: ProfileWindow,
+}
+
+/// One memo entry: its key and its points by tuple.
+struct Machine {
+    key: MachineKey,
+    points: Mutex<HashMap<WarpTuple, Arc<Point>>>,
+}
+
+/// One point's run, and the signal its waiters wait on.
+#[derive(Default)]
+struct Point {
+    state: Mutex<PointState>,
+    changed: Condvar,
+}
+
+/// Where a point's simulation stands.
+#[derive(Default)]
+enum PointState {
+    /// Never simulated, or its simulation panicked.
+    #[default]
+    Empty,
+    /// A thread is simulating it.
+    Running,
+    /// Simulated: its run.
+    Done(Box<SteadyState>),
+}
+
+/// A claimed point. Dropping it publishes `done`, or empties the point
+/// again when the simulation unwound, and wakes the point's waiters.
+struct Claim<'a> {
+    point: &'a Point,
+    done: Option<SteadyState>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut state = self
+            .point
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *state = match self.done.take() {
+            Some(st) => PointState::Done(Box::new(st)),
+            None => PointState::Empty,
+        };
+        self.point.changed.notify_all();
+    }
+}
+
+impl SteadyMemo {
+    /// The memo's runs of `spec` on `cfg` over `window`.
+    pub fn runs(&self, spec: &Workload, cfg: &GpuConfig, window: ProfileWindow) -> SteadyRuns<'_> {
+        let key = MachineKey {
+            workload: spec.clone(),
+            cfg: cfg.clone(),
+            window,
+        };
+        let print = fingerprint(&key);
+        let mut machines = self.machines.lock().expect("memo machines");
+        let bucket = machines.entry(print).or_default();
+        let machine = match bucket.iter().find(|m| m.key.spec_eq(&key)) {
+            Some(m) => Arc::clone(m),
+            None => {
+                let m = Arc::new(Machine {
+                    key,
+                    points: Mutex::default(),
+                });
+                bucket.push(Arc::clone(&m));
+                m
+            }
+        };
+        SteadyRuns {
+            memo: self,
+            machine,
+        }
+    }
+
+    /// How many points were simulated through this memo: each distinct
+    /// point once, plus a re-run for every simulation that panicked.
+    pub fn simulated(&self) -> usize {
+        self.simulated.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`SteadyMemo`]'s runs of one workload on one machine over one
+/// window.
+pub struct SteadyRuns<'a> {
+    memo: &'a SteadyMemo,
+    machine: Arc<Machine>,
+}
+
+impl SteadyRuns<'_> {
+    /// The run at `tuple`: simulated on the first request, waited for
+    /// while another thread simulates it, reused after.
+    pub fn run(&self, tuple: WarpTuple) -> SteadyState {
+        self.request(tuple, true)
+            .expect("a waiting request always gets a run")
+    }
+
+    /// The most warps per scheduler the workload fills on the machine.
+    pub fn max_warps(&self) -> usize {
+        let MachineKey { workload, cfg, .. } = &self.machine.key;
+        workload
+            .warps_per_scheduler()
+            .min(cfg.max_warps_per_scheduler)
+    }
+
+    /// The maximal tuple `(max, max)`: the GTO baseline.
+    pub fn max_tuple(&self) -> WarpTuple {
+        WarpTuple::max(self.max_warps())
+    }
+
+    /// Speedups over `grid` relative to the baseline [`Self::max_tuple`],
+    /// which is a speedup of exactly 1 by construction, so it is not run
+    /// again as a grid point. The baseline runs first, on the calling
+    /// thread; the other points fan out across the host's cores, and a
+    /// point another thread is simulating is waited for only once every
+    /// other point is done, so two jobs over one grid share its points
+    /// instead of one idling behind the other.
+    pub fn profile(&self, grid: &GridSpec) -> SpeedupGrid {
+        let max_warps = self.max_warps();
+        let max = WarpTuple::max(max_warps);
+        let base_ipc = self.run(max).ipc().max(1e-9);
+        let tuples: Vec<WarpTuple> = grid
+            .points()
+            .iter()
+            .map(|&(n, p)| WarpTuple { n, p })
+            .filter(|&t| t.n <= max_warps && t.p <= t.n && t != max)
+            .collect();
+        let first = parallel_map(&tuples, |&t| self.request(t, false));
+        let mut out = SpeedupGrid::new(max_warps);
+        for (&t, st) in tuples.iter().zip(first) {
+            let st = st.unwrap_or_else(|| self.run(t));
+            out.set(t.n, t.p, st.ipc() / base_ipc);
+        }
+        out.set(max.n, max.p, 1.0);
+        out
+    }
+
+    /// The run at `tuple`, simulating it if no thread has; `None` when
+    /// `wait` is false and another thread is simulating it.
+    fn request(&self, tuple: WarpTuple, wait: bool) -> Option<SteadyState> {
+        let point = Arc::clone(
+            self.machine
+                .points
+                .lock()
+                .expect("memo points")
+                .entry(tuple)
+                .or_default(),
+        );
+        let mut state = point.state.lock().expect("memo point");
+        loop {
+            match &*state {
+                PointState::Done(st) => return Some(SteadyState::clone(st)),
+                PointState::Running if !wait => return None,
+                PointState::Running => state = point.changed.wait(state).expect("memo point"),
+                PointState::Empty => break,
+            }
+        }
+        *state = PointState::Running;
+        drop(state);
+        let mut claim = Claim {
+            point: &point,
+            done: None,
+        };
+        let MachineKey {
+            workload,
+            cfg,
+            window,
+        } = &self.machine.key;
+        let st = run_tuple(workload, cfg, tuple, *window);
+        self.memo.simulated.fetch_add(1, Ordering::Relaxed);
+        claim.done = Some(st.clone());
+        Some(st)
+    }
 }
 
 #[cfg(test)]
@@ -284,6 +459,65 @@ mod tests {
             },
         );
         assert!(p > 1.1, "64x L1 must help a thrashing kernel, got {p}");
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_point_share_one_simulation() {
+        let memo = SteadyMemo::default();
+        let (k, cfg) = (thrashy_kernel(), quick_cfg());
+        let window = ProfileWindow {
+            warmup: 500,
+            measure: 1_000,
+        };
+        let t = WarpTuple::new(4, 2, 24);
+        let start = std::sync::Barrier::new(2);
+        let run = || {
+            start.wait();
+            memo.runs(&k, &cfg, window).run(t)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(run);
+            let b = s.spawn(run);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.window, b.window);
+        assert_eq!(memo.simulated(), 1);
+        // Engine-only fields are not part of the key.
+        let mut reference = cfg.clone();
+        reference.step_mode = gpu_sim::StepMode::Reference;
+        assert_eq!(memo.runs(&k, &reference, window).run(t).window, a.window);
+        assert_eq!(memo.simulated(), 1);
+    }
+
+    #[test]
+    fn a_panicking_simulation_leaves_its_point_empty() {
+        // An invalid kernel (no phases) makes every simulation of it panic.
+        let bad: Workload = KernelSpec {
+            name: "bad".into(),
+            warps_per_scheduler: 4,
+            phases: Vec::new(),
+            trace_len: None,
+            seed: 0,
+        }
+        .into();
+        let memo = SteadyMemo::default();
+        let runs = memo.runs(&bad, &quick_cfg(), ProfileWindow::default());
+        let t = runs.max_tuple();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runs.run(t)));
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runs.run(t)));
+        let message = |r: std::thread::Result<SteadyState>| match r {
+            Ok(_) => panic!("an invalid kernel must not simulate"),
+            Err(e) => e
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string())),
+        };
+        assert_eq!(
+            message(first),
+            message(second),
+            "the re-run fails the same way"
+        );
+        assert_eq!(memo.simulated(), 0);
     }
 
     #[test]

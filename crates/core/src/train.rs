@@ -3,11 +3,19 @@
 //! best-*scored* tuple (Eq. 12), scale it to scheduler capacity, sample
 //! the Table II features at the two reference points, filter by the
 //! Table IV thresholds, and fit the two Negative Binomial regressions.
+//!
+//! A sample reads everything off one profile of its kernel: the scored
+//! target tuple from the grid's speedups, and both reference feature
+//! windows from the grid's runs, the baseline `(max, max)` and `(1, 1)`
+//! (simulated too when the grid lacks it). The runs come from a
+//! [`SteadyMemo`]: the job engine's, shared by every job of its pass
+//! (so a sample over a grid some profile of the pass already swept
+//! simulates nothing new), or a fresh one per [`collect_sample`] call.
 
 use crate::experiment::Setup;
 use crate::params::PoiseParams;
-use crate::profiler::{profile_grid_runs, run_tuple, GridSpec, ProfileWindow};
-use gpu_sim::{GpuConfig, KernelSource, WarpTuple, WindowSample};
+use crate::profiler::{GridSpec, ProfileWindow, SteadyMemo};
+use gpu_sim::{GpuConfig, WarpTuple, WindowSample};
 use poise_ml::{scoring, FeatureVector, TrainedModel, TrainingSample, TrainingThresholds};
 use workloads::{training_suite, Workload};
 
@@ -34,9 +42,21 @@ pub fn collect_sample_scored(
     window: ProfileWindow,
     scoring: &poise_ml::ScoringWeights,
 ) -> TrainingSample {
-    let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let runs = profile_grid_runs(spec, cfg, grid, window);
-    let profile = &runs.grid;
+    collect_sample_in(&SteadyMemo::default(), spec, cfg, grid, window, scoring)
+}
+
+/// [`collect_sample_scored`] over `memo`'s runs.
+pub(crate) fn collect_sample_in(
+    memo: &SteadyMemo,
+    spec: &Workload,
+    cfg: &GpuConfig,
+    grid: &GridSpec,
+    window: ProfileWindow,
+    scoring: &poise_ml::ScoringWeights,
+) -> TrainingSample {
+    let runs = memo.runs(spec, cfg, window);
+    let max_warps = runs.max_warps();
+    let profile = runs.profile(grid);
 
     let (target, _) = profile
         .best_scored(scoring)
@@ -45,13 +65,10 @@ pub fn collect_sample_scored(
     let scaled = scoring::scale_tuple(target, max_warps, cfg.max_warps_per_scheduler);
 
     // Feature sampling at the same two reference points the HIE uses:
-    // the profile's baseline and, when the grid holds it, its (1, 1) run.
-    let base = &runs.base;
-    let one = WarpTuple { n: 1, p: 1 };
-    let refp = runs
-        .run_at(one)
-        .cloned()
-        .unwrap_or_else(|| run_tuple(spec, cfg, one, window));
+    // the profile's baseline and (1, 1), both read from the memo (the
+    // profile ran the baseline, and (1, 1) too when the grid holds it).
+    let base = runs.run(runs.max_tuple());
+    let refp = runs.run(WarpTuple { n: 1, p: 1 });
     let base_s = WindowSample::from_counters(&base.window);
     let ref_s = WindowSample::from_counters(&refp.window);
 

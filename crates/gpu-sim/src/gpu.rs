@@ -1030,9 +1030,12 @@ mod tests {
     }
 
     /// A broken controller: declares a sparse wake cadence but samples
-    /// the window on every cycle anyway.
+    /// the window on every cycle anyway. Only the debug-assertion test
+    /// below uses it.
+    #[cfg(debug_assertions)]
     struct ContractViolator;
 
+    #[cfg(debug_assertions)]
     impl Controller for ContractViolator {
         fn on_cycle(&mut self, ctx: &mut ControlCtx) {
             let _ = ctx.window(); // illegal between declared wakes

@@ -28,7 +28,12 @@
 //! The `wall` line is metadata, not identity: it records how long the
 //! simulation that produced the entry took, so figures that report
 //! simulation throughput (e.g. `sm_scaling`) render identically from a
-//! warm cache and from the cold run that filled it. The `sha256` line is
+//! warm cache and from the cold run that filled it. It is what the job
+//! took in its pass: a profile or sample whose steady-state points
+//! another job of the pass had simulated reused them (see "Execution
+//! model" in [`crate::jobs`]) and records less than it would alone. No
+//! figure renders a profile or sample wall; `sm_scaling` reads run walls
+//! only. The `sha256` line is
 //! an end-to-end body checksum: the header/end-marker checks catch
 //! truncation, but only the checksum catches silent in-place corruption
 //! (a flipped bit in a stored counter still parses). An entry without

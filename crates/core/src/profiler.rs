@@ -211,50 +211,45 @@ pub(crate) struct MachineKey {
     pub(crate) window: ProfileWindow,
 }
 
-/// One memo entry: its key and its points by tuple.
+/// One memo entry: its key and the points requested so far.
 struct Machine {
     key: MachineKey,
-    points: Mutex<HashMap<WarpTuple, Arc<Point>>>,
-}
-
-/// One point's run, and the signal its waiters wait on.
-#[derive(Default)]
-struct Point {
-    state: Mutex<PointState>,
+    /// A tuple is absent until requested, and again after its
+    /// simulation panicked.
+    points: Mutex<HashMap<WarpTuple, PointState>>,
+    /// Signalled whenever a simulation of one of the points ends.
     changed: Condvar,
 }
 
-/// Where a point's simulation stands.
-#[derive(Default)]
+/// A requested point.
 enum PointState {
-    /// Never simulated, or its simulation panicked.
-    #[default]
-    Empty,
     /// A thread is simulating it.
     Running,
     /// Simulated: its run.
     Done(Box<SteadyState>),
 }
 
-/// A claimed point. Dropping it publishes `done`, or empties the point
-/// again when the simulation unwound, and wakes the point's waiters.
+/// A point a thread is simulating. Dropping it publishes `done`, or
+/// forgets the point when the simulation unwound, and wakes the
+/// machine's waiters.
 struct Claim<'a> {
-    point: &'a Point,
+    machine: &'a Machine,
+    tuple: WarpTuple,
     done: Option<SteadyState>,
 }
 
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        let mut state = self
-            .point
-            .state
+        let mut points = self
+            .machine
+            .points
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        *state = match self.done.take() {
-            Some(st) => PointState::Done(Box::new(st)),
-            None => PointState::Empty,
+        match self.done.take() {
+            Some(st) => points.insert(self.tuple, PointState::Done(Box::new(st))),
+            None => points.remove(&self.tuple),
         };
-        self.point.changed.notify_all();
+        self.machine.changed.notify_all();
     }
 }
 
@@ -275,6 +270,7 @@ impl SteadyMemo {
                 let m = Arc::new(Machine {
                     key,
                     points: Mutex::default(),
+                    changed: Condvar::new(),
                 });
                 bucket.push(Arc::clone(&m));
                 m
@@ -351,34 +347,30 @@ impl SteadyRuns<'_> {
     /// The run at `tuple`, simulating it if no thread has; `None` when
     /// `wait` is false and another thread is simulating it.
     fn request(&self, tuple: WarpTuple, wait: bool) -> Option<SteadyState> {
-        let point = Arc::clone(
-            self.machine
-                .points
-                .lock()
-                .expect("memo points")
-                .entry(tuple)
-                .or_default(),
-        );
-        let mut state = point.state.lock().expect("memo point");
+        let machine = &*self.machine;
+        let mut points = machine.points.lock().expect("memo points");
         loop {
-            match &*state {
-                PointState::Done(st) => return Some(SteadyState::clone(st)),
-                PointState::Running if !wait => return None,
-                PointState::Running => state = point.changed.wait(state).expect("memo point"),
-                PointState::Empty => break,
+            match points.get(&tuple) {
+                Some(PointState::Done(st)) => return Some(SteadyState::clone(st)),
+                Some(PointState::Running) if !wait => return None,
+                Some(PointState::Running) => {
+                    points = machine.changed.wait(points).expect("memo points")
+                }
+                None => break,
             }
         }
-        *state = PointState::Running;
-        drop(state);
+        points.insert(tuple, PointState::Running);
+        drop(points);
         let mut claim = Claim {
-            point: &point,
+            machine,
+            tuple,
             done: None,
         };
         let MachineKey {
             workload,
             cfg,
             window,
-        } = &self.machine.key;
+        } = &machine.key;
         let st = run_tuple(workload, cfg, tuple, *window);
         self.memo.simulated.fetch_add(1, Ordering::Relaxed);
         claim.done = Some(st.clone());
@@ -465,18 +457,24 @@ mod tests {
     fn concurrent_requests_for_one_point_share_one_simulation() {
         let memo = SteadyMemo::default();
         let (k, cfg) = (thrashy_kernel(), quick_cfg());
+        // A few milliseconds: the second request arrives while the first
+        // simulates.
         let window = ProfileWindow {
-            warmup: 500,
-            measure: 1_000,
+            warmup: 40_000,
+            measure: 10_000,
         };
         let t = WarpTuple::new(4, 2, 24);
-        let start = std::sync::Barrier::new(2);
-        let run = || {
-            start.wait();
-            memo.runs(&k, &cfg, window).run(t)
+        let run = || memo.runs(&k, &cfg, window).run(t);
+        let requested = || {
+            let runs = memo.runs(&k, &cfg, window);
+            let points = runs.machine.points.lock().unwrap();
+            points.contains_key(&t)
         };
         let (a, b) = std::thread::scope(|s| {
             let a = s.spawn(run);
+            while !requested() {
+                std::thread::yield_now();
+            }
             let b = s.spawn(run);
             (a.join().unwrap(), b.join().unwrap())
         });

@@ -170,8 +170,8 @@ use crate::experiment::{
 use crate::faults::{FaultKind, FaultPlan};
 use crate::params::PoiseParams;
 use crate::policies::{static_best_from_grid, swl_tuple_from_grid};
-use crate::profiler::{pbest_in, GridSpec, MachineKey, ProfileWindow, SteadyMemo, SteadyState};
-use crate::train::{collect_sample_in, fit_samples};
+use crate::profiler::{pbest, GridSpec, MachineKey, ProfileWindow, SteadyMemo, SteadyState};
+use crate::train::{collect_sample_scored, fit_samples};
 use gpu_sim::KernelSource;
 use gpu_sim::{
     CacheGeometry, Counters, DramConfig, EnergyBreakdown, EnergyConfig, GpuConfig, L2Config,
@@ -966,11 +966,11 @@ impl SimJob {
             SimJob::Profile(p) => {
                 JobOutput::Grid(memo.runs(&p.workload, &p.cfg, p.window).profile(&p.grid))
             }
-            SimJob::Pbest(p) => JobOutput::Scalar(pbest_in(memo, &p.workload, &p.cfg, p.window)),
+            SimJob::Pbest(p) => JobOutput::Scalar(pbest(memo, &p.workload, &p.cfg, p.window)),
             SimJob::TupleRun(t) => {
                 JobOutput::Steady(memo.runs(&t.workload, &t.cfg, t.window).run(t.tuple))
             }
-            SimJob::Sample(p) => JobOutput::Sample(collect_sample_in(
+            SimJob::Sample(p) => JobOutput::Sample(collect_sample_scored(
                 memo,
                 &p.workload,
                 &p.cfg,

@@ -18,9 +18,9 @@
 //!
 //! The job engine owns one memo per pass, so the profiles, samples,
 //! tuple runs and Pbest classifications of a pass simulate each point
-//! once (see "Execution model" in [`crate::jobs`]). [`profile_grid`],
-//! [`pbest`] and [`crate::train::collect_sample`] keep their signatures
-//! and run over a fresh memo of their own: one code path.
+//! once (see "Execution model" in [`crate::jobs`]). [`profile_grid`]
+//! and [`crate::train::collect_sample`] keep their signatures and run
+//! over a fresh memo of their own: one code path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,18 +173,9 @@ pub fn profile_grid(
 }
 
 /// Compute `Pbest`: the speedup of the kernel when the L1 is scaled 64×
-/// (the paper's memory-sensitivity classifier; sensitive iff > 1.4).
-pub fn pbest(spec: &Workload, cfg: &GpuConfig, window: ProfileWindow) -> f64 {
-    pbest_in(&SteadyMemo::default(), spec, cfg, window)
-}
-
-/// [`pbest`] over `memo`'s runs.
-pub(crate) fn pbest_in(
-    memo: &SteadyMemo,
-    spec: &Workload,
-    cfg: &GpuConfig,
-    window: ProfileWindow,
-) -> f64 {
+/// (the paper's memory-sensitivity classifier; sensitive iff > 1.4),
+/// over `memo`'s runs.
+pub fn pbest(memo: &SteadyMemo, spec: &Workload, cfg: &GpuConfig, window: ProfileWindow) -> f64 {
     let base = memo.runs(spec, cfg, window);
     let big = memo.runs(spec, &cfg.clone().with_l1_scale(64), window);
     let t = base.max_tuple();
@@ -443,6 +434,7 @@ mod tests {
     fn pbest_exceeds_one_for_thrashing_kernels() {
         // The big cache needs a long warmup before its benefit shows.
         let p = pbest(
+            &SteadyMemo::default(),
             &thrashy_kernel(),
             &quick_cfg(),
             ProfileWindow {

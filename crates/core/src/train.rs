@@ -28,25 +28,22 @@ pub fn collect_sample(
     window: ProfileWindow,
     params: &PoiseParams,
 ) -> TrainingSample {
-    collect_sample_scored(spec, cfg, grid, window, &params.scoring)
+    collect_sample_scored(
+        &SteadyMemo::default(),
+        spec,
+        cfg,
+        grid,
+        window,
+        &params.scoring,
+    )
 }
 
 /// [`collect_sample`] with the scoring weights alone — the only
-/// [`PoiseParams`] field sampling reads. The job engine keys sample
-/// caches on exactly this argument list, so parameter studies that leave
-/// the scoring untouched (e.g. the Fig. 11 stride sweep) share samples.
+/// [`PoiseParams`] field sampling reads — over `memo`'s runs. The job
+/// engine keys sample caches on exactly this argument list, so parameter
+/// studies that leave the scoring untouched (e.g. the Fig. 11 stride
+/// sweep) share samples.
 pub fn collect_sample_scored(
-    spec: &Workload,
-    cfg: &GpuConfig,
-    grid: &GridSpec,
-    window: ProfileWindow,
-    scoring: &poise_ml::ScoringWeights,
-) -> TrainingSample {
-    collect_sample_in(&SteadyMemo::default(), spec, cfg, grid, window, scoring)
-}
-
-/// [`collect_sample_scored`] over `memo`'s runs.
-pub(crate) fn collect_sample_in(
     memo: &SteadyMemo,
     spec: &Workload,
     cfg: &GpuConfig,

@@ -20,11 +20,12 @@
 //! The old harness computed the Figs. 7–10/14 comparison once (in
 //! `fig07_performance`, which rendered from the in-memory full-precision
 //! rows) and re-read it from `results/main_comparison.tsv` (6-decimal
-//! cells) in every later binary. [`main_rows_cached`] reproduces that
+//! cells) in every later binary. [`MainRows::cached`] reproduces that
 //! round-trip so every figure renders byte-identically to the per-binary
 //! `run_all`, which the migration was validated against.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::{KernelSource, SetIndexing, WarpTuple};
@@ -45,7 +46,7 @@ use workloads::{
 
 use crate::{
     bench_order, cell, emit_table, metric, model_to_text, render_grid, results_dir, rows_from_tsv,
-    rows_to_tsv, MainRow,
+    rows_to_tsv, write_result, MainRow,
 };
 
 /// Shared context every figure declares and renders against: the
@@ -317,42 +318,55 @@ fn missing_row(bench: &str, scheme: Scheme) -> MainRow {
     }
 }
 
-/// Full-precision main-comparison rows, in the order the old harness
-/// produced them (bench-major, `Scheme::main_comparison` order).
-/// Points whose jobs failed degrade to [`missing_row`] instead of
-/// failing the whole figure.
-fn main_rows(ctx: &FigCtx, setup: &Setup, store: &ResultStore) -> Result<Vec<MainRow>, String> {
-    let mut rows = Vec::new();
-    let schemes = Scheme::main_comparison();
-    for bench in evaluation_suite() {
-        let results = scheme_results(store, bench, &schemes, setup, Some(&ctx.model));
-        for (scheme, result) in schemes.into_iter().zip(results) {
-            match result {
-                Ok(r) => rows.push(crate::row_of(&r)),
-                Err(e) => {
-                    eprintln!(
-                        "[bench] {} × {}: {e}; rendering MISSING cells",
-                        bench.name,
-                        scheme.name()
-                    );
-                    rows.push(missing_row(&bench.name, scheme));
+/// The main-comparison rows of one sweep point, in the order the old
+/// harness produced them (bench-major, `Scheme::main_comparison` order).
+struct MainRows {
+    /// Full precision, as `fig07` renders them.
+    full: Vec<MainRow>,
+    /// `full` as `main_comparison.tsv`.
+    tsv: String,
+    /// `tsv` parsed back: the rows as every figure after `fig07` saw
+    /// them in the per-binary harness (see the module docs); `None` if
+    /// the round trip failed.
+    cached: Option<Vec<MainRow>>,
+}
+
+impl MainRows {
+    /// The round-tripped rows.
+    fn cached(&self) -> Result<&[MainRow], String> {
+        self.cached
+            .as_deref()
+            .ok_or_else(|| "TSV round-trip failed".to_string())
+    }
+}
+
+/// The main-comparison rows of `setup`, derived once per store and
+/// shared by the seven figures that read them. Points whose jobs failed
+/// degrade to [`missing_row`] instead of failing the whole figure.
+fn main_rows(ctx: &FigCtx, setup: &Setup, store: &ResultStore) -> Arc<MainRows> {
+    store.derived(setup, &ctx.model, || {
+        let mut full = Vec::new();
+        let schemes = Scheme::main_comparison();
+        for bench in evaluation_suite() {
+            let results = scheme_results(store, bench, &schemes, setup, Some(&ctx.model));
+            for (scheme, result) in schemes.into_iter().zip(results) {
+                match result {
+                    Ok(r) => full.push(crate::row_of(&r)),
+                    Err(e) => {
+                        eprintln!(
+                            "[bench] {} × {}: {e}; rendering MISSING cells",
+                            bench.name,
+                            scheme.name()
+                        );
+                        full.push(missing_row(&bench.name, scheme));
+                    }
                 }
             }
         }
-    }
-    Ok(rows)
-}
-
-/// Main-comparison rows as every figure after `fig07` saw them in the
-/// per-binary harness: round-tripped through the 6-decimal TSV cells
-/// (see the module docs).
-fn main_rows_cached(
-    ctx: &FigCtx,
-    setup: &Setup,
-    store: &ResultStore,
-) -> Result<Vec<MainRow>, String> {
-    let rows = main_rows(ctx, setup, store)?;
-    rows_from_tsv(&rows_to_tsv(&rows)).ok_or_else(|| "TSV round-trip failed".to_string())
+        let tsv = rows_to_tsv(&full);
+        let cached = rows_from_tsv(&tsv);
+        MainRows { full, tsv, cached }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -430,7 +444,7 @@ fn render_table4(
         "Table IV — Poise parameters",
         &["parameter", "description", "value"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -467,7 +481,7 @@ fn render_table_hw_cost(
         "SVII-I — Poise per-SM storage overhead",
         &["item", "cost"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -483,8 +497,7 @@ fn render_table2(ctx: &FigCtx, _points: &[SweepPoint], store: &ResultStore) -> R
     let model = store.model(&ctx.model)?;
     // Keep the human-readable weight dump the old harness left in
     // `results/model.txt` (the canonical copy now lives in the job cache).
-    std::fs::write(results_dir().join("model.txt"), model_to_text(model))
-        .map_err(|e| format!("write model.txt: {e}"))?;
+    write_result("model.txt", &model_to_text(model))?;
     let names = [
         "x1 = ho",
         "x2 = h'",
@@ -518,7 +531,7 @@ fn render_table2(ctx: &FigCtx, _points: &[SweepPoint], store: &ResultStore) -> R
         "Table II — learned feature weights (alpha for N, beta for p)",
         &["feature", "alpha (N)", "beta (p)"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -584,7 +597,7 @@ fn render_fig04(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Re
          intra/inter share of baseline hits (%), reuse distance R (lines)",
         &["kernel", "hp", "hnp", "ho", "intra%", "inter%", "R"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -697,14 +710,13 @@ fn render_fig02(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Re
         "Fig. 2b — IPC (normalised) along p = N and p = 1",
         &["N", "p=N", "p=1"],
         &rows,
-    );
+    )?;
     let mut extra = String::new();
     extra.push_str(&render_grid(grid));
     extra.push_str(&format!(
         "CCWS {ccws}  PCAL {pcal}  MAX {maxt} ({maxs:.3})\n"
     ));
-    std::fs::write(results_dir().join("fig02_grid.txt"), extra)
-        .map_err(|e| format!("write fig02_grid.txt: {e}"))?;
+    write_result("fig02_grid.txt", &extra)?;
     Ok(())
 }
 
@@ -770,9 +782,8 @@ fn render_fig05(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Re
         "Fig. 5 — max-performance vs max-score tuples (speedup vs GTO)",
         &["kernel", "perf tuple", "speedup", "score tuple", "speedup"],
         &rows,
-    );
-    std::fs::write(results_dir().join("fig05_grids.txt"), grids)
-        .map_err(|e| format!("write fig05_grids.txt: {e}"))?;
+    )?;
+    write_result("fig05_grids.txt", &grids)?;
     Ok(())
 }
 
@@ -831,7 +842,7 @@ fn render_table3(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> R
         "Table IIIa — workloads with measured Pbest (64x L1 speedup)",
         &["set", "benchmark", "#kernels", "Pbest"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -841,22 +852,19 @@ fn render_table3(_ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> R
 
 fn render_fig07(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
     let setup = &single_point(points)?.setup;
-    let rows = main_rows(ctx, setup, store)?;
+    let main = main_rows(ctx, setup, store);
+    let rows = &main.full;
     // The old harness persisted the comparison here; keep the artefact
     // (now a pure product of the job cache, not a cache itself).
-    std::fs::write(
-        results_dir().join("main_comparison.tsv"),
-        rows_to_tsv(&rows),
-    )
-    .map_err(|e| format!("write main_comparison.tsv: {e}"))?;
+    write_result("main_comparison.tsv", &main.tsv)?;
     let schemes = ["GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"];
     let mut table = Vec::new();
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     for bench in bench_order() {
-        let gto = metric(&rows, &bench, "GTO", |r| r.ipc);
+        let gto = metric(rows, &bench, "GTO", |r| r.ipc);
         let mut row = vec![bench.clone()];
         for (i, s) in schemes.iter().enumerate() {
-            let v = metric(&rows, &bench, s, |r| r.ipc) / gto;
+            let v = metric(rows, &bench, s, |r| r.ipc) / gto;
             speedups[i].push(v);
             row.push(cell(v, 3));
         }
@@ -872,7 +880,7 @@ fn render_fig07(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 7 — IPC normalised to GTO",
         &["bench", "GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -881,14 +889,15 @@ fn render_fig07(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
 // ---------------------------------------------------------------------------
 
 fn render_fig08(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
-    let rows = main_rows_cached(ctx, &single_point(points)?.setup, store)?;
+    let main = main_rows(ctx, &single_point(points)?.setup, store);
+    let rows = main.cached()?;
     let schemes = ["GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"];
     let mut table = Vec::new();
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     for bench in bench_order() {
         let mut row = vec![bench.clone()];
         for (i, s) in schemes.iter().enumerate() {
-            let v = metric(&rows, &bench, s, |r| r.l1_hit_rate) * 100.0;
+            let v = metric(rows, &bench, s, |r| r.l1_hit_rate) * 100.0;
             rates[i].push(v);
             row.push(cell(v, 1));
         }
@@ -904,7 +913,7 @@ fn render_fig08(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 8 — absolute L1 hit rate (%)",
         &["bench", "GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -913,15 +922,16 @@ fn render_fig08(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
 // ---------------------------------------------------------------------------
 
 fn render_fig09(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
-    let rows = main_rows_cached(ctx, &single_point(points)?.setup, store)?;
+    let main = main_rows(ctx, &single_point(points)?.setup, store);
+    let rows = main.cached()?;
     let schemes = ["GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"];
     let mut table = Vec::new();
     let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     for bench in bench_order() {
-        let gto = metric(&rows, &bench, "GTO", |r| r.aml);
+        let gto = metric(rows, &bench, "GTO", |r| r.aml);
         let mut row = vec![bench.clone()];
         for (i, s) in schemes.iter().enumerate() {
-            let v = metric(&rows, &bench, s, |r| r.aml) / gto;
+            let v = metric(rows, &bench, s, |r| r.aml) / gto;
             ratios[i].push(v);
             row.push(cell(v, 3));
         }
@@ -937,7 +947,7 @@ fn render_fig09(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 9 — AML normalised to GTO",
         &["bench", "GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -946,13 +956,14 @@ fn render_fig09(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
 // ---------------------------------------------------------------------------
 
 fn render_fig10(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
-    let rows = main_rows_cached(ctx, &single_point(points)?.setup, store)?;
+    let main = main_rows(ctx, &single_point(points)?.setup, store);
+    let rows = main.cached()?;
     let mut table = Vec::new();
     let (mut dns, mut dps, mut des) = (Vec::new(), Vec::new(), Vec::new());
     for bench in bench_order() {
-        let dn = metric(&rows, &bench, "Poise", |r| r.disp_n);
-        let dp = metric(&rows, &bench, "Poise", |r| r.disp_p);
-        let de = metric(&rows, &bench, "Poise", |r| r.disp_euclid);
+        let dn = metric(rows, &bench, "Poise", |r| r.disp_n);
+        let dp = metric(rows, &bench, "Poise", |r| r.disp_p);
+        let de = metric(rows, &bench, "Poise", |r| r.disp_euclid);
         dns.push(dn);
         dps.push(dp);
         des.push(de);
@@ -969,7 +980,7 @@ fn render_fig10(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 10 — displacement between predicted and converged tuples",
         &["bench", "N-axis", "p-axis", "Euclidean"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -978,12 +989,13 @@ fn render_fig10(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
 // ---------------------------------------------------------------------------
 
 fn render_fig14(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
-    let rows = main_rows_cached(ctx, &single_point(points)?.setup, store)?;
+    let main = main_rows(ctx, &single_point(points)?.setup, store);
+    let rows = main.cached()?;
     let mut table = Vec::new();
     let mut ratios = Vec::new();
     for bench in bench_order() {
-        let gto_epi = metric(&rows, &bench, "GTO", |r| r.energy / r.ipc);
-        let poise_epi = metric(&rows, &bench, "Poise", |r| r.energy / r.ipc);
+        let gto_epi = metric(rows, &bench, "GTO", |r| r.energy / r.ipc);
+        let poise_epi = metric(rows, &bench, "Poise", |r| r.energy / r.ipc);
         let v = poise_epi / gto_epi;
         ratios.push(v);
         table.push(vec![bench, "1.000".to_string(), cell(v, 3)]);
@@ -998,7 +1010,7 @@ fn render_fig14(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 14 — energy consumption normalised to GTO (per unit work)",
         &["bench", "GTO", "Poise"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1051,7 +1063,7 @@ fn render_prediction_error(
         "SVII-B — offline mean relative prediction error on unseen kernels",
         &["output", "error"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -1099,7 +1111,7 @@ fn render_fig16(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 16 — Poise IPC vs GTO on compute-insensitive applications",
         &["bench", "Poise/GTO", "Pbest"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1231,7 +1243,7 @@ fn render_trace_eval(
             "GTO-hit%",
         ],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1251,13 +1263,14 @@ fn jobs_fig15(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
 
 fn render_fig15(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
     let setup = &single_point(points)?.setup;
-    let cached = main_rows_cached(ctx, setup, store)?;
+    let main = main_rows(ctx, setup, store);
+    let cached = main.cached()?;
     let schemes = [Scheme::Apcm, Scheme::RandomRestart];
     let mut table = Vec::new();
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for bench in evaluation_suite() {
-        let gto = metric(&cached, &bench.name, "GTO", |r| r.ipc);
-        let poise = metric(&cached, &bench.name, "Poise", |r| r.ipc) / gto;
+        let gto = metric(cached, &bench.name, "GTO", |r| r.ipc);
+        let poise = metric(cached, &bench.name, "Poise", |r| r.ipc) / gto;
         let mut row = vec![bench.name.clone()];
         for (i, &scheme) in schemes.iter().enumerate() {
             let r = scheme_result(store, bench, scheme, setup, None)?;
@@ -1279,7 +1292,7 @@ fn render_fig15(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 15 — APCM and random-restart vs Poise (IPC normalised to GTO)",
         &["bench", "APCM", "Random-restart", "Poise"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1338,12 +1351,11 @@ fn render_fig17(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 17b — Poise epochs on bfs (speedup looked up in the static profile)",
         &["cycle", "predicted", "searched", "profile speedup", "note"],
         &rows,
-    );
-    std::fs::write(
-        results_dir().join("fig17_grid.txt"),
-        format!("{}best {bt} ({bs:.3})\n", render_grid(grid)),
-    )
-    .map_err(|e| format!("write fig17_grid.txt: {e}"))?;
+    )?;
+    write_result(
+        "fig17_grid.txt",
+        &format!("{}best {bt} ({bs:.3})\n", render_grid(grid)),
+    )?;
     Ok(())
 }
 
@@ -1375,11 +1387,12 @@ fn jobs_fig11(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
 
 fn render_fig11(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
     let setup = &single_point(points)?.setup;
-    let rows_cache = main_rows_cached(ctx, setup, store)?;
+    let main = main_rows(ctx, setup, store);
+    let rows_cache = main.cached()?;
     let mut table = Vec::new();
     let mut per_stride: Vec<Vec<f64>> = vec![Vec::new(); FIG11_STRIDES.len()];
     for bench in evaluation_suite() {
-        let gto = metric(&rows_cache, &bench.name, "GTO", |r| r.ipc);
+        let gto = metric(rows_cache, &bench.name, "GTO", |r| r.ipc);
         let mut row = vec![bench.name.clone()];
         for (si, (sn, sp)) in FIG11_STRIDES.into_iter().enumerate() {
             let s = fig11_setup(setup, sn, sp);
@@ -1400,7 +1413,7 @@ fn render_fig11(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 11 — Poise IPC vs GTO for search strides (eN, ep)",
         &["bench", "(0,0)", "(1,1)", "(2,2)", "(2,4)", "(4,4)"],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1477,7 +1490,7 @@ fn render_fig12(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         ),
         &header.iter().map(String::as_str).collect::<Vec<_>>(),
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1548,7 +1561,7 @@ fn render_fig13(ctx: &FigCtx, points: &[SweepPoint], store: &ResultStore) -> Res
         "Fig. 13 — IPC normalised to the all-features model (no local search)",
         &header,
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -1603,7 +1616,7 @@ fn render_ablation_mshr(
         "Ablation — MSHR count at the GTO baseline (ii), Eq. 1's MLP term",
         &["Kmshr", "IPC", "AML", "rejects"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -1661,7 +1674,7 @@ fn render_ablation_epoch(
         "Ablation — Poise IPC vs GTO across inference epoch lengths",
         &["bench", "50k", "100k", "200k", "400k"],
         &rows,
-    );
+    )?;
     Ok(())
 }
 
@@ -1785,7 +1798,7 @@ fn render_sm_scaling(
             "sim_threads",
         ],
         &table,
-    );
+    )?;
     Ok(())
 }
 
@@ -2041,7 +2054,8 @@ impl RunAllArgs {
 /// Exit codes (CI and scripts key off these):
 /// * `0` — clean pass;
 /// * `1` — figure or job failures (panics, dependency failures, render
-///   errors) or a bad command line;
+///   errors, a results file that cannot be written) or a bad command
+///   line;
 /// * `3` — every figure passed after quarantining corrupt cache
 ///   entries.
 pub fn run_all_main(args: &[String]) -> ExitCode {
@@ -2173,7 +2187,8 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     if report.steady_points > 0 {
         sweep_note.push_str(&format!(" steady_points={};", report.steady_points));
     }
-    emit_table(
+    // A summary that cannot be written fails the pass, loudly.
+    let summary = emit_table(
         "run_all_summary.txt",
         &format!(
             "run_all summary — {}/{} figures pass; engine: {};{sweep_note} total wall {:.1}s",
@@ -2190,6 +2205,9 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         &["figure", "status", "detail"],
         &rows,
     );
+    if let Err(e) = &summary {
+        eprintln!("[run_all] {e}");
+    }
 
     // Phase 4 (opt-in): garbage-collect cache entries the current job
     // set no longer references. Only when every requested figure ran —
@@ -2216,7 +2234,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     // Exit-code mapping (documented on `run_all_main`): clean 0; hard
     // failures 1; pass after quarantining corrupt entries 3.
     let job_failures = report.failed.len();
-    if failed > 0 || job_failures > 0 {
+    if failed > 0 || job_failures > 0 || summary.is_err() {
         if failed > 0 {
             eprintln!("[run_all] {failed} figure(s) failed");
         }

@@ -17,7 +17,7 @@
 pub mod figures;
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use poise::experiment::{BenchResult, Setup};
 use poise::plan::KnobOverlay;
@@ -192,9 +192,36 @@ pub fn bench_order() -> Vec<String> {
     evaluation_suite().iter().map(|b| b.name.clone()).collect()
 }
 
-/// Render a simple aligned table to stdout and append it to a results
-/// file named `results/<file>`.
-pub fn emit_table(file: &str, title: &str, header: &[&str], rows: &[Vec<String>]) {
+/// Write `contents` to `results/<file>`, leaving a file that already
+/// holds exactly those bytes untouched (a warm pass rewrites nothing).
+/// The error names the file, for the figure's `FAIL` row.
+pub fn write_result(file: &str, contents: &str) -> Result<(), String> {
+    let path = results_dir().join(file);
+    let wrote = write_if_changed(&path, contents.as_bytes())
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    let verb = if wrote { "wrote" } else { "unchanged" };
+    eprintln!("[bench] {verb} {}", path.display());
+    Ok(())
+}
+
+/// Write `bytes` to `path` unless the file already holds exactly them;
+/// whether it wrote.
+fn write_if_changed(path: &Path, bytes: &[u8]) -> std::io::Result<bool> {
+    if std::fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(false);
+    }
+    std::fs::write(path, bytes)?;
+    Ok(true)
+}
+
+/// Render a simple aligned table to stdout and write it to the results
+/// file `results/<file>` (see [`write_result`]).
+pub fn emit_table(
+    file: &str,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> Result<(), String> {
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
     let widths: Vec<usize> = header
@@ -225,9 +252,7 @@ pub fn emit_table(file: &str, title: &str, header: &[&str], rows: &[Vec<String>]
         let _ = writeln!(out, "{}", fmt_row(r.clone()));
     }
     print!("{out}");
-    let path = results_dir().join(file);
-    std::fs::write(&path, &out).expect("write results file");
-    eprintln!("[bench] wrote {}", path.display());
+    write_result(file, &out)
 }
 
 /// Format a float with fixed decimals, as a table cell.
@@ -318,6 +343,30 @@ mod tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].bench, "ii");
         assert!((back[0].ipc - 1.23).abs() < 1e-9);
+    }
+
+    #[test]
+    fn results_files_are_written_only_when_their_bytes_change() {
+        let dir = std::env::temp_dir().join(format!("poise-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("table.txt");
+        let mtime = || std::fs::metadata(&path).unwrap().modified().unwrap();
+        // A missing file is created.
+        assert!(write_if_changed(&path, b"a\n").unwrap());
+        // Identical bytes leave the file, and its mtime, alone.
+        let t0 = mtime();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!write_if_changed(&path, b"a\n").unwrap());
+        assert_eq!(mtime(), t0);
+        // Different bytes rewrite it.
+        assert!(write_if_changed(&path, b"b\n").unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), b"b\n");
+        assert_ne!(mtime(), t0);
+        // A path under a regular file cannot be written: the error
+        // comes back (whatever the user's permissions).
+        assert!(write_if_changed(&path.join("x.txt"), b"a\n").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

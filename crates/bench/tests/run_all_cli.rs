@@ -137,3 +137,36 @@ fn a_traces_directory_that_cannot_be_read_fails_trace_eval() {
     );
     assert!(summary.contains(" executed=0 "), "{summary}");
 }
+
+#[test]
+fn a_results_file_that_cannot_be_written_fails_its_figure_only() {
+    let dir = results_dir(&["unwritable"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    // A directory where table4's file goes: no write can replace it,
+    // whatever the user's permissions.
+    std::fs::create_dir_all(dir.join("table4_params.txt")).expect("create the obstacle");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--only", "table4_params,table_hw_cost", "--keep-going"])
+        .env("POISE_RESULTS_DIR", &dir)
+        .output()
+        .expect("spawn run_all");
+    let summary = std::fs::read_to_string(dir.join("run_all_summary.txt")).unwrap_or_default();
+    let failures = dir.join("run_all_failures.txt").is_file();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let row = |name: &str| {
+        summary
+            .lines()
+            .find(|l| l.trim_start().starts_with(name))
+            .unwrap_or_default()
+            .to_string()
+    };
+    assert!(row("table4_params").contains("FAIL"), "{summary}");
+    assert!(
+        row("table4_params").contains("table4_params.txt"),
+        "{summary}"
+    );
+    assert!(row("table_hw_cost").contains("pass"), "{summary}");
+    assert!(failures, "the failures report is still written");
+}

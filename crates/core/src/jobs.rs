@@ -93,20 +93,18 @@
 //! ## Job identity
 //!
 //! A job's *identity* is its [`SimJob::spec_text`] and the SHA-256 of
-//! that text (the *spec hash*). Every in-memory map over jobs — plan
-//! expansion, prefix grouping, the engine's graph, the [`ResultStore`] —
-//! is keyed by spec text or spec hash, never by struct equality, so jobs
-//! that differ only in engine settings the text leaves out (`step_mode`,
-//! `sim_threads`, a run's display `tag` and `prefix_chain`) share one
-//! entry.
+//! that text (the *spec hash*): the cache key hashes it, and the
+//! engine's [`ResultStore`] is keyed by it. No map over jobs is keyed by
+//! struct equality, so jobs that differ only in engine settings the text
+//! leaves out (`step_mode`, `sim_threads`, a run's display `tag` and
+//! `prefix_chain`) share one entry.
 //!
 //! Rendering a spec text in full costs 7–11 µs (release build, the
 //! figures-smoke and default-knob closures, a 2-vCPU x86-64 host), most
 //! of it in three lines: the workload's `kernel KernelSpec { .. }`
 //! line, the machine's `cfg gpu v1 ..` line and the grid line. A pass
-//! asks for the same few hundred identities about a thousand times, so
-//! each layer resolves identities through a pass-scoped
-//! [`IdentityTable`]:
+//! asks for the same few hundred jobs about a thousand times, so each
+//! layer resolves jobs through a pass-scoped [`IdentityTable`]:
 //!
 //! * one per `plan_jobs` call, shared by every figure's
 //!   [`crate::plan::ExperimentPlan::expand`] and by [`factor_prefixes`];
@@ -114,23 +112,36 @@
 //!   expanded; the returned [`ResultStore`] keeps it, so render-time
 //!   lookups resolve without rendering.
 //!
-//! A lookup computes a cheap fingerprint of the job and compares it
-//! against the table's entries with the *identity equality*: every field
-//! that enters the spec text, floats by bit pattern (`0.0` and `-0.0`
-//! render differently, although `f64::eq` calls them equal), engine-only
-//! fields skipped. Equal under it implies equal spec texts, so a hit
-//! can reuse the entry's identity; the fingerprint reads only fields the
-//! equality compares. A miss renders the text, and a text the table
-//! already holds resolves to that entry.
+//! A table interns a job by a cheap fingerprint and the *identity
+//! equality*: every field that enters the spec text, floats by bit
+//! pattern (`0.0` and `-0.0` render differently, although `f64::eq`
+//! calls them equal), engine-only fields skipped. Equal under it implies
+//! equal spec texts; the fingerprint reads only fields the equality
+//! compares. Interning renders nothing. Planning only needs to know which
+//! jobs are the same, so the plan's table renders no text: plan
+//! expansion and prefix grouping key their maps by table entry.
 //!
-//! A miss renders over the table's *fragment memo*: the three costly
+//! Rendering an entry's identity is a separate step,
+//! [`IdentityTable::render`], which only the engine's graph expansion
+//! takes: once per graph entry, since every cache key needs its text. A
+//! warm pass at figures-smoke knobs renders 387 spec texts, one per
+//! unique job, where it rendered 1,049 while the plan rendered its 662
+//! too. The text-collision rule lives in that step: a rendered text that
+//! another entry already holds resolves to that entry. Equal texts imply
+//! identity-equal jobs except for NaNs, whose payloads the equality
+//! compares and the text (`NaN`) drops. So the plan's counts keep two
+//! jobs that differ only in a NaN's payload apart, while the engine runs
+//! them as one job.
+//!
+//! A render goes over the table's *fragment memo*: the three costly
 //! lines above, each keyed by its value's fingerprint and compared under
 //! the same identity equality, so a memo hit writes exactly the bytes a
 //! render would. A pass's few hundred identities share a few dozen
-//! fragments (at figures-smoke knobs a pass renders 120 fragments for
-//! its 1,049 spec texts, where rendering each text whole took 2,674),
-//! and a render over a warm memo costs 1–2 µs. [`SimJob::spec_text`]
-//! is the same renderer over a fresh memo.
+//! fragments (at figures-smoke knobs the engine renders 60 fragments for
+//! its 387 spec texts and the model and profile digests they embed,
+//! where rendering each text whole would render 1,129), and a render
+//! over a warm memo costs 1–2 µs. [`SimJob::spec_text`] is the same
+//! renderer over a fresh memo.
 //!
 //! The dependency digests a run embeds (`model <sha>`, `profile <sha>`)
 //! are memoised in the [`SharedSpec`] the run holds its model and profile
@@ -152,14 +163,15 @@
 //! `workloads::suites` are `static`, but they are constants of the
 //! program, not memos of a pass's inputs (see that module's docs).
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup};
@@ -1071,21 +1083,36 @@ impl Identity {
 }
 
 /// A pass-scoped memo of job identities (see "Job identity" in the
-/// module docs): one entry per distinct spec text, holding the first job
-/// seen with it, and the spec-line fragments its renders share. A table
-/// serving an engine run doubles as its job graph, so the graph's jobs
-/// are not cloned a second time. A planner creates one
-/// (`IdentityTable::default()`) per pass and hands it to
-/// [`crate::plan::ExperimentPlan::expand`] and [`factor_prefixes`].
+/// module docs): one entry per job distinct under the identity
+/// equality, holding the first job seen with it, and the spec-line
+/// fragments its renders share. Interning renders nothing; an entry's
+/// identity renders in a separate step ([`IdentityTable::render`]),
+/// which only the engine takes. A table serving an engine run doubles as
+/// its job graph, so the graph's jobs are not cloned a second time. A
+/// planner creates one (`IdentityTable::default()`) per pass and hands
+/// it to [`crate::plan::ExperimentPlan::expand`] and [`factor_prefixes`].
 #[derive(Debug, Default)]
 pub struct IdentityTable {
-    entries: Vec<(SimJob, Identity)>,
+    entries: Vec<Entry>,
     /// Fingerprint → entries whose job has it.
     by_print: HashMap<u64, Vec<usize>>,
-    /// Spec hash → entry.
+    /// Spec hash → the first entry rendered with it.
     by_hash: HashMap<Arc<str>, usize>,
     /// The fragments of this table's renders.
     fragments: Fragments,
+    /// Spec texts this table rendered.
+    #[cfg(test)]
+    renders: usize,
+}
+
+/// One [`IdentityTable`] entry.
+#[derive(Debug)]
+struct Entry {
+    job: SimJob,
+    /// Set by [`IdentityTable::render`]: the entry holding the job's
+    /// spec text (this one, or an earlier one rendering the same text)
+    /// and the identity.
+    rendered: Option<(usize, Identity)>,
 }
 
 impl IdentityTable {
@@ -1095,47 +1122,65 @@ impl IdentityTable {
             .get(&print)?
             .iter()
             .copied()
-            .find(|&i| self.entries[i].0.spec_eq(job))
+            .find(|&i| self.entries[i].job.spec_eq(job))
     }
 
-    /// Intern `job`: its entry, and whether this call added it. A miss
-    /// renders the spec text over the table's fragments; a text an entry
-    /// already holds (a job equal to it in text but not under the
-    /// identity equality) resolves to that entry.
+    /// Intern `job` by its fingerprint and the identity equality alone:
+    /// its entry, and whether this call added it. Renders nothing.
     pub(crate) fn intern(&mut self, job: Cow<'_, SimJob>) -> (usize, bool) {
         let print = fingerprint(job.as_ref());
         if let Some(i) = self.find(&job, print) {
             return (i, false);
         }
-        let id = Identity::render(&job, &mut self.fragments);
-        if let Some(&i) = self.by_hash.get(&id.hash) {
-            return (i, false);
-        }
         let i = self.entries.len();
         self.by_print.entry(print).or_default().push(i);
-        self.by_hash.insert(id.hash.clone(), i);
-        self.entries.push((job.into_owned(), id));
+        self.entries.push(Entry {
+            job: job.into_owned(),
+            rendered: None,
+        });
         (i, true)
     }
 
-    /// The identity of `job`, rendered on first sight only.
-    pub(crate) fn identity(&mut self, job: &SimJob) -> &Identity {
-        let (i, _) = self.intern(Cow::Borrowed(job));
-        &self.entries[i].1
+    /// Render entry `i`'s identity over the table's fragments, on the
+    /// first call only, and return the entry that holds its spec text: a
+    /// text an earlier entry already holds (a job equal to it in text but
+    /// not under the identity equality) resolves to that entry.
+    pub(crate) fn render(&mut self, i: usize) -> usize {
+        if let Some((holder, _)) = self.entries[i].rendered {
+            return holder;
+        }
+        let id = Identity::render(&self.entries[i].job, &mut self.fragments);
+        #[cfg(test)]
+        {
+            self.renders += 1;
+        }
+        let holder = *self.by_hash.entry(id.hash.clone()).or_insert(i);
+        self.entries[i].rendered = Some((holder, id));
+        holder
     }
 
-    /// The identity of `job` without changing the table: an entry's on a
-    /// hit, freshly rendered on a miss.
+    /// The identity of `job` without changing the table: a rendered
+    /// entry's on a hit, freshly rendered otherwise.
     pub(crate) fn resolve(&self, job: &SimJob) -> Identity {
-        match self.find(job, fingerprint(job)) {
-            Some(i) => self.entries[i].1.clone(),
+        match self
+            .find(job, fingerprint(job))
+            .and_then(|i| self.entries[i].rendered.as_ref())
+        {
+            Some((_, id)) => id.clone(),
             None => Identity::of(job),
         }
     }
 
-    /// Entry `i`'s job and identity.
+    /// Entry `i`'s job.
+    pub(crate) fn job(&self, i: usize) -> &SimJob {
+        &self.entries[i].job
+    }
+
+    /// Entry `i`'s job and identity. The entry must be rendered, as every
+    /// entry of an engine's graph is.
     pub(crate) fn entry(&self, i: usize) -> (&SimJob, &Identity) {
-        let (job, id) = &self.entries[i];
+        let Entry { job, rendered } = &self.entries[i];
+        let (_, id) = rendered.as_ref().expect("graph entries are rendered");
         (job, id)
     }
 }
@@ -1370,6 +1415,10 @@ spec_eq_fields! {
     KernelRunSpec {
         run_cycles, scheme, workload, cfg, params, t_period, rr_seeds, model, profile
     } skip { tag, prefix_chain };
+    Setup {
+        cfg, params, profile_window, eval_grid, train_grid, run_cycles, kernels_cap,
+        train_cap_per_benchmark, rr_seeds
+    };
 }
 
 impl SpecEq for ScoringWeights {
@@ -1765,6 +1814,17 @@ pub struct ResultStore {
     /// recalled from the entry's metadata for cache hits — so
     /// throughput-reporting figures render identically cold and warm.
     pub(crate) walls: HashMap<Arc<str>, f64>,
+    /// Values renderers derived from these results (see
+    /// [`ResultStore::derived`]).
+    derived: Mutex<Vec<Derived>>,
+}
+
+/// One value derived from a store's results, with its key.
+#[derive(Debug)]
+struct Derived {
+    setup: Setup,
+    model: SharedSpec<ModelSpec>,
+    value: Arc<dyn Any + Send + Sync>,
 }
 
 /// One job's output, with the SHA-256 of its serialisation memoised for
@@ -1866,6 +1926,36 @@ impl ResultStore {
     pub fn run(&self, spec: &KernelRunSpec) -> Result<&KernelRun, String> {
         self.get(&SimJob::Run(spec.clone()))
             .map(|o| o.as_run().expect("run output"))
+    }
+
+    /// The `T` that `derive` computes from these results for one sweep
+    /// point's `setup` and `model`: derived on the first call, shared by
+    /// later calls with the same type, setup and model, and dropped with
+    /// the store. Setups and models compare under the identity equality
+    /// (see "Job identity" in the module docs), so two sweep points never
+    /// share a value, and neither do two stores.
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        setup: &Setup,
+        model: &SharedSpec<ModelSpec>,
+        derive: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let find = |memo: &[Derived]| {
+            memo.iter()
+                .filter(|d| d.setup.spec_eq(setup) && d.model.spec_eq(model))
+                .find_map(|d| Arc::clone(&d.value).downcast::<T>().ok())
+        };
+        if let Some(value) = find(&self.derived.lock().expect("derived values")) {
+            return value;
+        }
+        // Derived unlocked: `derive` reads the store.
+        let value = Arc::new(derive());
+        self.derived.lock().expect("derived values").push(Derived {
+            setup: setup.clone(),
+            model: model.clone(),
+            value: value.clone(),
+        });
+        value
     }
 }
 
@@ -2027,10 +2117,10 @@ pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
 /// The deduplicated dependency closure of a requested job set, in
 /// stable execution order.
 struct JobGraph {
-    /// The closure's identities, one entry per distinct spec text: the
-    /// pass's identity table (see the module docs).
+    /// The closure's identities, every entry rendered: the pass's
+    /// identity table (see the module docs).
     ids: IdentityTable,
-    /// Entries of `ids` in execution order.
+    /// Entries of `ids` in execution order, one per distinct spec text.
     order: Vec<usize>,
     /// Each entry's direct dependencies, as entries in [`SimJob::deps`]
     /// order, so the engine reaches a dependency's output without
@@ -2039,18 +2129,26 @@ struct JobGraph {
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
-/// canonical spec, ordered by wave then expansion order.
+/// canonical spec, ordered by wave then expansion order. Every entry
+/// renders its identity once, when first interned: the cache keys need
+/// every spec text.
 fn expand_graph(jobs: &[SimJob]) -> JobGraph {
     let mut ids = IdentityTable::default();
     let mut order: Vec<usize> = Vec::new();
+    // Indexed by table entry; an entry resolving to another's text
+    // keeps an empty slot list.
     let mut deps: Vec<Vec<usize>> = Vec::new();
     // Each item carries the entry and dependency slot it fills, if any.
     let mut worklist: Vec<_> = jobs.iter().map(|j| (None, Cow::Borrowed(j))).collect();
     while let Some((slot, job)) = worklist.pop() {
         let (i, new) = ids.intern(job);
         if new {
-            let job_deps = ids.entry(i).0.deps();
-            deps.push(vec![usize::MAX; job_deps.len()]);
+            deps.push(Vec::new());
+        }
+        let holder = ids.render(i);
+        if new && holder == i {
+            let job_deps = ids.job(i).deps();
+            deps[i] = vec![usize::MAX; job_deps.len()];
             worklist.extend(
                 job_deps
                     .into_iter()
@@ -2060,13 +2158,13 @@ fn expand_graph(jobs: &[SimJob]) -> JobGraph {
             order.push(i);
         }
         if let Some((parent, k)) = slot {
-            deps[parent][k] = i;
+            deps[parent][k] = holder;
         }
     }
     // Stable order: wave, then expansion order (reversed so that the
     // originally-requested jobs come before late-discovered deps of
     // the same wave — purely cosmetic, execution is parallel anyway).
-    order.sort_by_key(|&i| ids.entry(i).0.wave());
+    order.sort_by_key(|&i| ids.job(i).wave());
     JobGraph { ids, order, deps }
 }
 
@@ -2089,26 +2187,28 @@ fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// machine state.
 ///
 /// Returns the number of runs that will fork from a shared prefix (the
-/// `prefix_shared` figure in `run_all` reports). Horizon-free identities
-/// resolve through `ids`, the plan's identity table.
+/// `prefix_shared` figure in `run_all` reports). Horizon-free jobs
+/// intern in `ids`, the plan's identity table.
 pub fn factor_prefixes(jobs: &mut Vec<SimJob>, ids: &mut IdentityTable) -> usize {
-    // Group factorable runs by their horizon-free spec text, in text
-    // order for a deterministic emission order.
-    let mut groups: BTreeMap<Arc<str>, Vec<usize>> = BTreeMap::new();
+    // Group factorable runs by the table entry of their horizon-free
+    // job, groups in first-seen order for a deterministic emission order.
+    let mut group_of: HashMap<usize, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         let SimJob::Run(r) = job else { continue };
         if r.scheme == Scheme::RandomRestart {
             continue;
         }
-        let horizon_free = SimJob::Run(r.prefix_at(0, &[]));
-        groups
-            .entry(ids.identity(&horizon_free).spec.clone())
-            .or_default()
-            .push(i);
+        let (entry, _) = ids.intern(Cow::Owned(SimJob::Run(r.prefix_at(0, &[]))));
+        let g = *group_of.entry(entry).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
     }
     let mut shared = 0;
     let mut prefixes: Vec<SimJob> = Vec::new();
-    for idxs in groups.values() {
+    for idxs in &groups {
         let mut ladder: Vec<u64> = idxs
             .iter()
             .map(|&i| match &jobs[i] {
@@ -2318,14 +2418,14 @@ impl Engine {
         // Distinct waves actually present, ascending: the classic three
         // (leaves → fits → runs) plus one wave per prefix-chain depth
         // when the plan was prefix-factored.
-        let mut waves: Vec<usize> = order.iter().map(|&i| store.ids.entry(i).0.wave()).collect();
+        let mut waves: Vec<usize> = order.iter().map(|&i| store.ids.job(i).wave()).collect();
         waves.sort_unstable();
         waves.dedup();
         for wave in waves {
             let wave_jobs: Vec<usize> = order
                 .iter()
                 .copied()
-                .filter(|&i| store.ids.entry(i).0.wave() == wave)
+                .filter(|&i| store.ids.job(i).wave() == wave)
                 .collect();
             let results: Vec<(usize, Disposition)> =
                 crate::parallel::parallel_map(&wave_jobs, |&i| {
@@ -2394,7 +2494,7 @@ impl Engine {
     ) -> Result<CacheKey, String> {
         let mut dep_digests = String::new();
         for &d in deps {
-            let dep = store.ids.entry(d).0;
+            let dep = store.ids.job(d);
             match store.resolved(d) {
                 Ok(r) => dep_digests.push_str(&format!("dep {}\n", job.dep_digest(dep, r))),
                 Err(e) => return Err(format!("dependency {} failed: {e}", dep.label())),
@@ -2597,6 +2697,13 @@ mod tests {
 
     fn kernel(seed: u64) -> Workload {
         KernelSpec::steady(format!("jk{seed}"), AccessMix::memory_sensitive(), seed).into()
+    }
+
+    /// `job`'s identity through `ids`: interned, then rendered.
+    fn identity(ids: &mut IdentityTable, job: &SimJob) -> Identity {
+        let (i, _) = ids.intern(Cow::Borrowed(job));
+        let holder = ids.render(i);
+        ids.entry(holder).1.clone()
     }
 
     #[test]
@@ -3137,8 +3244,8 @@ mod tests {
         ] {
             assert_eq!(a, b, "struct equality cannot tell the zeros apart");
             let mut ids = IdentityTable::default();
-            let ha = ids.identity(&a).hash.clone();
-            let hb = ids.identity(&b).hash.clone();
+            let ha = identity(&mut ids, &a).hash;
+            let hb = identity(&mut ids, &b).hash;
             assert_ne!(ha, hb);
             assert_eq!(ha, Identity::of(&a).hash);
             assert_eq!(hb, Identity::of(&b).hash);
@@ -3159,8 +3266,8 @@ mod tests {
     fn assert_distinct_in_one_table(a: &SimJob, b: &SimJob) {
         assert_eq!(a, b, "struct equality cannot tell the zeros apart");
         let mut ids = IdentityTable::default();
-        let ha = ids.identity(a).hash.clone();
-        let hb = ids.identity(b).hash.clone();
+        let ha = identity(&mut ids, a).hash;
+        let hb = identity(&mut ids, b).hash;
         assert_ne!(ha, hb);
         assert_eq!((ha, hb), (Identity::of(a).hash, Identity::of(b).hash));
     }
@@ -3207,6 +3314,63 @@ mod tests {
         let mut ids = IdentityTable::default();
         assert!(ids.intern(Cow::Borrowed(&a)).1);
         assert_eq!(ids.intern(Cow::Borrowed(&b)), (0, false));
+        ids.render(0);
+        assert_eq!(ids.resolve(&b), Identity::of(&a));
+    }
+
+    #[test]
+    fn planning_renders_nothing_and_the_engine_renders_each_entry_once() {
+        // A two-point run_cycles sweep of GTO, SWL (a profile dependency)
+        // and Poise (a model fit over two samples) runs, then prefix
+        // factoring over the plan's table.
+        let plan = crate::plan::ExperimentPlan::new(
+            tiny_setup(),
+            vec![crate::plan::Axis::run_cycles([10_000, 20_000])],
+        );
+        let mut model = ModelSpec::default_training(&tiny_setup());
+        model.kernels.truncate(2);
+        let mut ids = IdentityTable::default();
+        let exp = plan.expand(&mut ids, |setup| {
+            [Scheme::Gto, Scheme::Swl, Scheme::Poise]
+                .into_iter()
+                .map(|s| SimJob::Run(KernelRunSpec::new(&kernel(3), s, setup, Some(&model))))
+                .collect()
+        });
+        let mut jobs = exp.jobs;
+        assert_eq!(factor_prefixes(&mut jobs, &mut ids), 6);
+        assert!(!ids.entries.is_empty());
+        assert!(ids.entries.iter().all(|e| e.rendered.is_none()));
+        assert_eq!(ids.renders, 0, "planning renders no spec text");
+
+        let graph = expand_graph(&jobs);
+        let n = graph.ids.entries.len();
+        assert!(graph.ids.entries.iter().all(|e| e.rendered.is_some()));
+        assert_eq!(graph.order.len(), n);
+        assert_eq!(graph.ids.renders, n, "each graph entry renders once");
+    }
+
+    #[test]
+    fn nan_payloads_render_one_text_and_share_one_graph_entry() {
+        // Two runs whose machines differ only in a NaN's payload: both
+        // render `NaN`, so they are one job to the engine, though the
+        // identity equality (floats by bit pattern) keeps them apart.
+        let setup = tiny_setup();
+        let run = |alu_op: f64| {
+            let mut s = setup.clone();
+            s.cfg.energy.alu_op = alu_op;
+            SimJob::Run(KernelRunSpec::new(&kernel(1), Scheme::Gto, &s, None))
+        };
+        let (a, b) = (run(f64::NAN), run(f64::from_bits(f64::NAN.to_bits() ^ 1)));
+        assert!(!a.spec_eq(&b));
+        assert!(a.spec_text().contains("alu:NaN"));
+        assert_eq!(a.spec_text(), b.spec_text());
+        assert_eq!(graph_closure(&[a.clone(), b.clone()]).len(), 1);
+        // The text collision resolves in the render step, to the entry
+        // rendered first.
+        let mut ids = IdentityTable::default();
+        assert_eq!(ids.intern(Cow::Borrowed(&a)), (0, true));
+        assert_eq!(ids.intern(Cow::Borrowed(&b)), (1, true));
+        assert_eq!((ids.render(0), ids.render(1)), (0, 0));
         assert_eq!(ids.resolve(&b), Identity::of(&a));
     }
 

@@ -38,7 +38,6 @@ use poise_ml::ScoringWeights;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Knobs and their values.
@@ -530,9 +529,10 @@ pub struct PlanExpansion {
     pub jobs: Vec<SimJob>,
     /// Jobs declared across all points, before deduplication.
     pub declared: usize,
-    /// Unique job specs over the dependency closure of all points.
+    /// Unique jobs over the dependency closure of all points, by the
+    /// identity equality (see "Job identity" in [`crate::jobs`]).
     pub unique: usize,
-    /// Unique specs (including dependencies such as offline profiles
+    /// Unique jobs (including dependencies such as offline profiles
     /// and model fits) reached from **two or more** sweep points — the
     /// work the sweep driver executes once instead of once per point.
     pub shared: usize,
@@ -589,52 +589,56 @@ impl ExperimentPlan {
     /// tag, and count the specs shared between points (over the full
     /// dependency closure, so a model fit a sweep deploys at every
     /// point is counted even though figures declare only the runs).
-    /// Identities resolve through `ids`, the plan's identity table (see
-    /// "Job identity" in [`crate::jobs`]).
+    /// Jobs intern in `ids`, the plan's identity table, by the identity
+    /// equality alone: expansion renders no spec text (see "Job identity"
+    /// in [`crate::jobs`]).
     pub fn expand(
         &self,
         ids: &mut IdentityTable,
         jobs: impl Fn(&Setup) -> Vec<SimJob>,
     ) -> PlanExpansion {
         let points = self.points();
-        let mut per_point: Vec<Vec<SimJob>> = Vec::with_capacity(points.len());
-        // spec hash -> point indices reaching it (declared or as a dep).
-        let mut reached_by: HashMap<Arc<str>, Vec<usize>> = HashMap::new();
+        // Each point's declared jobs and their table entries.
+        let mut per_point: Vec<(Vec<SimJob>, Vec<usize>)> = Vec::with_capacity(points.len());
+        // Table entry -> point indices reaching it (declared or as a dep).
+        let mut reached_by: HashMap<usize, Vec<usize>> = HashMap::new();
         for (pi, point) in points.iter().enumerate() {
             let declared = jobs(&point.setup);
-            let mut worklist: Vec<Cow<'_, SimJob>> = declared.iter().map(Cow::Borrowed).collect();
-            let mut seen_here: HashSet<Arc<str>> = HashSet::new();
-            while let Some(job) = worklist.pop() {
-                let (i, _) = ids.intern(job);
-                let (job, id) = ids.entry(i);
-                if !seen_here.insert(id.hash.clone()) {
+            let entries: Vec<usize> = declared
+                .iter()
+                .map(|job| ids.intern(Cow::Borrowed(job)).0)
+                .collect();
+            let mut worklist = entries.clone();
+            let mut seen_here: HashSet<usize> = HashSet::new();
+            while let Some(i) = worklist.pop() {
+                if !seen_here.insert(i) {
                     continue;
                 }
-                let entry = reached_by.entry(id.hash.clone()).or_default();
+                let entry = reached_by.entry(i).or_default();
                 if entry.last() != Some(&pi) {
                     entry.push(pi);
                 }
-                worklist.extend(job.deps().into_iter().map(Cow::Owned));
+                for dep in ids.job(i).deps() {
+                    worklist.push(ids.intern(Cow::Owned(dep)).0);
+                }
             }
-            per_point.push(declared);
+            per_point.push((declared, entries));
         }
 
-        let declared = per_point.iter().map(Vec::len).sum();
+        let declared = per_point.iter().map(|(jobs, _)| jobs.len()).sum();
         let unique = reached_by.len();
         let shared = reached_by.values().filter(|pts| pts.len() >= 2).count();
 
         let mut out = Vec::with_capacity(declared);
-        for (pi, jobs) in per_point.into_iter().enumerate() {
+        for (pi, (jobs, entries)) in per_point.into_iter().enumerate() {
             let tag = &points[pi].tag;
-            for mut job in jobs {
+            for (mut job, i) in jobs.into_iter().zip(entries) {
                 // Tag only jobs unique to this point; a job shared across
                 // points would otherwise wear the first declaring point's
                 // tag, which is misleading.
                 let unique_here = !tag.is_empty()
                     && matches!(job, SimJob::Run(_))
-                    && reached_by
-                        .get(&ids.identity(&job).hash)
-                        .is_some_and(|pts| pts.len() == 1);
+                    && reached_by.get(&i).is_some_and(|pts| pts.len() == 1);
                 if let (true, SimJob::Run(spec)) = (unique_here, &mut job) {
                     spec.tag = Some(tag.clone());
                 }

@@ -24,6 +24,7 @@
 //! round-trip so every figure renders byte-identically to the per-binary
 //! `run_all`, which the migration was validated against.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -2108,8 +2109,13 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         prefix_shared,
         ..
     } = planned;
-    let results = results_dir();
-    let mut engine = Engine::new(results.join("cache"));
+    let (results, mut engine) = match results_and_engine() {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("[run_all] {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(plan) = faults {
         eprintln!("[run_all] fault injection: {}", plan.summary());
         engine.set_faults(Some(plan));
@@ -2269,7 +2275,13 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
 /// writers. Corrupt entries are quarantined, so a failing fsck leaves
 /// the store clean and a second pass succeeds.
 fn fsck_main() -> ExitCode {
-    let engine = Engine::new(results_dir().join("cache"));
+    let engine = match results_and_engine() {
+        Ok((_, engine)) => engine,
+        Err(e) => {
+            eprintln!("[run_all] {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     match engine.fsck() {
         Ok(r) => {
             println!(
@@ -2288,6 +2300,16 @@ fn fsck_main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The results directory and an engine over its `cache/`, both created
+/// here, so a directory that cannot be created is an error naming it.
+fn results_and_engine() -> Result<(PathBuf, Engine), String> {
+    let results = results_dir()?;
+    let cache = results.join("cache");
+    std::fs::create_dir_all(&cache)
+        .map_err(|e| format!("cannot create cache directory {}: {e}", cache.display()))?;
+    Ok((results, Engine::new(cache)))
 }
 
 /// Render `results/run_all_failures.txt`: the fault plan (if any), the

@@ -24,10 +24,11 @@ use poise::plan::KnobOverlay;
 use poise_ml::TrainedModel;
 use workloads::evaluation_suite;
 
-/// Directory where figure outputs and caches are written: the
-/// workspace-root `results/`, whatever the invoking working directory.
-/// `POISE_RESULTS_DIR` overrides.
-pub fn results_dir() -> PathBuf {
+/// Directory where figure outputs and caches are written, created if
+/// missing: the workspace-root `results/`, whatever the invoking working
+/// directory. `POISE_RESULTS_DIR` overrides. The error names the
+/// directory that could not be created.
+pub fn results_dir() -> Result<PathBuf, String> {
     let p = match std::env::var("POISE_RESULTS_DIR") {
         Ok(dir) => PathBuf::from(dir),
         Err(_) => {
@@ -40,8 +41,9 @@ pub fn results_dir() -> PathBuf {
                 .unwrap_or_else(|| PathBuf::from("results"))
         }
     };
-    std::fs::create_dir_all(&p).expect("create results dir");
-    p
+    std::fs::create_dir_all(&p)
+        .map_err(|e| format!("cannot create results directory {}: {e}", p.display()))?;
+    Ok(p)
 }
 
 /// The base experiment setup: the pure [`Setup::default`] with `overlay`
@@ -196,7 +198,7 @@ pub fn bench_order() -> Vec<String> {
 /// holds exactly those bytes untouched (a warm pass rewrites nothing).
 /// The error names the file, for the figure's `FAIL` row.
 pub fn write_result(file: &str, contents: &str) -> Result<(), String> {
-    let path = results_dir().join(file);
+    let path = results_dir()?.join(file);
     let wrote = write_if_changed(&path, contents.as_bytes())
         .map_err(|e| format!("write {}: {e}", path.display()))?;
     let verb = if wrote { "wrote" } else { "unchanged" };

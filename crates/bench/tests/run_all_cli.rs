@@ -170,3 +170,39 @@ fn a_results_file_that_cannot_be_written_fails_its_figure_only() {
     assert!(row("table_hw_cost").contains("pass"), "{summary}");
     assert!(failures, "the failures report is still written");
 }
+
+#[test]
+fn a_results_directory_that_cannot_be_created_fails_loudly() {
+    let dir = results_dir(&["uncreatable"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    // A results directory under a regular file, and one whose `cache` is
+    // a regular file: neither can be created, whatever the user's
+    // permissions.
+    let file = dir.join("file");
+    let with_cache_file = dir.join("results");
+    std::fs::create_dir_all(&with_cache_file).expect("create the results directory");
+    std::fs::write(&file, "").expect("create the file");
+    std::fs::write(with_cache_file.join("cache"), "").expect("create the cache file");
+    let cases = [
+        (file.join("results"), file.join("results")),
+        (with_cache_file.clone(), with_cache_file.join("cache")),
+    ];
+    for (results, culprit) in cases {
+        for args in [&["--only", "table4_params"][..], &["--fsck"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+                .args(args)
+                .env("POISE_RESULTS_DIR", &results)
+                .output()
+                .expect("spawn run_all");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&culprit.display().to_string()),
+                "{args:?} must name {}: {stderr}",
+                culprit.display()
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -177,18 +177,6 @@ pub mod rngs {
         fn rotl(x: u64, k: u32) -> u64 {
             x.rotate_left(k)
         }
-
-        /// The raw xoshiro256** state, for serialization (e.g. simulation
-        /// snapshots). Restore with [`SmallRng::from_state`].
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuild a generator from a state captured by [`SmallRng::state`];
-        /// the restored stream continues exactly where the saved one stood.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            SmallRng { s }
-        }
     }
 
     impl SeedableRng for SmallRng {

@@ -44,9 +44,11 @@
 //! ## Execution model
 //!
 //! [`Engine::run`] expands the requested jobs to their transitive
-//! dependency closure, deduplicates by canonical spec, and executes in
-//! three waves (leaf jobs → model fits → scheme runs), fanning each wave
-//! across the host's cores. Each job executes once, under
+//! dependency closure, deduplicates by identity (see "Job identity"
+//! below), and executes in waves (leaf jobs → model fits → scheme runs,
+//! plus one wave per prefix-chain depth), fanning each wave across the
+//! host's cores. The returned [`ResultStore`] holds each job's result by
+//! its entry in the pass's job graph. Each job executes once, under
 //! `catch_unwind`, so one panicking simulation marks its dependants
 //! failed without tearing down the run; every failure is terminal (see
 //! [`FailClass`]). Such a panic prints one line, its location and
@@ -70,8 +72,8 @@
 //!   pass; a cache hit simulates nothing and asks the memo nothing.
 //! * *Key*: (workload, machine configuration, warmup/measure window,
 //!   tuple), compared and fingerprinted under the identity equality
-//!   below: floats by bit pattern, engine-only fields such as
-//!   `step_mode` ignored. Each (workload, configuration, window) is
+//!   below: as the key's spec lines would read, engine-only fields such
+//!   as `step_mode` ignored. Each (workload, configuration, window) is
 //!   held once, with its points under it.
 //! * *Single flight*: the first request for a point simulates it, a
 //!   concurrent request waits for that simulation, and later requests
@@ -93,45 +95,52 @@
 //! ## Job identity
 //!
 //! A job's *identity* is its [`SimJob::spec_text`] and the SHA-256 of
-//! that text (the *spec hash*): the cache key hashes it, and the
-//! engine's [`ResultStore`] is keyed by it. No map over jobs is keyed by
-//! struct equality, so jobs that differ only in engine settings the text
-//! leaves out (`step_mode`, `sim_threads`, a run's display `tag` and
-//! `prefix_chain`) share one entry.
+//! that text (the *spec hash*): the cache key hashes it. No map over
+//! jobs is keyed by struct equality, so jobs that differ only in engine
+//! settings the text leaves out (`step_mode`, `sim_threads`, a run's
+//! display `tag` and `prefix_chain`) are one job.
 //!
 //! Rendering a spec text in full costs 7–11 µs (release build, the
 //! figures-smoke and default-knob closures, a 2-vCPU x86-64 host), most
 //! of it in three lines: the workload's `kernel KernelSpec { .. }`
 //! line, the machine's `cfg gpu v1 ..` line and the grid line. A pass
 //! asks for the same few hundred jobs about a thousand times, so each
-//! layer resolves jobs through a pass-scoped [`IdentityTable`]:
+//! layer indexes jobs in a pass-scoped [`IdentityTable`]:
 //!
 //! * one per `plan_jobs` call, shared by every figure's
 //!   [`crate::plan::ExperimentPlan::expand`] and by [`factor_prefixes`];
 //! * one per [`Engine::run`], built while the dependency graph is
-//!   expanded; the returned [`ResultStore`] keeps it, so render-time
-//!   lookups resolve without rendering.
+//!   expanded: it is the graph. The returned [`ResultStore`] keeps it
+//!   and stores each result by entry, so a render-time lookup finds its
+//!   job's entry, and with it the result, without rendering.
 //!
 //! A table interns a job by a cheap fingerprint and the *identity
-//! equality*: every field that enters the spec text, floats by bit
-//! pattern (`0.0` and `-0.0` render differently, although `f64::eq`
-//! calls them equal), engine-only fields skipped. Equal under it implies
-//! equal spec texts; the fingerprint reads only fields the equality
-//! compares. Interning renders nothing. Planning only needs to know which
-//! jobs are the same, so the plan's table renders no text: plan
-//! expansion and prefix grouping key their maps by table entry.
+//! equality*: every field that enters the spec text, compared as it
+//! renders, engine-only fields skipped. Floats compare by bit pattern
+//! (`0.0` and `-0.0` render differently, although `f64::eq` calls them
+//! equal), except that every NaN equals every other (each renders
+//! `NaN`). So two jobs are equal under it exactly when their spec texts
+//! are: one entry per identity, in the plan and the engine alike. The
+//! fingerprint reads only fields the equality compares. Interning
+//! renders nothing.
 //!
-//! Rendering an entry's identity is a separate step,
-//! [`IdentityTable::render`], which only the engine's graph expansion
-//! takes: once per graph entry, since every cache key needs its text. A
-//! warm pass at figures-smoke knobs renders 387 spec texts, one per
-//! unique job, where it rendered 1,049 while the plan rendered its 662
-//! too. The text-collision rule lives in that step: a rendered text that
-//! another entry already holds resolves to that entry. Equal texts imply
-//! identity-equal jobs except for NaNs, whose payloads the equality
-//! compares and the text (`NaN`) drops. So the plan's counts keep two
-//! jobs that differ only in a NaN's payload apart, while the engine runs
-//! them as one job.
+//! Each entry keeps its dependency entries: the first closure walk to
+//! visit it ([`IdentityTable::closure`]) derives its [`SimJob::deps`]
+//! and interns them. Plan expansion walks each sweep point's closure
+//! through these edges and the engine its graph, so each table derives
+//! an entry's dependencies once: at figures-smoke knobs the plan derives
+//! 383 times per pass, and the engine 387, once per graph entry. The
+//! engine reaches a dependency's output through its edge, without
+//! rebuilding or looking up its job.
+//!
+//! Planning only needs to know which jobs are the same, so the plan's
+//! table renders no text: plan expansion and prefix grouping key their
+//! maps by table entry. Rendering an entry's identity is a separate
+//! step, [`IdentityTable::render`], which only the engine's graph
+//! expansion takes: once per graph entry, since every cache key needs
+//! its text. A warm pass at figures-smoke knobs renders 387 spec texts,
+//! one per unique job, where it rendered 1,049 while the plan rendered
+//! its 662 too.
 //!
 //! A render goes over the table's *fragment memo*: the three costly
 //! lines above, each keyed by its value's fingerprint and compared under
@@ -148,8 +157,7 @@
 //! specs in, so every clone of the run shares one digest; the share
 //! also memoises its spec's fingerprint, so a Poise run fingerprints
 //! its training [`ModelSpec`] (a dozen or more kernels) once per share,
-//! not once per lookup. The engine's graph records each job's
-//! dependencies as graph entries, and its [`ResultStore`] memoises the
+//! not once per lookup. The engine's [`ResultStore`] memoises the
 //! SHA-256 of each output a dependant's cache key embeds, so a pass
 //! serialises and hashes the trained model once, not once per Poise
 //! run.
@@ -166,7 +174,7 @@
 use std::any::Any;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -864,7 +872,7 @@ impl SimJob {
     /// propagate through the graph.
     ///
     /// Renders on every call, over a fresh fragment memo: layers that
-    /// ask repeatedly resolve through an [`IdentityTable`] instead (see
+    /// ask repeatedly index jobs in an [`IdentityTable`] instead (see
     /// "Job identity" in the module docs).
     pub fn spec_text(&self) -> String {
         self.render(&mut Fragments::default())
@@ -1082,37 +1090,40 @@ impl Identity {
     }
 }
 
-/// A pass-scoped memo of job identities (see "Job identity" in the
-/// module docs): one entry per job distinct under the identity
-/// equality, holding the first job seen with it, and the spec-line
-/// fragments its renders share. Interning renders nothing; an entry's
-/// identity renders in a separate step ([`IdentityTable::render`]),
-/// which only the engine takes. A table serving an engine run doubles as
-/// its job graph, so the graph's jobs are not cloned a second time. A
-/// planner creates one (`IdentityTable::default()`) per pass and hands
-/// it to [`crate::plan::ExperimentPlan::expand`] and [`factor_prefixes`].
+/// A pass-scoped index of jobs (see "Job identity" in the module docs):
+/// one entry per job identity, holding the first job seen with it, its
+/// dependency entries once a closure walk has derived them, its identity
+/// once rendered, and the spec-line fragments its renders share.
+/// Interning renders nothing; an entry's identity renders in a separate
+/// step ([`IdentityTable::render`]), which only the engine takes. A
+/// table serving an engine run is its job graph, so the graph's jobs are
+/// not cloned a second time. A planner creates one
+/// (`IdentityTable::default()`) per pass and hands it to
+/// [`crate::plan::ExperimentPlan::expand`] and [`factor_prefixes`].
 #[derive(Debug, Default)]
 pub struct IdentityTable {
     entries: Vec<Entry>,
     /// Fingerprint → entries whose job has it.
     by_print: HashMap<u64, Vec<usize>>,
-    /// Spec hash → the first entry rendered with it.
-    by_hash: HashMap<Arc<str>, usize>,
     /// The fragments of this table's renders.
     fragments: Fragments,
     /// Spec texts this table rendered.
     #[cfg(test)]
     renders: usize,
+    /// Entries whose dependencies this table derived.
+    #[cfg(test)]
+    derivations: usize,
 }
 
 /// One [`IdentityTable`] entry.
 #[derive(Debug)]
 struct Entry {
     job: SimJob,
-    /// Set by [`IdentityTable::render`]: the entry holding the job's
-    /// spec text (this one, or an earlier one rendering the same text)
-    /// and the identity.
-    rendered: Option<(usize, Identity)>,
+    /// The job's direct dependencies as entries, in [`SimJob::deps`]
+    /// order: derived when a closure walk first visits the entry.
+    deps: Option<Vec<usize>>,
+    /// Set by [`IdentityTable::render`].
+    id: Option<Identity>,
 }
 
 impl IdentityTable {
@@ -1123,6 +1134,11 @@ impl IdentityTable {
             .iter()
             .copied()
             .find(|&i| self.entries[i].job.spec_eq(job))
+    }
+
+    /// The entry of `job`, if the table holds its identity.
+    pub(crate) fn lookup(&self, job: &SimJob) -> Option<usize> {
+        self.find(job, fingerprint(job))
     }
 
     /// Intern `job` by its fingerprint and the identity equality alone:
@@ -1136,38 +1152,51 @@ impl IdentityTable {
         self.by_print.entry(print).or_default().push(i);
         self.entries.push(Entry {
             job: job.into_owned(),
-            rendered: None,
+            deps: None,
+            id: None,
         });
         (i, true)
     }
 
-    /// Render entry `i`'s identity over the table's fragments, on the
-    /// first call only, and return the entry that holds its spec text: a
-    /// text an earlier entry already holds (a job equal to it in text but
-    /// not under the identity equality) resolves to that entry.
-    pub(crate) fn render(&mut self, i: usize) -> usize {
-        if let Some((holder, _)) = self.entries[i].rendered {
-            return holder;
+    /// The dependency closure of `roots`: every entry reachable from
+    /// them, each once, depth first and the roots in order. An entry's
+    /// dependencies are derived and interned on its first visit in the
+    /// table's life, and kept.
+    pub(crate) fn closure(&mut self, roots: &[usize]) -> Vec<usize> {
+        let mut seen = HashSet::new();
+        let mut visited = Vec::new();
+        let mut stack: Vec<usize> = roots.iter().rev().copied().collect();
+        while let Some(i) = stack.pop() {
+            if !seen.insert(i) {
+                continue;
+            }
+            visited.push(i);
+            if self.entries[i].deps.is_none() {
+                let deps = self.entries[i].job.deps();
+                let deps = deps
+                    .into_iter()
+                    .map(|d| self.intern(Cow::Owned(d)).0)
+                    .collect();
+                self.entries[i].deps = Some(deps);
+                #[cfg(test)]
+                {
+                    self.derivations += 1;
+                }
+            }
+            stack.extend_from_slice(self.deps(i));
         }
-        let id = Identity::render(&self.entries[i].job, &mut self.fragments);
-        #[cfg(test)]
-        {
-            self.renders += 1;
-        }
-        let holder = *self.by_hash.entry(id.hash.clone()).or_insert(i);
-        self.entries[i].rendered = Some((holder, id));
-        holder
+        visited
     }
 
-    /// The identity of `job` without changing the table: a rendered
-    /// entry's on a hit, freshly rendered otherwise.
-    pub(crate) fn resolve(&self, job: &SimJob) -> Identity {
-        match self
-            .find(job, fingerprint(job))
-            .and_then(|i| self.entries[i].rendered.as_ref())
-        {
-            Some((_, id)) => id.clone(),
-            None => Identity::of(job),
+    /// Render entry `i`'s identity over the table's fragments, on the
+    /// first call only.
+    pub(crate) fn render(&mut self, i: usize) {
+        if self.entries[i].id.is_none() {
+            self.entries[i].id = Some(Identity::render(&self.entries[i].job, &mut self.fragments));
+            #[cfg(test)]
+            {
+                self.renders += 1;
+            }
         }
     }
 
@@ -1176,12 +1205,22 @@ impl IdentityTable {
         &self.entries[i].job
     }
 
-    /// Entry `i`'s job and identity. The entry must be rendered, as every
-    /// entry of an engine's graph is.
-    pub(crate) fn entry(&self, i: usize) -> (&SimJob, &Identity) {
-        let Entry { job, rendered } = &self.entries[i];
-        let (_, id) = rendered.as_ref().expect("graph entries are rendered");
-        (job, id)
+    /// Entry `i`'s identity. The entry must be rendered, as every entry
+    /// of an engine's graph is.
+    pub(crate) fn identity(&self, i: usize) -> &Identity {
+        self.entries[i]
+            .id
+            .as_ref()
+            .expect("graph entries are rendered")
+    }
+
+    /// Entry `i`'s dependency entries. A closure walk must have visited
+    /// the entry, as the engine's graph expansion visits every entry.
+    pub(crate) fn deps(&self, i: usize) -> &[usize] {
+        self.entries[i]
+            .deps
+            .as_deref()
+            .expect("a closure walk visited the entry")
     }
 }
 
@@ -1278,8 +1317,7 @@ impl Fingerprint {
 pub(crate) trait SpecEq {
     /// Whether the two values render the same spec text, judged on the
     /// values alone: every rendered field compared, floats by bit
-    /// pattern. May say `false` for equal texts; never `true` for
-    /// different ones.
+    /// pattern except that every NaN equals every other.
     fn spec_eq(&self, other: &Self) -> bool;
     /// Feed `fp` fields that `spec_eq` compares (and no others).
     fn print(&self, fp: &mut Fingerprint);
@@ -1299,15 +1337,23 @@ macro_rules! spec_eq_scalars {
 }
 spec_eq_scalars!(u64, usize, bool, Scheme, SetIndexing);
 
+/// Floats compare as they render: `0.0` and `-0.0` render differently,
+/// although `f64::eq` calls them equal, and every NaN renders `NaN`.
 impl SpecEq for f64 {
     fn spec_eq(&self, other: &Self) -> bool {
-        self.to_bits() == other.to_bits()
+        self.to_bits() == other.to_bits() || (self.is_nan() && other.is_nan())
     }
     /// Signed zeros share a bucket, so only the equality tells them
     /// apart (as the `signed_zero_*_fields_get_distinct_fragments` tests
-    /// check).
+    /// check). All NaNs, being equal, share one bucket too.
     fn print(&self, fp: &mut Fingerprint) {
-        fp.word(if *self == 0.0 { 0 } else { self.to_bits() });
+        fp.word(if *self == 0.0 {
+            0
+        } else if self.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            self.to_bits()
+        });
     }
 }
 
@@ -1803,17 +1849,15 @@ impl JobOutput {
 // The engine.
 // ---------------------------------------------------------------------------
 
-/// Resolved results of an engine run, addressed by spec hash.
+/// Resolved results of an engine run, stored by graph entry: a job is
+/// found by its entry in the run's identity table, by fingerprint and
+/// the identity equality, without rendering.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    /// The run's identity table (its job graph), so lookups by job
-    /// resolve without rendering; a job outside it renders.
+    /// The run's identity table: its job graph.
     pub(crate) ids: IdentityTable,
-    pub(crate) outputs: HashMap<Arc<str>, Result<Resolved, String>>,
-    /// Execution wall seconds per spec hash: measured for executed jobs,
-    /// recalled from the entry's metadata for cache hits — so
-    /// throughput-reporting figures render identically cold and warm.
-    pub(crate) walls: HashMap<Arc<str>, f64>,
+    /// Each graph entry's result, once its wave has run.
+    results: Vec<Option<Result<Resolved, String>>>,
     /// Values renderers derived from these results (see
     /// [`ResultStore::derived`]).
     derived: Mutex<Vec<Derived>>,
@@ -1827,11 +1871,16 @@ struct Derived {
     value: Arc<dyn Any + Send + Sync>,
 }
 
-/// One job's output, with the SHA-256 of its serialisation memoised for
-/// the cache keys of its dependants ([`SimJob::dep_digest`]).
+/// One job's output and wall seconds, with the SHA-256 of its
+/// serialisation memoised for the cache keys of its dependants
+/// ([`SimJob::dep_digest`]).
 #[derive(Debug)]
 pub(crate) struct Resolved {
     out: JobOutput,
+    /// Execution wall seconds: measured for an executed job, recalled
+    /// from the entry's metadata for a cache hit — so
+    /// throughput-reporting figures render identically cold and warm.
+    wall: f64,
     digest: OnceLock<String>,
 }
 
@@ -1843,53 +1892,48 @@ impl Resolved {
 }
 
 impl ResultStore {
-    /// An empty store resolving identities through `ids`.
+    /// An empty store for the graph `ids`.
     pub(crate) fn over(ids: IdentityTable) -> Self {
         ResultStore {
+            results: std::iter::repeat_with(|| None)
+                .take(ids.entries.len())
+                .collect(),
             ids,
-            ..ResultStore::default()
+            derived: Mutex::default(),
         }
     }
 
-    /// Record entry `i`'s result (and, on success, its wall seconds).
+    /// Record entry `i`'s result and wall seconds.
     pub(crate) fn insert(&mut self, i: usize, result: Result<JobOutput, String>, wall: f64) {
-        let hash = self.ids.entry(i).1.hash.clone();
-        if result.is_ok() {
-            self.walls.insert(hash.clone(), wall);
-        }
-        let resolved = result.map(|out| Resolved {
+        self.results[i] = Some(result.map(|out| Resolved {
             out,
+            wall,
             digest: OnceLock::new(),
-        });
-        self.outputs.insert(hash, resolved);
+        }));
     }
 
-    /// The result of `job` (spec hash `hash`); `Err` carries the failure
-    /// (or "never ran").
-    fn result(&self, job: &SimJob, hash: &str) -> Result<&Resolved, String> {
-        match self.outputs.get(hash) {
+    /// Entry `i`'s result; `Err` carries the failure (or "never ran").
+    fn resolved(&self, i: usize) -> Result<&Resolved, String> {
+        match &self.results[i] {
             Some(Ok(r)) => Ok(r),
             Some(Err(e)) => Err(e.clone()),
-            None => Err(format!("{} was not executed", job.label())),
+            None => Err(format!("{} was not executed", self.ids.job(i).label())),
         }
-    }
-
-    /// Entry `i`'s result, as [`ResultStore::get`] gives it.
-    fn resolved(&self, i: usize) -> Result<&Resolved, String> {
-        let (job, id) = self.ids.entry(i);
-        self.result(job, &id.hash)
     }
 
     /// Fetch a job's output; `Err` carries the failure (or "never ran").
     pub fn get(&self, job: &SimJob) -> Result<&JobOutput, String> {
-        self.result(job, &self.ids.resolve(job).hash)
-            .map(|r| &r.out)
+        match self.ids.lookup(job) {
+            Some(i) => self.resolved(i).map(|r| &r.out),
+            None => Err(format!("{} was not executed", job.label())),
+        }
     }
 
-    /// The execution wall seconds of a job's simulation (see `walls`).
-    /// `None` for failed/never-run jobs.
+    /// The execution wall seconds of a job's simulation (see
+    /// [`Resolved`]). `None` for failed/never-run jobs.
     pub fn wall(&self, job: &SimJob) -> Option<f64> {
-        self.walls.get(&self.ids.resolve(job).hash).copied()
+        let result = self.results[self.ids.lookup(job)?].as_ref()?;
+        result.as_ref().ok().map(|r| r.wall)
     }
 
     /// The profile grid for `spec`.
@@ -2104,68 +2148,43 @@ pub trait ProgressSink: Send + Sync {
 /// `(spec_hash, label)` pairs in stable execution order: the identity
 /// set an [`Engine::run`] over `jobs` resolves.
 pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
-    let JobGraph { ids, order, .. } = expand_graph(jobs);
+    let JobGraph { ids, order } = expand_graph(jobs);
     order
         .iter()
-        .map(|&i| {
-            let (job, id) = ids.entry(i);
-            (id.hash.to_string(), job.label())
-        })
+        .map(|&i| (ids.identity(i).hash.to_string(), ids.job(i).label()))
         .collect()
 }
 
 /// The deduplicated dependency closure of a requested job set, in
 /// stable execution order.
 struct JobGraph {
-    /// The closure's identities, every entry rendered: the pass's
-    /// identity table (see the module docs).
+    /// The closure's entries, each rendered and with its dependency
+    /// entries: the pass's identity table (see the module docs).
     ids: IdentityTable,
-    /// Entries of `ids` in execution order, one per distinct spec text.
+    /// Every entry of `ids`, sorted by wave.
     order: Vec<usize>,
-    /// Each entry's direct dependencies, as entries in [`SimJob::deps`]
-    /// order, so the engine reaches a dependency's output without
-    /// rebuilding or resolving its job.
-    deps: Vec<Vec<usize>>,
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
-/// canonical spec, ordered by wave then expansion order. Every entry
-/// renders its identity once, when first interned: the cache keys need
-/// every spec text.
+/// the identity equality, ordered by wave then expansion order. Every
+/// entry renders its identity once: the cache keys need every spec text.
 fn expand_graph(jobs: &[SimJob]) -> JobGraph {
     let mut ids = IdentityTable::default();
-    let mut order: Vec<usize> = Vec::new();
-    // Indexed by table entry; an entry resolving to another's text
-    // keeps an empty slot list.
-    let mut deps: Vec<Vec<usize>> = Vec::new();
-    // Each item carries the entry and dependency slot it fills, if any.
-    let mut worklist: Vec<_> = jobs.iter().map(|j| (None, Cow::Borrowed(j))).collect();
-    while let Some((slot, job)) = worklist.pop() {
-        let (i, new) = ids.intern(job);
-        if new {
-            deps.push(Vec::new());
-        }
-        let holder = ids.render(i);
-        if new && holder == i {
-            let job_deps = ids.job(i).deps();
-            deps[i] = vec![usize::MAX; job_deps.len()];
-            worklist.extend(
-                job_deps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, d)| (Some((i, k)), Cow::Owned(d))),
-            );
-            order.push(i);
-        }
-        if let Some((parent, k)) = slot {
-            deps[parent][k] = holder;
-        }
+    // The requested jobs last to first, so a job requested twice keeps
+    // its last instance (its display tag) and the requested jobs come
+    // before late-discovered dependencies of the same wave — purely
+    // cosmetic, execution is parallel anyway.
+    let roots: Vec<usize> = jobs
+        .iter()
+        .rev()
+        .map(|j| ids.intern(Cow::Borrowed(j)).0)
+        .collect();
+    let mut order = ids.closure(&roots);
+    for &i in &order {
+        ids.render(i);
     }
-    // Stable order: wave, then expansion order (reversed so that the
-    // originally-requested jobs come before late-discovered deps of
-    // the same wave — purely cosmetic, execution is parallel anyway).
     order.sort_by_key(|&i| ids.job(i).wave());
-    JobGraph { ids, order, deps }
+    JobGraph { ids, order }
 }
 
 /// Factor the declared jobs into shared prefixes and suffix runs.
@@ -2397,11 +2416,17 @@ impl Engine {
     pub fn run(&self, jobs: &[SimJob]) -> (ResultStore, RunReport) {
         install_job_panic_hook();
         let t0 = Instant::now();
-        let JobGraph { ids, order, deps } = expand_graph(jobs);
+        let JobGraph { ids, order } = expand_graph(jobs);
         let total = order.len();
+        // The waves present, ascending, each a run of the sorted order:
+        // the classic three (leaves → fits → runs) plus one wave per
+        // prefix-chain depth when the plan was prefix-factored.
+        let waves: Vec<&[usize]> = order
+            .chunk_by(|&a, &b| ids.job(a).wave() == ids.job(b).wave())
+            .collect();
 
         // The store keeps the graph's identity table: dependency lookups
-        // here and render lookups after the run resolve through it.
+        // here and render lookups after the run go through it.
         let mut store = ResultStore::over(ids);
         let mut report = RunReport {
             total,
@@ -2415,36 +2440,24 @@ impl Engine {
             self.cache.stats.store_faults_count(),
         );
 
-        // Distinct waves actually present, ascending: the classic three
-        // (leaves → fits → runs) plus one wave per prefix-chain depth
-        // when the plan was prefix-factored.
-        let mut waves: Vec<usize> = order.iter().map(|&i| store.ids.job(i).wave()).collect();
-        waves.sort_unstable();
-        waves.dedup();
         for wave in waves {
-            let wave_jobs: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&i| store.ids.job(i).wave() == wave)
-                .collect();
-            let results: Vec<(usize, Disposition)> =
-                crate::parallel::parallel_map(&wave_jobs, |&i| {
-                    let (job, id) = store.ids.entry(i);
-                    let jt = Instant::now();
-                    let d = self.run_one(job, id, &deps[i], &store, &memo);
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if !self.quiet {
-                        let status = match (&d.result, d.was_hit) {
-                            (Ok(_), true) => "hit".to_string(),
-                            (Ok(_), false) => format!("ran {:.2}s", jt.elapsed().as_secs_f64()),
-                            (Err((_, e)), _) => format!("FAILED: {e}"),
-                        };
-                        eprintln!("[engine] {n}/{total} {} {status}", job.label());
-                    }
-                    (i, d)
-                });
+            let results: Vec<(usize, Disposition)> = crate::parallel::parallel_map(wave, |&i| {
+                let job = store.ids.job(i);
+                let jt = Instant::now();
+                let d = self.run_one(i, &store, &memo);
+                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                if !self.quiet {
+                    let status = match (&d.result, d.was_hit) {
+                        (Ok(_), true) => "hit".to_string(),
+                        (Ok(_), false) => format!("ran {:.2}s", jt.elapsed().as_secs_f64()),
+                        (Err((_, e)), _) => format!("FAILED: {e}"),
+                    };
+                    eprintln!("[engine] {n}/{total} {} {status}", job.label());
+                }
+                (i, d)
+            });
             for (i, d) in results {
-                let (job, id) = store.ids.entry(i);
+                let job = store.ids.job(i);
                 let result = match d.result {
                     Ok(out) => {
                         if d.was_hit {
@@ -2458,7 +2471,7 @@ impl Engine {
                         report.failed.push((job.label(), error.clone()));
                         report.trouble.push(JobTrouble {
                             label: job.label(),
-                            spec_hash: id.hash.to_string(),
+                            spec_hash: store.ids.identity(i).hash.to_string(),
                             class,
                             error: error.clone(),
                             wall_ms: (d.wall * 1000.0) as u64,
@@ -2527,8 +2540,12 @@ impl Engine {
         let mut points = Vec::with_capacity(r.prefix_chain.len());
         for (i, &cycles) in r.prefix_chain.iter().enumerate() {
             let synth = SimJob::Prefix(r.prefix_at(cycles, &r.prefix_chain[..i]));
-            // Ladder barriers are graph jobs (a table hit).
-            let id = store.ids.resolve(&synth);
+            // A planned ladder's barriers are graph entries; a chain whose
+            // prefix jobs were not planned renders its own.
+            let id = match store.ids.lookup(&synth) {
+                Some(e) => store.ids.identity(e).clone(),
+                None => Identity::of(&synth),
+            };
             let key = self.identify(&synth, &id, deps, store).ok()?.key;
             points.push(PrefixPoint {
                 cycles,
@@ -2544,19 +2561,12 @@ impl Engine {
         })
     }
 
-    /// Run (or load) one job (identity `id`, dependency entries `deps`)
-    /// whose dependencies are already in `store`, its steady-state runs
-    /// through the pass's `memo`, injecting an execution fault when a
-    /// plan is installed. A job executes at most once: every failure is
-    /// terminal.
-    fn run_one(
-        &self,
-        job: &SimJob,
-        id: &Identity,
-        deps: &[usize],
-        store: &ResultStore,
-        memo: &SteadyMemo,
-    ) -> Disposition {
+    /// Run (or load) the job of graph entry `i`, whose dependencies are
+    /// already in `store`, its steady-state runs through the pass's
+    /// `memo`, injecting an execution fault when a plan is installed. A
+    /// job executes at most once: every failure is terminal.
+    fn run_one(&self, i: usize, store: &ResultStore, memo: &SteadyMemo) -> Disposition {
+        let (job, id, deps) = (store.ids.job(i), store.ids.identity(i), store.ids.deps(i));
         let spec_hash: &str = &id.hash;
         let label = job.label();
         let CacheKey { kind, key } = match self.identify(job, id, deps, store) {
@@ -2702,8 +2712,8 @@ mod tests {
     /// `job`'s identity through `ids`: interned, then rendered.
     fn identity(ids: &mut IdentityTable, job: &SimJob) -> Identity {
         let (i, _) = ids.intern(Cow::Borrowed(job));
-        let holder = ids.render(i);
-        ids.entry(holder).1.clone()
+        ids.render(i);
+        ids.identity(i).clone()
     }
 
     #[test]
@@ -3249,7 +3259,12 @@ mod tests {
             assert_ne!(ha, hb);
             assert_eq!(ha, Identity::of(&a).hash);
             assert_eq!(hb, Identity::of(&b).hash);
-            assert_eq!((ids.resolve(&a).hash, ids.resolve(&b).hash), (ha, hb));
+            let entry = |job| {
+                ids.identity(ids.lookup(job).expect("interned"))
+                    .hash
+                    .clone()
+            };
+            assert_eq!((entry(&a), entry(&b)), (ha, hb));
             // The engine's graph keeps both runs (and both models when
             // they differ).
             let closure = graph_closure(&[a.clone(), b.clone()]);
@@ -3314,8 +3329,9 @@ mod tests {
         let mut ids = IdentityTable::default();
         assert!(ids.intern(Cow::Borrowed(&a)).1);
         assert_eq!(ids.intern(Cow::Borrowed(&b)), (0, false));
+        assert_eq!(ids.lookup(&b), Some(0));
         ids.render(0);
-        assert_eq!(ids.resolve(&b), Identity::of(&a));
+        assert_eq!(ids.identity(0), &Identity::of(&b));
     }
 
     #[test]
@@ -3339,21 +3355,52 @@ mod tests {
         let mut jobs = exp.jobs;
         assert_eq!(factor_prefixes(&mut jobs, &mut ids), 6);
         assert!(!ids.entries.is_empty());
-        assert!(ids.entries.iter().all(|e| e.rendered.is_none()));
+        assert!(ids.entries.iter().all(|e| e.id.is_none()));
         assert_eq!(ids.renders, 0, "planning renders no spec text");
 
         let graph = expand_graph(&jobs);
         let n = graph.ids.entries.len();
-        assert!(graph.ids.entries.iter().all(|e| e.rendered.is_some()));
+        assert!(graph.ids.entries.iter().all(|e| e.id.is_some()));
         assert_eq!(graph.order.len(), n);
         assert_eq!(graph.ids.renders, n, "each graph entry renders once");
     }
 
     #[test]
+    fn planning_and_the_engine_derive_each_entrys_dependencies_once() {
+        // Two sweep points deploying one Poise model: each point's runs
+        // reach the model fit and its two samples, and its SWL runs a
+        // profile the run_cycles axis leaves untouched.
+        let plan = crate::plan::ExperimentPlan::new(
+            tiny_setup(),
+            vec![crate::plan::Axis::run_cycles([10_000, 20_000])],
+        );
+        let mut model = ModelSpec::default_training(&tiny_setup());
+        model.kernels.truncate(2);
+        let model = SharedSpec::new(model);
+        let mut ids = IdentityTable::default();
+        let exp = plan.expand(&mut ids, |setup| {
+            [Scheme::Poise, Scheme::Swl]
+                .into_iter()
+                .flat_map(|s| [kernel(3), kernel(4)].map(|k| (s, k)))
+                .map(|(s, k)| SimJob::Run(KernelRunSpec::new_shared(&k, s, setup, Some(&model))))
+                .collect()
+        });
+        assert_eq!(exp.shared, 5, "the fit, its two samples and two profiles");
+        // 8 runs, 2 profiles, the fit and its 2 samples.
+        assert_eq!(ids.entries.len(), 13);
+        assert!(ids.entries.iter().all(|e| e.deps.is_some()));
+        assert_eq!(ids.derivations, 13, "each plan entry derives once");
+
+        let graph = expand_graph(&exp.jobs);
+        assert_eq!(graph.order.len(), 13);
+        assert_eq!(graph.ids.derivations, 13, "each graph entry derives once");
+    }
+
+    #[test]
     fn nan_payloads_render_one_text_and_share_one_graph_entry() {
         // Two runs whose machines differ only in a NaN's payload: both
-        // render `NaN`, so they are one job to the engine, though the
-        // identity equality (floats by bit pattern) keeps them apart.
+        // render `NaN`, and the identity equality calls every NaN equal,
+        // so they are one job to the plan's table and the engine alike.
         let setup = tiny_setup();
         let run = |alu_op: f64| {
             let mut s = setup.clone();
@@ -3361,17 +3408,27 @@ mod tests {
             SimJob::Run(KernelRunSpec::new(&kernel(1), Scheme::Gto, &s, None))
         };
         let (a, b) = (run(f64::NAN), run(f64::from_bits(f64::NAN.to_bits() ^ 1)));
-        assert!(!a.spec_eq(&b));
+        assert!(a.spec_eq(&b));
         assert!(a.spec_text().contains("alu:NaN"));
         assert_eq!(a.spec_text(), b.spec_text());
         assert_eq!(graph_closure(&[a.clone(), b.clone()]).len(), 1);
-        // The text collision resolves in the render step, to the entry
-        // rendered first.
         let mut ids = IdentityTable::default();
         assert_eq!(ids.intern(Cow::Borrowed(&a)), (0, true));
-        assert_eq!(ids.intern(Cow::Borrowed(&b)), (1, true));
-        assert_eq!((ids.render(0), ids.render(1)), (0, 0));
-        assert_eq!(ids.resolve(&b), Identity::of(&a));
+        assert_eq!(ids.intern(Cow::Borrowed(&b)), (0, false));
+    }
+
+    #[test]
+    fn a_job_outside_the_graph_was_not_executed() {
+        let setup = tiny_setup();
+        let ran = SimJob::Run(KernelRunSpec::new(&kernel(1), Scheme::Gto, &setup, None));
+        let other = SimJob::Run(KernelRunSpec::new(&kernel(2), Scheme::Gto, &setup, None));
+        let (engine, dir) = tmp_engine("outside");
+        let (store, _) = engine.run(std::slice::from_ref(&ran));
+        assert!(store.wall(&ran).is_some());
+        let err = store.get(&other).unwrap_err();
+        assert_eq!(err, format!("{} was not executed", other.label()));
+        assert_eq!(store.wall(&other), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A run at `cycles` for `kernel(seed)` under `scheme`.

@@ -36,7 +36,7 @@ use gpu_sim::SetIndexing;
 use poise_ml::ScoringWeights;
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -525,16 +525,12 @@ pub struct PlanExpansion {
     /// The sweep points, in cartesian order (last axis fastest).
     pub points: Vec<SweepPoint>,
     /// Every point's jobs, concatenated (point-unique `Run` jobs carry
-    /// the point's tag). The engine deduplicates by canonical spec.
+    /// the point's tag). The engine deduplicates them by identity.
     pub jobs: Vec<SimJob>,
-    /// Jobs declared across all points, before deduplication.
-    pub declared: usize,
-    /// Unique jobs over the dependency closure of all points, by the
-    /// identity equality (see "Job identity" in [`crate::jobs`]).
-    pub unique: usize,
-    /// Unique jobs (including dependencies such as offline profiles
-    /// and model fits) reached from **two or more** sweep points — the
-    /// work the sweep driver executes once instead of once per point.
+    /// Jobs (including dependencies such as offline profiles and model
+    /// fits) reached from **two or more** sweep points — the work the
+    /// sweep driver executes once instead of once per point. Counted
+    /// by identity (see "Job identity" in [`crate::jobs`]).
     pub shared: usize,
 }
 
@@ -586,12 +582,13 @@ impl ExperimentPlan {
 
     /// Expand the plan over a figure's job function: call `jobs` once
     /// per point, tag point-unique `Run` jobs with the point's display
-    /// tag, and count the specs shared between points (over the full
+    /// tag, and count the jobs shared between points (over the full
     /// dependency closure, so a model fit a sweep deploys at every
     /// point is counted even though figures declare only the runs).
-    /// Jobs intern in `ids`, the plan's identity table, by the identity
-    /// equality alone: expansion renders no spec text (see "Job identity"
-    /// in [`crate::jobs`]).
+    /// Jobs intern in `ids`, the plan's identity table, and each point's
+    /// closure walks the table's dependency edges, which the table
+    /// derives once per entry. Expansion renders no spec text (see "Job
+    /// identity" in [`crate::jobs`]).
     pub fn expand(
         &self,
         ids: &mut IdentityTable,
@@ -600,47 +597,31 @@ impl ExperimentPlan {
         let points = self.points();
         // Each point's declared jobs and their table entries.
         let mut per_point: Vec<(Vec<SimJob>, Vec<usize>)> = Vec::with_capacity(points.len());
-        // Table entry -> point indices reaching it (declared or as a dep).
-        let mut reached_by: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (pi, point) in points.iter().enumerate() {
+        // Table entry -> how many points reach it (declared or as a dep).
+        let mut points_reaching: HashMap<usize, usize> = HashMap::new();
+        for point in &points {
             let declared = jobs(&point.setup);
             let entries: Vec<usize> = declared
                 .iter()
                 .map(|job| ids.intern(Cow::Borrowed(job)).0)
                 .collect();
-            let mut worklist = entries.clone();
-            let mut seen_here: HashSet<usize> = HashSet::new();
-            while let Some(i) = worklist.pop() {
-                if !seen_here.insert(i) {
-                    continue;
-                }
-                let entry = reached_by.entry(i).or_default();
-                if entry.last() != Some(&pi) {
-                    entry.push(pi);
-                }
-                for dep in ids.job(i).deps() {
-                    worklist.push(ids.intern(Cow::Owned(dep)).0);
-                }
+            for i in ids.closure(&entries) {
+                *points_reaching.entry(i).or_default() += 1;
             }
             per_point.push((declared, entries));
         }
+        let shared = points_reaching.values().filter(|&&n| n >= 2).count();
 
-        let declared = per_point.iter().map(|(jobs, _)| jobs.len()).sum();
-        let unique = reached_by.len();
-        let shared = reached_by.values().filter(|pts| pts.len() >= 2).count();
-
-        let mut out = Vec::with_capacity(declared);
-        for (pi, (jobs, entries)) in per_point.into_iter().enumerate() {
-            let tag = &points[pi].tag;
+        let mut out = Vec::new();
+        for ((jobs, entries), point) in per_point.into_iter().zip(&points) {
             for (mut job, i) in jobs.into_iter().zip(entries) {
                 // Tag only jobs unique to this point; a job shared across
                 // points would otherwise wear the first declaring point's
                 // tag, which is misleading.
-                let unique_here = !tag.is_empty()
-                    && matches!(job, SimJob::Run(_))
-                    && reached_by.get(&i).is_some_and(|pts| pts.len() == 1);
-                if let (true, SimJob::Run(spec)) = (unique_here, &mut job) {
-                    spec.tag = Some(tag.clone());
+                if let SimJob::Run(spec) = &mut job {
+                    if !point.tag.is_empty() && points_reaching[&i] == 1 {
+                        spec.tag = Some(point.tag.clone());
+                    }
                 }
                 out.push(job);
             }
@@ -649,8 +630,6 @@ impl ExperimentPlan {
         PlanExpansion {
             points,
             jobs: out,
-            declared,
-            unique,
             shared,
         }
     }
@@ -660,7 +639,7 @@ impl ExperimentPlan {
 mod tests {
     use super::*;
     use crate::experiment::Scheme;
-    use crate::jobs::KernelRunSpec;
+    use crate::jobs::{graph_closure, KernelRunSpec};
     use workloads::{AccessMix, KernelSpec, Workload};
 
     fn kernel(seed: u64) -> Workload {
@@ -726,9 +705,9 @@ mod tests {
             ))]
         });
         assert_eq!(exp.points.len(), 2);
-        assert_eq!(exp.declared, 2);
+        assert_eq!(exp.jobs.len(), 2);
         // Closure: 2 distinct runs + 1 shared profile.
-        assert_eq!(exp.unique, 3);
+        assert_eq!(graph_closure(&exp.jobs).len(), 3);
         assert_eq!(exp.shared, 1, "the profile is reached from both points");
         // Both declared runs are point-unique, so both carry tags.
         let tags: Vec<_> = exp
@@ -756,8 +735,8 @@ mod tests {
                 None,
             ))]
         });
-        assert_eq!(exp.declared, 2);
-        assert_eq!(exp.unique, 1);
+        assert_eq!(exp.jobs.len(), 2);
+        assert_eq!(graph_closure(&exp.jobs).len(), 1);
         assert_eq!(exp.shared, 1);
         for j in &exp.jobs {
             let SimJob::Run(r) = j else { unreachable!() };

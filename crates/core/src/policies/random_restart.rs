@@ -7,13 +7,9 @@
 //! a random starting point is usually far from the optimum, so much of the
 //! epoch is burned sampling mediocre tuples.
 
-use crate::ctrl_state::{Loader, Saver};
 use gpu_sim::{ControlCtx, Controller, WarpTuple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Version header of the serialized random-restart state.
-const STATE_HEADER: &str = "random-restart-v1";
 
 /// Default sampling window length per probe (cycles); matches Poise's
 /// Tsearch.
@@ -218,126 +214,6 @@ impl Controller for RandomRestartController {
             State::Stable => None,
         };
         Some(state_deadline.map_or(epoch_end, |u| u.min(epoch_end)))
-    }
-
-    fn save_state(&self) -> String {
-        // Exhaustive destructure: construction-time config (epoch length,
-        // probe windows, initial strides) is rebuilt from the spec; the RNG
-        // stream position and the search FSM are the mutable state.
-        let RandomRestartController {
-            rng,
-            epoch_len: _,
-            epoch_start,
-            warmup_cycles: _,
-            sample_cycles: _,
-            state,
-            axis,
-            stride,
-            stride_n: _,
-            stride_p: _,
-            current,
-            current_ipc,
-            pending,
-            sampled,
-            measuring,
-            converged,
-        } = self;
-        let mut s = Saver::new(STATE_HEADER);
-        for word in rng.state() {
-            s.u64(word);
-        }
-        s.u64(*epoch_start);
-        match state {
-            State::Warmup { until } => {
-                s.lit("warmup");
-                s.u64(*until);
-            }
-            State::Sample { until } => {
-                s.lit("sample");
-                s.u64(*until);
-            }
-            State::Stable => s.lit("stable"),
-        }
-        s.lit(match axis {
-            Axis::N => "n",
-            Axis::P => "p",
-        });
-        s.usize(*stride);
-        s.tuple(*current);
-        s.opt_f64(*current_ipc);
-        s.tuples(pending);
-        s.pairs(sampled);
-        s.opt_tuple(*measuring);
-        s.tuples(converged);
-        s.finish()
-    }
-
-    fn load_state(&mut self, state: &str) -> bool {
-        let parse = || -> Option<_> {
-            let mut l = Loader::new(state, STATE_HEADER)?;
-            let rng_state = [l.u64()?, l.u64()?, l.u64()?, l.u64()?];
-            let epoch_start = l.u64()?;
-            let fsm = match l.next()? {
-                "warmup" => State::Warmup { until: l.u64()? },
-                "sample" => State::Sample { until: l.u64()? },
-                "stable" => State::Stable,
-                _ => return None,
-            };
-            let axis = match l.next()? {
-                "n" => Axis::N,
-                "p" => Axis::P,
-                _ => return None,
-            };
-            let stride = l.usize()?;
-            let current = l.tuple()?;
-            let current_ipc = l.opt_f64()?;
-            let pending = l.tuples()?;
-            let sampled = l.pairs()?;
-            let measuring = l.opt_tuple()?;
-            let converged = l.tuples()?;
-            l.done()?;
-            Some((
-                rng_state,
-                epoch_start,
-                fsm,
-                axis,
-                stride,
-                current,
-                current_ipc,
-                pending,
-                sampled,
-                measuring,
-                converged,
-            ))
-        };
-        let Some((
-            rng_state,
-            epoch_start,
-            fsm,
-            axis,
-            stride,
-            current,
-            current_ipc,
-            pending,
-            sampled,
-            measuring,
-            converged,
-        )) = parse()
-        else {
-            return false;
-        };
-        self.rng = SmallRng::from_state(rng_state);
-        self.epoch_start = epoch_start;
-        self.state = fsm;
-        self.axis = axis;
-        self.stride = stride;
-        self.current = current;
-        self.current_ipc = current_ipc;
-        self.pending = pending;
-        self.sampled = sampled;
-        self.measuring = measuring;
-        self.converged = converged;
-        true
     }
 }
 
